@@ -28,11 +28,12 @@ bench:
 bench-engine:
 	go run ./cmd/benchengine -o BENCH_engine.json
 
-# Hot-path micro-benchmarks: per-cycle cache pipeline cost and per-access
+# Hot-path micro-benchmarks: per-cycle cache pipeline cost (L1D and LLC
+# geometries), per-cycle core issue cost on a pointer chase, and per-access
 # prefetcher train/issue cost, with allocation counts (want 0 allocs/op).
 bench-cache:
-	go test -run '^$$' -bench 'BenchmarkCacheTick|BenchmarkPrefetchTrain' -benchmem \
-		./internal/cache/ ./internal/prefetch/all/
+	go test -run '^$$' -bench 'BenchmarkCacheTick|BenchmarkCoreIssue|BenchmarkPrefetchTrain' -benchmem \
+		./internal/cache/ ./internal/sim/ ./internal/prefetch/all/
 
 # Regression gate: re-measure the engine matrix and fail if any cell is
 # >10% slower than the newest committed BENCH_engine.json entry. Read-only:

@@ -7,13 +7,16 @@
 //
 // The per-access path is allocation-free in steady state: queues are
 // fixed-capacity value rings (internal/ringbuf), completion callbacks are
-// sink+token pairs or pooled waiter nodes instead of per-request closures,
-// and the PQ duplicate check is an open-addressed presence index rather
-// than a queue walk (see hotpath.go and DESIGN.md §15).
+// sink+token pairs or pooled waiter nodes instead of per-request closures.
+// It is also scan-free: the PQ duplicate check and the MSHR file's line
+// lookup are open-addressed index probes, MSHR allocation and the fill
+// sweep use valid/ready bitsets, and set lookups scan a dense tag array
+// (see hotpath.go and DESIGN.md §15).
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/bertisim/berti/internal/check"
 	"github.com/bertisim/berti/internal/obs"
@@ -50,16 +53,6 @@ func (l Level) String() string {
 		return fmt.Sprintf("Level(%d)", int(l))
 	}
 }
-
-// debugSlowFills enables diagnostic prints for pathological fill latencies.
-var debugSlowFills = false
-
-// SetDebugSlowFills toggles slow-fill diagnostics.
-func SetDebugSlowFills(v bool) { debugSlowFills = v }
-
-// DebugDRAMTimeline is patched by the harness to expose per-line DRAM event
-// times in slow-fill diagnostics; nil-safe default.
-var DebugDRAMTimeline = func(line uint64) []uint64 { return nil }
 
 // LineShift is log2 of the cache line size (64-byte lines).
 const LineShift = 6
@@ -233,11 +226,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's metadata.
+// line is one cache line's metadata. Its address and valid bit live apart,
+// in Cache.tags, so a set lookup scans 8 bytes per way.
 type line struct {
-	addr  uint64 // full physical line address (tag+index)
 	vaddr uint64 // virtual line address (maintained at L1D)
-	valid bool
 	dirty bool
 	// prefetched is the prefetch bit: set when the line was brought by a
 	// prefetch and not yet demanded.
@@ -254,7 +246,9 @@ type line struct {
 	provID uint32
 }
 
-// mshr is one miss-status holding register entry.
+// mshr is one miss-status holding register entry. valid and dataReady are
+// mirrored by the file's bitsets (Cache.mshrValid, Cache.mshrReady), which
+// the hot path consults instead of the entries.
 type mshr struct {
 	valid    bool
 	lineAddr uint64
@@ -368,9 +362,12 @@ type pqEntry struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg   Config
-	sets  int
-	lines []line // sets*ways
+	cfg  Config
+	sets int
+	// tags holds each way's physical line address + 1 (0 = invalid): the
+	// single source of truth for residency, scanned by every lookup.
+	tags  []uint64 // sets*ways
+	lines []line   // sets*ways, same indexing as tags
 	lru   uint64
 	lower Lower
 	// lowerC is lower when it is another *Cache: the common case, kept as
@@ -380,9 +377,17 @@ type Cache struct {
 	pf     Prefetcher
 	xlat   Translator
 	mshrs  []mshr
-	rq     ringbuf.Ring[Req]
-	wq     ringbuf.Ring[Req]
-	pq     ringbuf.Ring[pqEntry]
+	// mshrValid and mshrReady are bitsets over mshrs (bit i = entry i valid;
+	// valid with dataReady set), mshrUsed counts valid entries, and mshrIdx
+	// maps an in-flight line address to its slot+1. Together they make
+	// every MSHR lookup, allocation and fill sweep O(1) or O(ready entries).
+	mshrValid []uint64
+	mshrReady []uint64
+	mshrUsed  int
+	mshrIdx   lineTable
+	rq        ringbuf.Ring[Req]
+	wq        ringbuf.Ring[Req]
+	pq        ringbuf.Ring[pqEntry]
 	// sendQ holds requests that must be pushed downstream (retried when
 	// the lower level's queues are full).
 	sendQ ringbuf.Ring[Req]
@@ -393,9 +398,6 @@ type Cache struct {
 	// wfree heads its free list (index+1; 0 = empty).
 	wpool []waiterNode
 	wfree int32
-	// fillsReady counts MSHR entries with dataReady set that have not yet
-	// been consumed by processFills, so idle cycles skip the MSHR sweep.
-	fillsReady int
 	// trafficDown counts line requests sent to the lower level; wbDown
 	// counts writebacks sent to the lower level.
 	TrafficDown uint64
@@ -429,13 +431,17 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	words := (cfg.MSHRs + 63) / 64
 	c := &Cache{
-		cfg:   cfg,
-		sets:  cfg.Sets(),
-		lines: make([]line, cfg.Sets()*cfg.Ways),
-		lower: lower,
-		xlat:  identityXlat{},
-		mshrs: make([]mshr, cfg.MSHRs),
+		cfg:       cfg,
+		sets:      cfg.Sets(),
+		tags:      make([]uint64, cfg.Sets()*cfg.Ways),
+		lines:     make([]line, cfg.Sets()*cfg.Ways),
+		lower:     lower,
+		xlat:      identityXlat{},
+		mshrs:     make([]mshr, cfg.MSHRs),
+		mshrValid: make([]uint64, words),
+		mshrReady: make([]uint64, words),
 	}
 	if lc, ok := lower.(*Cache); ok {
 		c.lowerC = lc
@@ -445,6 +451,7 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 	c.pq.Init(cfg.PQSize)
 	c.sendQ.Init(cfg.MSHRs + cfg.WQSize)
 	c.pqIdx.init(cfg.PQSize)
+	c.mshrIdx.init(cfg.MSHRs)
 	// Size the waiter pool for the worst steady-state chain population:
 	// every MSHR and RQ entry can hold combined requests. Growth past
 	// this is an append, not an error.
@@ -509,24 +516,25 @@ func (c *Cache) emit(cycle uint64, kind obs.EventKind, addr, ip uint64) {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setFor(lineAddr uint64) []line {
-	s := int(lineAddr % uint64(c.sets))
-	return c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+// setBase returns the index of way 0 of lineAddr's set in tags and lines.
+func (c *Cache) setBase(lineAddr uint64) int {
+	return int(lineAddr%uint64(c.sets)) * c.cfg.Ways
 }
 
-// probe returns the way holding lineAddr, or nil.
-func (c *Cache) probe(lineAddr uint64) *line {
-	set := c.setFor(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].addr == lineAddr {
-			return &set[i]
+// probe returns the tags/lines index of the way holding lineAddr, or -1.
+func (c *Cache) probe(lineAddr uint64) int {
+	base := c.setBase(lineAddr)
+	tag := lineAddr + 1
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Contains reports whether the physical line is present (tests/harness).
-func (c *Cache) Contains(lineAddr uint64) bool { return c.probe(lineAddr) != nil }
+func (c *Cache) Contains(lineAddr uint64) bool { return c.probe(lineAddr) >= 0 }
 
 // touch updates replacement state on a hit.
 func (c *Cache) touch(l *line) {
@@ -547,28 +555,30 @@ func (c *Cache) duelKind(setIdx int) int {
 	return 0
 }
 
-// victim selects (and returns) the victim way in the set of lineAddr.
-func (c *Cache) victim(lineAddr uint64) *line {
-	set := c.setFor(lineAddr)
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+// victim selects the victim way in the set of lineAddr and returns its
+// tags/lines index.
+func (c *Cache) victim(lineAddr uint64) int {
+	base := c.setBase(lineAddr)
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == 0 {
+			return base + i
 		}
 	}
+	set := c.lines[base : base+c.cfg.Ways]
 	switch c.cfg.Repl {
 	case LRU, FIFO:
-		v := &set[0]
+		v := 0
 		for i := 1; i < len(set); i++ {
-			if set[i].lru < v.lru {
-				v = &set[i]
+			if set[i].lru < set[v].lru {
+				v = i
 			}
 		}
-		return v
+		return base + v
 	case SRRIP, DRRIP:
 		for {
 			for i := range set {
 				if set[i].rrpv >= 3 {
-					return &set[i]
+					return base + i
 				}
 			}
 			for i := range set {
@@ -578,7 +588,27 @@ func (c *Cache) victim(lineAddr uint64) *line {
 			}
 		}
 	default:
-		return &set[0]
+		return base
+	}
+}
+
+// evict retires the line in way v before it is overwritten: an unused
+// prefetch counts as useless and a dirty line is written back. v must be
+// valid.
+func (c *Cache) evict(v int, cycle uint64) {
+	l := &c.lines[v]
+	addr := c.tags[v] - 1
+	if l.prefetched {
+		c.Stats.PrefUseless++
+		if c.tr != nil {
+			c.emit(cycle, obs.EvPrefetchEvict, addr, l.pfIP)
+		}
+		if c.prov != nil {
+			c.prov.Resolve(l.provID, int(c.cfg.Level), provenance.OutUseless, cycle)
+		}
+	}
+	if l.dirty {
+		c.writebackVictim(addr, l.vaddr, cycle)
 	}
 }
 
@@ -633,34 +663,41 @@ func (c *Cache) drripMissUpdate(lineAddr uint64) {
 
 // findMSHR returns the MSHR entry tracking lineAddr, or nil.
 func (c *Cache) findMSHR(lineAddr uint64) *mshr {
-	for i := range c.mshrs {
-		if c.mshrs[i].valid && c.mshrs[i].lineAddr == lineAddr {
-			return &c.mshrs[i]
-		}
+	if v := c.mshrIdx.get(lineAddr); v != 0 {
+		return &c.mshrs[v-1]
 	}
 	return nil
 }
 
-// allocMSHR returns a free entry, or nil when the MSHR file is full.
-func (c *Cache) allocMSHR() *mshr {
-	for i := range c.mshrs {
-		if !c.mshrs[i].valid {
-			return &c.mshrs[i]
-		}
+// allocMSHR installs e (valid, with its lineAddr set) in the lowest free
+// slot — the slot order fixes the order fills complete in — indexes it, and
+// returns it. The file must not be full.
+func (c *Cache) allocMSHR(e mshr) *mshr {
+	w := 0
+	for c.mshrValid[w] == ^uint64(0) {
+		w++
 	}
-	return nil
+	b := bits.TrailingZeros64(^c.mshrValid[w])
+	slot := w*64 + b
+	c.mshrs[slot] = e
+	c.mshrValid[w] |= 1 << b
+	c.mshrUsed++
+	c.mshrIdx.put(e.lineAddr, uint32(slot+1))
+	return &c.mshrs[slot]
+}
+
+// freeMSHR releases the entry in slot.
+func (c *Cache) freeMSHR(slot int) {
+	c.mshrIdx.del(c.mshrs[slot].lineAddr)
+	c.mshrs[slot] = mshr{}
+	w, b := slot/64, uint(slot%64)
+	c.mshrValid[w] &^= 1 << b
+	c.mshrReady[w] &^= 1 << b
+	c.mshrUsed--
 }
 
 // MSHROccupancy returns the number of valid MSHR entries.
-func (c *Cache) MSHROccupancy() int {
-	n := 0
-	for i := range c.mshrs {
-		if c.mshrs[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) MSHROccupancy() int { return c.mshrUsed }
 
 // lowerAcceptRead forwards a read to the lower level through the concrete
 // pointer when it is another cache, avoiding interface dispatch on the
@@ -812,7 +849,7 @@ func (c *Cache) EnqueuePrefetches(reqs []PrefetchReq, cycle uint64, triggerVPage
 			}
 		}
 		c.Stats.PrefTagProbe++
-		if c.probe(pline) != nil {
+		if c.probe(pline) >= 0 {
 			c.Stats.PrefDropped++
 			continue
 		}
@@ -858,33 +895,42 @@ func (c *Cache) Tick(cycle uint64) {
 	c.drainSendQ(cycle)
 }
 
-// processFills completes MSHR entries whose data has arrived. fillsReady
-// gates the sweep: most cycles no fill is pending and the MSHR file is
-// not touched at all.
+// processFills completes MSHR entries whose data has arrived, in ascending
+// slot order. Only entries with a ready bit are visited; the bitset word is
+// re-read after every fill, so an entry that turns ready during a fill is
+// visited this cycle exactly when a full in-order sweep would reach it.
 func (c *Cache) processFills(cycle uint64) {
-	if c.fillsReady == 0 {
-		return
-	}
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if !m.valid || !m.dataReady || m.readyCycle > cycle {
-			continue
+	for w := range c.mshrReady {
+		ahead := ^uint64(0) // bits not yet passed in this word
+		for {
+			r := c.mshrReady[w] & ahead
+			if r == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(r)
+			ahead = ^uint64(0) << (b + 1)
+			slot := w*64 + b
+			m := &c.mshrs[slot]
+			if m.readyCycle > cycle {
+				continue
+			}
+			c.fill(m, cycle)
+			c.freeMSHR(slot)
 		}
-		c.fill(m, cycle)
-		c.fillsReady--
-		*m = mshr{}
 	}
 }
 
 // ReqDone implements DoneSink: completions for this level's own forwarded
 // misses arrive here with the missing line address as the token. This
-// replaces the per-request closure forwardDown used to allocate; the MSHR
-// array is stable, so the entry is re-located by address.
+// replaces the per-request closure forwardDown used to allocate; the entry
+// is re-located through the line index.
 func (c *Cache) ReqDone(lineAddr, done uint64) {
-	m := c.findMSHR(lineAddr)
-	if m == nil {
+	v := c.mshrIdx.get(lineAddr)
+	if v == 0 {
 		return
 	}
+	slot := int(v - 1)
+	m := &c.mshrs[slot]
 	if c.fh != nil {
 		drop, delay := c.fh.FillFault(lineAddr, m.isPrefetch, done)
 		if drop {
@@ -892,11 +938,9 @@ func (c *Cache) ReqDone(lineAddr, done uint64) {
 		}
 		done += delay
 	}
-	if !m.dataReady {
-		c.fillsReady++
-	}
 	m.dataReady = true
 	m.readyCycle = done
+	c.mshrReady[slot/64] |= 1 << uint(slot%64)
 }
 
 // fill installs the line (respecting fill level) and wakes waiters.
@@ -908,7 +952,8 @@ func (c *Cache) fill(m *mshr, cycle uint64) {
 		// miss was in flight (processWrites probes, but fills used not
 		// to); installing again would leave the same tag valid in two
 		// ways. Update the resident copy in place instead.
-		if l := c.probe(m.lineAddr); l != nil {
+		if w := c.probe(m.lineAddr); w >= 0 {
+			l := &c.lines[w]
 			c.touch(l)
 			if m.isStore && (!m.isPrefetch || m.demandMerged) {
 				l.dirty = true
@@ -943,30 +988,17 @@ func (c *Cache) fill(m *mshr, cycle uint64) {
 			m.whead, m.wtail = 0, 0
 			return
 		}
-		v := c.victim(m.lineAddr)
+		w := c.victim(m.lineAddr)
 		var evAddr uint64
 		var evPf bool
-		if v.valid {
-			evAddr = v.addr
-			evPf = v.prefetched
-			if v.prefetched {
-				c.Stats.PrefUseless++
-				if c.tr != nil {
-					c.emit(cycle, obs.EvPrefetchEvict, v.addr, v.pfIP)
-				}
-				if c.prov != nil {
-					c.prov.Resolve(v.provID, int(c.cfg.Level), provenance.OutUseless, cycle)
-				}
-			}
-			if v.dirty {
-				c.writebackVictim(v, cycle)
-			}
+		if c.tags[w] != 0 {
+			evAddr = c.tags[w] - 1
+			evPf = c.lines[w].prefetched
+			c.evict(w, cycle)
 		}
-		*v = line{
-			addr:  m.lineAddr,
-			vaddr: m.vline,
-			valid: true,
-		}
+		c.tags[w] = m.lineAddr + 1
+		v := &c.lines[w]
+		*v = line{vaddr: m.vline}
 		c.insertRepl(v, m.lineAddr)
 		c.Stats.TotalFills++
 		if m.isPrefetch {
@@ -1008,10 +1040,6 @@ func (c *Cache) fill(m *mshr, cycle uint64) {
 		}
 		if !m.isPrefetch || m.demandMerged {
 			c.Stats.RecordFillLatency(latency)
-			if debugSlowFills && latency > 1200 {
-				fmt.Printf("SLOWFILL %s line=%x lat=%d wasPf=%v merged=%v fillLvl=%v cyc=%d issue=%d dramTL=%v\n",
-					c.cfg.Name, m.lineAddr, latency, m.isPrefetch, m.demandMerged, m.fillLevel, cycle, m.issueCycle, DebugDRAMTimeline(m.lineAddr))
-			}
 		}
 	}
 	c.fireChain(m.whead, cycle)
@@ -1029,11 +1057,11 @@ func (c *Cache) trainAddr(vline, pline uint64) uint64 {
 
 // writebackVictim queues a dirty victim for the lower level. A writeback is
 // a Store request with no completion callback (see drainSendQ).
-func (c *Cache) writebackVictim(v *line, cycle uint64) {
+func (c *Cache) writebackVictim(addr, vaddr, cycle uint64) {
 	c.Stats.WritebacksOut++
 	c.sendQ.Push(Req{
-		LineAddr:  v.addr,
-		VLineAddr: v.vaddr,
+		LineAddr:  addr,
+		VLineAddr: vaddr,
 		Store:     true,
 		notBefore: cycle,
 		FillLevel: c.cfg.Level + 1,
@@ -1050,26 +1078,18 @@ func (c *Cache) processWrites(cycle uint64) {
 			break
 		}
 		// Writeback data: install (non-inclusive back-fill) or update.
-		if l := c.probe(r.LineAddr); l != nil {
+		if w := c.probe(r.LineAddr); w >= 0 {
+			l := &c.lines[w]
 			l.dirty = true
 			c.touch(l)
 		} else {
-			v := c.victim(r.LineAddr)
-			if v.valid {
-				if v.prefetched {
-					c.Stats.PrefUseless++
-					if c.tr != nil {
-						c.emit(cycle, obs.EvPrefetchEvict, v.addr, v.pfIP)
-					}
-					if c.prov != nil {
-						c.prov.Resolve(v.provID, int(c.cfg.Level), provenance.OutUseless, cycle)
-					}
-				}
-				if v.dirty {
-					c.writebackVictim(v, cycle)
-				}
+			w := c.victim(r.LineAddr)
+			if c.tags[w] != 0 {
+				c.evict(w, cycle)
 			}
-			*v = line{addr: r.LineAddr, vaddr: r.VLineAddr, valid: true, dirty: true}
+			c.tags[w] = r.LineAddr + 1
+			v := &c.lines[w]
+			*v = line{vaddr: r.VLineAddr, dirty: true}
 			c.insertRepl(v, r.LineAddr)
 		}
 		c.wq.PopFront()
@@ -1116,9 +1136,9 @@ func (c *Cache) serviceRead(r *Req, cycle uint64) (done, consumed bool) {
 	if !r.IsPrefetch {
 		c.Stats.DemandAccesses++
 	}
-	l := c.probe(r.LineAddr)
-	if l != nil {
+	if w := c.probe(r.LineAddr); w >= 0 {
 		// Hit.
+		l := &c.lines[w]
 		if !r.IsPrefetch {
 			c.Stats.DemandHits++
 		}
@@ -1205,10 +1225,12 @@ func (c *Cache) serviceRead(r *Req, cycle uint64) (done, consumed bool) {
 		return true, true
 	}
 
-	m := c.allocMSHR()
-	if m == nil {
+	if c.mshrUsed == len(c.mshrs) {
 		return false, false
 	}
+	// The new entry is installed only after the prefetcher has seen the
+	// miss: the occupancy it observes excludes this miss, and its
+	// candidates for this line are not deduplicated against it.
 	if !r.IsPrefetch {
 		c.Stats.DemandMisses++
 		if c.tr != nil {
@@ -1225,7 +1247,7 @@ func (c *Cache) serviceRead(r *Req, cycle uint64) (done, consumed bool) {
 		// trigger attribution.
 		provID = c.prov.Child(r.provID, int(c.cfg.Level), cycle)
 	}
-	*m = mshr{
+	m := c.allocMSHR(mshr{
 		valid:      true,
 		lineAddr:   r.LineAddr,
 		vline:      r.VLineAddr,
@@ -1235,7 +1257,7 @@ func (c *Cache) serviceRead(r *Req, cycle uint64) (done, consumed bool) {
 		isStore:    r.Store,
 		issueCycle: cycle,
 		provID:     provID,
-	}
+	})
 	c.adoptWaiters(m, r)
 	c.forwardDown(m, cycle)
 	return true, true
@@ -1295,7 +1317,7 @@ func (c *Cache) processPrefetches(cycle uint64) {
 		if e.notBefore > cycle {
 			return
 		}
-		if c.probe(e.pline) != nil || c.findMSHR(e.pline) != nil {
+		if c.probe(e.pline) >= 0 || c.findMSHR(e.pline) != nil {
 			c.Stats.PrefDropped++
 			if c.prov != nil {
 				// The line became resident (or in flight) since the PQ
@@ -1311,14 +1333,10 @@ func (c *Cache) processPrefetches(cycle uint64) {
 			// Prefetches may not take the last quarter of the MSHRs —
 			// that headroom is reserved for demand misses so a
 			// prefetch burst can never starve the demand path.
-			if c.MSHROccupancy() >= c.cfg.MSHRs-c.cfg.MSHRs/4 {
+			if c.mshrUsed >= c.cfg.MSHRs-c.cfg.MSHRs/4 {
 				return // retry next cycle
 			}
-			m := c.allocMSHR()
-			if m == nil {
-				return // retry next cycle
-			}
-			*m = mshr{
+			m := c.allocMSHR(mshr{
 				valid:      true,
 				lineAddr:   e.pline,
 				vline:      e.vline,
@@ -1326,7 +1344,7 @@ func (c *Cache) processPrefetches(cycle uint64) {
 				fillLevel:  e.fillLevel,
 				issueCycle: e.issue, // PQ timestamp transfers to the MSHR
 				provID:     e.provID,
-			}
+			})
 			c.forwardDown(m, cycle)
 		} else {
 			// Fill is below this level: hand the request straight to
@@ -1432,9 +1450,10 @@ const never = ^uint64(0)
 // queued request coming out of its notBefore delay. Queue entries that are
 // already past due force an immediate horizon (processing may be blocked by
 // ports, MSHR pressure, or a full lower level — conditions the per-cycle
-// retry loop owns, so no cycle may be skipped while they hold). MSHR entries
-// still waiting on the lower level carry no horizon here: the response is
-// the lower component's event, and the engine re-queries after every tick.
+// retry loop owns, so no cycle may be skipped while they hold). Only MSHR
+// entries with a ready bit are visited; entries still waiting on the lower
+// level carry no horizon here: the response is the lower component's event,
+// and the engine re-queries after every tick.
 func (c *Cache) NextEventCycle(now uint64) uint64 {
 	h := never
 	for i, n := 0, c.rq.Len(); i < n; i++ {
@@ -1446,17 +1465,14 @@ func (c *Cache) NextEventCycle(now uint64) uint64 {
 			h = r.notBefore
 		}
 	}
-	if c.fillsReady > 0 {
-		for i := range c.mshrs {
-			m := &c.mshrs[i]
-			if !m.valid || !m.dataReady {
-				continue
-			}
-			if m.readyCycle <= now {
+	for w, r := range c.mshrReady {
+		for ; r != 0; r &= r - 1 {
+			rc := c.mshrs[w*64+bits.TrailingZeros64(r)].readyCycle
+			if rc <= now {
 				return now
 			}
-			if m.readyCycle < h {
-				h = m.readyCycle
+			if rc < h {
+				h = rc
 			}
 		}
 	}
@@ -1488,15 +1504,8 @@ func (c *Cache) NextEventCycle(now uint64) uint64 {
 
 // Drained reports whether all queues and MSHRs are empty.
 func (c *Cache) Drained() bool {
-	if c.rq.Len() > 0 || c.wq.Len() > 0 || c.pq.Len() > 0 || c.sendQ.Len() > 0 {
-		return false
-	}
-	for i := range c.mshrs {
-		if c.mshrs[i].valid {
-			return false
-		}
-	}
-	return true
+	return c.rq.Len() == 0 && c.wq.Len() == 0 && c.pq.Len() == 0 && c.sendQ.Len() == 0 &&
+		c.mshrUsed == 0
 }
 
 // FlushMetadata clears prefetch bits (between warmup and measurement the
@@ -1534,8 +1543,9 @@ func (c *Cache) Queues() QueueSnapshot {
 // CheckInvariants walks the level's state and reports every breached
 // invariant: queue occupancy beyond configured bounds, duplicate tags
 // within a set, lines resident in the wrong set, duplicate MSHR entries,
-// and MSHR entries in flight longer than mshrStuckAfter cycles (a leaked
-// fill — nothing will ever complete them). It never mutates state.
+// MSHR index structures out of step with the entries, and MSHR entries in
+// flight longer than mshrStuckAfter cycles (a leaked fill — nothing will
+// ever complete them). It never mutates state.
 func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.Violation)) {
 	name := c.cfg.Name
 	if c.rq.Len() > c.cfg.RQSize {
@@ -1551,23 +1561,25 @@ func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.
 			Detail: fmt.Sprintf("PQ holds %d entries, capacity %d", c.pq.Len(), c.cfg.PQSize)})
 	}
 	for s := 0; s < c.sets; s++ {
-		set := c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
-		for i := range set {
-			if !set[i].valid {
+		set := c.tags[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+		for i, t := range set {
+			if t == 0 {
 				continue
 			}
-			if home := int(set[i].addr % uint64(c.sets)); home != s {
+			addr := t - 1
+			if home := int(addr % uint64(c.sets)); home != s {
 				report(check.Violation{Rule: check.RuleSetMap, Component: name, Cycle: cycle,
-					Detail: fmt.Sprintf("line %#x resident in set %d, maps to set %d", set[i].addr, s, home)})
+					Detail: fmt.Sprintf("line %#x resident in set %d, maps to set %d", addr, s, home)})
 			}
 			for j := i + 1; j < len(set); j++ {
-				if set[j].valid && set[j].addr == set[i].addr {
+				if set[j] == t {
 					report(check.Violation{Rule: check.RuleDupTag, Component: name, Cycle: cycle,
-						Detail: fmt.Sprintf("line %#x present in ways %d and %d of set %d", set[i].addr, i, j, s)})
+						Detail: fmt.Sprintf("line %#x present in ways %d and %d of set %d", addr, i, j, s)})
 				}
 			}
 		}
 	}
+	c.checkMSHRIndex(cycle, report)
 	for i := range c.mshrs {
 		m := &c.mshrs[i]
 		if !m.valid {
@@ -1591,20 +1603,56 @@ func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.
 	}
 }
 
-// CorruptDuplicateTag copies a valid line into another way of its own set,
-// leaving two ways with the same tag — deliberate damage used by the
-// dup-line fault plan to prove the checker catches real state corruption.
-// Returns false when no set has both a valid line and a second way.
+// checkMSHRIndex reports (as mshr-index) every disagreement between the
+// MSHR entries and the structures that index them: the valid and ready
+// bitsets, the occupancy counter, and the line-address index.
+func (c *Cache) checkMSHRIndex(cycle uint64, report func(check.Violation)) {
+	bad := func(format string, args ...interface{}) {
+		report(check.Violation{Rule: check.RuleMSHRIndex, Component: c.cfg.Name, Cycle: cycle,
+			Detail: fmt.Sprintf(format, args...)})
+	}
+	valid := 0
+	for i := range c.mshrs {
+		m := &c.mshrs[i]
+		w, b := i/64, uint(i%64)
+		if vb := c.mshrValid[w]>>b&1 == 1; vb != m.valid {
+			bad("MSHR %d valid=%v, valid bit %v", i, m.valid, vb)
+		}
+		if rb := c.mshrReady[w]>>b&1 == 1; rb != (m.valid && m.dataReady) {
+			bad("MSHR %d valid=%v dataReady=%v, ready bit %v", i, m.valid, m.dataReady, rb)
+		}
+		if !m.valid {
+			continue
+		}
+		valid++
+		if v := c.mshrIdx.get(m.lineAddr); int(v) != i+1 {
+			bad("MSHR %d tracks line %#x, line index maps it to slot %d", i, m.lineAddr, int(v)-1)
+		}
+	}
+	if c.mshrUsed != valid {
+		bad("occupancy counter %d, %d valid entries", c.mshrUsed, valid)
+	}
+	if c.mshrIdx.used != valid {
+		bad("line index holds %d lines, %d valid entries", c.mshrIdx.used, valid)
+	}
+}
+
+// CorruptDuplicateTag copies a valid line (tag and metadata) into another
+// way of its own set, leaving two ways with the same tag — deliberate damage
+// used by the dup-line fault plan to prove the checker catches real state
+// corruption. Returns false when no set has both a valid line and a second
+// way.
 func (c *Cache) CorruptDuplicateTag() bool {
 	if c.cfg.Ways < 2 {
 		return false
 	}
 	for s := 0; s < c.sets; s++ {
-		set := c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
-		for i := range set {
-			if set[i].valid {
-				j := (i + 1) % len(set)
-				set[j] = set[i]
+		base := s * c.cfg.Ways
+		for i := 0; i < c.cfg.Ways; i++ {
+			if c.tags[base+i] != 0 {
+				j := base + (i+1)%c.cfg.Ways
+				c.tags[j] = c.tags[base+i]
+				c.lines[j] = c.lines[base+i]
 				return true
 			}
 		}

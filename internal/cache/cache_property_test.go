@@ -79,9 +79,9 @@ func TestFillInstallsAtMostOneCopy(t *testing.T) {
 		}
 	}
 	counts := map[uint64]int{}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			counts[c.lines[i].addr]++
+	for _, tag := range c.tags {
+		if tag != 0 {
+			counts[tag-1]++
 		}
 	}
 	for addr, n := range counts {

@@ -503,3 +503,49 @@ func TestFillDoesNotDuplicateResidentLine(t *testing.T) {
 		t.Fatal("line must stay resident")
 	}
 }
+
+// TestCheckInvariantsMSHRIndex: the MSHR file's index structures must agree
+// with its entries. A healthy file with entries in flight and one ready
+// reports nothing; damaging any one structure trips mshr-index.
+func TestCheckInvariantsMSHRIndex(t *testing.T) {
+	build := func() *Cache {
+		f := &fakeLower{delay: 1_000}
+		c := MustNew(testConfig(), f)
+		for i := uint64(0); i < 3; i++ {
+			c.AcceptDemand(&Req{LineAddr: 100 + i, OnDone: func(uint64) {}}, 0)
+		}
+		runCache(c, f, 0, 5)
+		c.ReqDone(101, 900) // data arrives far ahead: ready, not yet filled
+		if c.MSHROccupancy() != 3 {
+			t.Fatalf("setup: %d MSHRs in flight, want 3", c.MSHROccupancy())
+		}
+		return c
+	}
+	rules := func(c *Cache) map[string]int {
+		got := map[string]int{}
+		c.CheckInvariants(10, 0, func(v check.Violation) { got[v.Rule]++ })
+		return got
+	}
+	if got := rules(build()); len(got) != 0 {
+		t.Fatalf("healthy MSHR file reported violations: %v", got)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+	}{
+		{"valid bit cleared", func(c *Cache) { c.mshrValid[0] &^= 1 }},
+		{"valid bit on a free slot", func(c *Cache) { c.mshrValid[0] |= 1 << 3 }},
+		{"ready bit without data", func(c *Cache) { c.mshrReady[0] |= 1 }},
+		{"ready bit lost", func(c *Cache) { c.mshrReady[0] = 0 }},
+		{"occupancy counter", func(c *Cache) { c.mshrUsed++ }},
+		{"line missing from index", func(c *Cache) { c.mshrIdx.del(102) }},
+		{"index points at wrong slot", func(c *Cache) { c.mshrIdx.put(100, 2) }},
+		{"stale line in index", func(c *Cache) { c.mshrIdx.put(999, 4) }},
+	} {
+		c := build()
+		tc.corrupt(c)
+		if got := rules(c); got[check.RuleMSHRIndex] == 0 {
+			t.Errorf("%s: not flagged as %s: %v", tc.name, check.RuleMSHRIndex, got)
+		}
+	}
+}

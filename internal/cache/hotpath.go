@@ -1,7 +1,8 @@
 // Hot-path support structures: the closure-free completion interface, the
 // pooled waiter chains that replace per-request callback slices, and the
-// open-addressed presence index that replaces the PQ duplicate scan. All
-// three exist so the steady-state per-access path allocates nothing.
+// open-addressed line table behind the PQ duplicate check and the MSHR
+// file's line index. All of them exist so the steady-state per-access path
+// allocates nothing and never scans a fixed structure.
 package cache
 
 // DoneSink receives request completions without a per-request closure: the
@@ -95,97 +96,96 @@ func (c *Cache) fireChain(head int32, cycle uint64) {
 	}
 }
 
-// lineSet is an open-addressed counting set of line addresses — the PQ
-// presence index. Linear probing over a power-of-two table sized at
-// construction (4x the queue bound, so the load factor stays low);
-// deletion uses backward-shift compaction so no tombstones accumulate.
-// Duplicate keys are counted rather than stored twice, which keeps the
-// orphan-corruption fault plan (many entries for line 0) from overflowing
-// the table.
-type lineSet struct {
+// lineTable is an open-addressed map from line address to a small nonzero
+// value, the one hash table behind both hot-path indexes: the PQ presence
+// set (value = copies queued) and the MSHR file's line index (value =
+// slot+1). Linear probing over a power-of-two table sized at construction
+// (4x the structure's bound, so the load factor stays low); deletion uses
+// backward-shift compaction so no tombstones accumulate. A zero value marks
+// an empty slot.
+type lineTable struct {
 	keys []uint64
-	cnt  []uint16
+	vals []uint32
 	mask uint64
 	used int
 }
 
-func (s *lineSet) init(bound int) {
+func (t *lineTable) init(bound int) {
 	n := 8
 	for n < 4*bound {
 		n <<= 1
 	}
-	s.keys = make([]uint64, n)
-	s.cnt = make([]uint16, n)
-	s.mask = uint64(n - 1)
-	s.used = 0
+	t.keys = make([]uint64, n)
+	t.vals = make([]uint32, n)
+	t.mask = uint64(n - 1)
+	t.used = 0
 }
 
 // slot mixes the key (line addresses are strided, not uniform) into a
 // table index.
-func (s *lineSet) slot(k uint64) uint64 {
+func (t *lineTable) slot(k uint64) uint64 {
 	k *= 0x9e3779b97f4a7c15
 	k ^= k >> 29
-	return k & s.mask
+	return k & t.mask
 }
 
-func (s *lineSet) contains(k uint64) bool {
-	for i := s.slot(k); ; i = (i + 1) & s.mask {
-		if s.cnt[i] == 0 {
-			return false
+// find returns the slot holding k (ok=true), or the empty slot that ends
+// k's probe chain (ok=false).
+func (t *lineTable) find(k uint64) (i uint64, ok bool) {
+	for i = t.slot(k); ; i = (i + 1) & t.mask {
+		if t.vals[i] == 0 {
+			return i, false
 		}
-		if s.keys[i] == k {
-			return true
+		if t.keys[i] == k {
+			return i, true
 		}
 	}
 }
 
-func (s *lineSet) add(k uint64) {
-	for i := s.slot(k); ; i = (i + 1) & s.mask {
-		if s.cnt[i] == 0 {
-			s.keys[i] = k
-			s.cnt[i] = 1
-			s.used++
-			if 2*s.used >= len(s.keys) {
-				s.grow()
-			}
-			return
-		}
-		if s.keys[i] == k {
-			s.cnt[i]++
-			return
-		}
+// get returns k's value, 0 when absent.
+func (t *lineTable) get(k uint64) uint32 {
+	if i, ok := t.find(k); ok {
+		return t.vals[i]
 	}
+	return 0
 }
 
-func (s *lineSet) remove(k uint64) {
-	i := s.slot(k)
-	for {
-		if s.cnt[i] == 0 {
-			return // not present (never happens when add/remove are paired)
-		}
-		if s.keys[i] == k {
-			break
-		}
-		i = (i + 1) & s.mask
-	}
-	if s.cnt[i] > 1 {
-		s.cnt[i]--
+// put sets k's value (v must be nonzero), inserting k when absent.
+func (t *lineTable) put(k uint64, v uint32) {
+	i, ok := t.find(k)
+	t.vals[i] = v
+	if ok {
 		return
 	}
-	// Backward-shift deletion: pull displaced entries over the hole so
-	// probe chains stay contiguous.
-	s.cnt[i] = 0
-	s.used--
+	t.keys[i] = k
+	t.used++
+	if 2*t.used >= len(t.keys) {
+		t.grow()
+	}
+}
+
+// del removes k (a no-op when absent).
+func (t *lineTable) del(k uint64) {
+	if i, ok := t.find(k); ok {
+		t.deleteAt(i)
+	}
+}
+
+// deleteAt empties slot i with backward-shift deletion: displaced entries
+// are pulled over the hole so probe chains stay contiguous.
+func (t *lineTable) deleteAt(i uint64) {
+	t.vals[i] = 0
+	t.used--
 	j := i
 	for {
-		j = (j + 1) & s.mask
-		if s.cnt[j] == 0 {
+		j = (j + 1) & t.mask
+		if t.vals[j] == 0 {
 			return
 		}
-		home := s.slot(s.keys[j])
-		if (j-home)&s.mask >= (j-i)&s.mask {
-			s.keys[i], s.cnt[i] = s.keys[j], s.cnt[j]
-			s.cnt[j] = 0
+		home := t.slot(t.keys[j])
+		if (j-home)&t.mask >= (j-i)&t.mask {
+			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
+			t.vals[j] = 0
 			i = j
 		}
 	}
@@ -193,16 +193,47 @@ func (s *lineSet) remove(k uint64) {
 
 // grow doubles the table (reached only by deliberate overfill, e.g. the
 // pq-orphan fault plan pushing far past the configured bound).
-func (s *lineSet) grow() {
-	ok, oc := s.keys, s.cnt
-	n := 2 * len(ok)
-	s.keys = make([]uint64, n)
-	s.cnt = make([]uint16, n)
-	s.mask = uint64(n - 1)
-	s.used = 0
-	for i := range ok {
-		for r := uint16(0); r < oc[i]; r++ {
-			s.add(ok[i])
+func (t *lineTable) grow() {
+	oldK, oldV := t.keys, t.vals
+	n := 2 * len(oldK)
+	t.keys = make([]uint64, n)
+	t.vals = make([]uint32, n)
+	t.mask = uint64(n - 1)
+	t.used = 0
+	for i, v := range oldV {
+		if v != 0 {
+			t.put(oldK[i], v)
 		}
 	}
+}
+
+// lineSet is the PQ presence index: a counting set over lineTable.
+// Duplicate keys are counted rather than stored twice, which keeps the
+// orphan-corruption fault plan (many entries for line 0) from overflowing
+// the table.
+type lineSet struct{ lineTable }
+
+func (s *lineSet) contains(k uint64) bool {
+	_, ok := s.find(k)
+	return ok
+}
+
+func (s *lineSet) add(k uint64) {
+	if i, ok := s.find(k); ok {
+		s.vals[i]++
+		return
+	}
+	s.put(k, 1)
+}
+
+func (s *lineSet) remove(k uint64) {
+	i, ok := s.find(k)
+	if !ok {
+		return // not present (never happens when add/remove are paired)
+	}
+	if s.vals[i] > 1 {
+		s.vals[i]--
+		return
+	}
+	s.deleteAt(i)
 }

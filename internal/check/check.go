@@ -28,6 +28,9 @@ const (
 	RuleMSHRStuck = "mshr-stuck"
 	// RuleMSHRDup: two valid MSHR entries track the same line address.
 	RuleMSHRDup = "mshr-dup"
+	// RuleMSHRIndex: the MSHR file's line index, valid/ready bitsets, or
+	// occupancy counter disagree with its entries.
+	RuleMSHRIndex = "mshr-index"
 	// RuleQueueBound: a read/write/prefetch queue exceeds its configured
 	// capacity.
 	RuleQueueBound = "queue-bound"

@@ -86,6 +86,10 @@ type Request struct {
 	Sink         DoneSink
 	Token        uint64
 	enqueueCycle uint64
+	// bank and row are LineAddr's coordinates, decoded once at enqueue so
+	// the per-tick FR-FCFS scan does no division.
+	bank int
+	row  uint64
 }
 
 type bank struct {
@@ -168,7 +172,7 @@ func (c *Channel) EnqueueRead(r *Request, cycle uint64) bool {
 	}
 	nr := *r
 	nr.enqueueCycle = cycle
-	dbgRecord(r.LineAddr, 1, cycle)
+	nr.bank, nr.row = c.decode(r.LineAddr)
 	c.rq.Push(nr)
 	return true
 }
@@ -181,6 +185,7 @@ func (c *Channel) EnqueueWrite(r *Request, cycle uint64) bool {
 	}
 	nr := *r
 	nr.enqueueCycle = cycle
+	nr.bank, nr.row = c.decode(r.LineAddr)
 	c.wq.Push(nr)
 	return true
 }
@@ -251,7 +256,6 @@ func (c *Channel) serveBus(cycle uint64) {
 		done := start + c.cfg.BurstCycles
 		c.busFree = done
 		c.Stats.BusyCycles += c.cfg.BurstCycles
-		dbgRecord(t.lineAddr, 3, done)
 		complete(t.onDone, t.sink, t.token, done)
 	}
 }
@@ -265,12 +269,11 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 	bestScore := -1
 	for i, n := 0, q.Len(); i < n; i++ {
 		r := q.At(i)
-		b, row := c.decode(r.LineAddr)
-		bk := &c.banks[b]
+		bk := &c.banks[r.bank]
 		if bk.ready > cycle {
 			continue
 		}
-		hit := bk.rowValid && bk.openRow == row
+		hit := bk.rowValid && bk.openRow == r.row
 		score := 0
 		if hit {
 			score += 2
@@ -291,14 +294,13 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 	r := *q.At(best)
 	q.RemoveAt(best)
 
-	b, row := c.decode(r.LineAddr)
-	bk := &c.banks[b]
+	bk := &c.banks[r.bank]
 	// lat is when this access's data is ready; bankBusy is how long the
 	// bank is blocked for the NEXT command. Row hits pipeline at column-
 	// command cadence (~ one burst), only activations serialize the bank.
 	var lat, bankBusy uint64
 	switch {
-	case bk.rowValid && bk.openRow == row:
+	case bk.rowValid && bk.openRow == r.row:
 		lat = c.cfg.TCAS
 		bankBusy = c.cfg.BurstCycles
 		c.Stats.RowHits++
@@ -311,7 +313,7 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 		bankBusy = c.cfg.TRP + c.cfg.TRCD + c.cfg.BurstCycles
 		c.Stats.RowConflicts++
 	}
-	bk.openRow, bk.rowValid = row, true
+	bk.openRow, bk.rowValid = r.row, true
 
 	ready := cycle + lat + c.cfg.ExtraLatency
 	bk.ready = cycle + bankBusy
@@ -322,7 +324,6 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 		return
 	}
 	c.Stats.Reads++
-	dbgRecord(r.LineAddr, 2, cycle)
 	c.transfers.Push(transfer{
 		lineAddr: r.LineAddr,
 		eligible: ready,
@@ -331,15 +332,6 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 		sink:     r.Sink,
 		token:    r.Token,
 	})
-}
-
-// DebugTimeline records per-line DRAM event times when enabled (tests).
-var DebugTimeline map[uint64][]uint64
-
-func dbgRecord(line uint64, tag, cycle uint64) {
-	if DebugTimeline != nil {
-		DebugTimeline[line] = append(DebugTimeline[line], tag, cycle)
-	}
 }
 
 // Promote upgrades queued prefetch reads for the line to demand priority.
@@ -399,8 +391,7 @@ func (c *Channel) NextEventCycle(now uint64) uint64 {
 	// requires a queue-occupancy change, which is itself an event.
 	if !draining {
 		for i, n := 0, c.rq.Len(); i < n; i++ {
-			b, _ := c.decode(c.rq.At(i).LineAddr)
-			if e := c.banks[b].ready; e <= now {
+			if e := c.banks[c.rq.At(i).bank].ready; e <= now {
 				return now
 			} else if e < h {
 				h = e
@@ -409,8 +400,7 @@ func (c *Channel) NextEventCycle(now uint64) uint64 {
 	}
 	if draining || c.rq.Len() == 0 {
 		for i, n := 0, c.wq.Len(); i < n; i++ {
-			b, _ := c.decode(c.wq.At(i).LineAddr)
-			if e := c.banks[b].ready; e <= now {
+			if e := c.banks[c.wq.At(i).bank].ready; e <= now {
 				return now
 			} else if e < h {
 				h = e

@@ -19,20 +19,32 @@ type robEntry struct {
 	nonMem uint32 // >0: aggregated run of non-memory instructions
 	isMem  bool
 	kind   trace.Kind
+	issued bool
+	done   bool
 	vaddr  uint64
 	ip     uint64
 	recIdx uint64 // global memory-record index (dependence tracking)
-	dep    uint64 // producer record index + 1 (0 = independent)
 
-	issued    bool
 	issuedAt  uint64 // issue cycle (load-latency bucketing on completion)
-	done      bool
 	doneCycle uint64
+}
+
+// pendOp is one unissued memory operation on the issue list. It carries
+// everything the issue scan needs, so the scan loads the ROB entry only of
+// an operation it actually issues.
+type pendOp struct {
+	recIdx uint64 // program order
+	slot   int32  // ROB slot
+	dep    int32  // producer's dependence-window slot; -1 = independent
+	store  bool
 }
 
 // depWindow tracks completion cycles of recent memory records so dependent
 // accesses (pointer chases) serialize behind their producers.
 const depWindow = 1024
+
+// inFlight marks a dependence-window slot whose record has not completed.
+const inFlight = ^uint64(0)
 
 // storeTokenBit distinguishes store completion tokens from load tokens.
 // Loads complete before their ROB slot can be reused, so the slot index is
@@ -55,12 +67,21 @@ type Core struct {
 	robTail   int
 	robCount  int // entries
 	robInstrs int // instructions occupying the window
-	// pend lists the ROB slots of unissued memory operations in program
-	// order, so the per-cycle issue scan touches exactly the entries that
-	// can issue instead of walking the window (the walk dominated
-	// simulation time). Slots are stable while listed: an unissued memory
-	// entry cannot retire, and nothing ahead of it can pop past it.
-	pend []int32
+	// pend lists unissued memory operations in program order, except
+	// those parked on an in-flight producer, so the per-cycle issue scan
+	// touches only operations that can issue now or soon. Slots are stable
+	// while listed: an unissued memory entry cannot retire, and nothing
+	// ahead of it can pop past it.
+	pend []pendOp
+	// An operation whose producer is in flight at dispatch is parked on
+	// the producer's dependence-window slot s instead: parkHead[s] and
+	// parkTail[s] root a chain (ROB slot+1; 0 = none) linked through
+	// parkNext, which is indexed by ROB slot. The next completion written
+	// to s releases the chain into pend. wake is the release scratch.
+	parkHead [depWindow]int32
+	parkTail [depWindow]int32
+	parkNext []int32
+	wake     []pendOp
 
 	// pending is the next trace record being dispatched (nonMem first).
 	pending       trace.Record
@@ -72,8 +93,10 @@ type Core struct {
 	err error
 
 	memRecords uint64 // global memory-record counter
-	depDone    [depWindow]uint64
-	depReady   [depWindow]bool
+	// depAt holds, per dependence-window slot (record index mod
+	// depWindow), the completion cycle of the slot's latest completion,
+	// or inFlight from the dispatch of a record on the slot until then.
+	depAt [depWindow]uint64
 
 	Stats stats.CoreStats
 	// RetiredTotal counts instructions retired since construction
@@ -81,13 +104,9 @@ type Core struct {
 	RetiredTotal uint64
 	// IssueBlocked counts issue attempts refused by a full L1D RQ.
 	IssueBlocked uint64
-	// DepBlocked counts issue attempts blocked by an incomplete producer.
-	DepBlocked uint64
 	// LoadLatHist buckets load issue->complete latencies by power of two
 	// (diagnostics).
 	LoadLatHist [20]uint64
-	// DispatchToIssue accumulates dispatch->issue delay (diagnostics).
-	issueDelaySum uint64
 	// FinishedCycle is set when RetiredTotal first reaches its target.
 	finishTarget  uint64
 	FinishedCycle uint64
@@ -105,7 +124,9 @@ func NewCore(id int, cfg CoreConfig, rd trace.Reader, mmu *vm.MMU, l1d *cache.Ca
 		rob:    make([]robEntry, cfg.ROBSize+1),
 		// Memory entries occupy one instruction each, so the unissued set
 		// can never exceed the window: appends never reallocate.
-		pend: make([]int32, 0, cfg.ROBSize+1),
+		pend:     make([]pendOp, 0, cfg.ROBSize+1),
+		parkNext: make([]int32, cfg.ROBSize+1),
+		wake:     make([]pendOp, 0, cfg.ROBSize+1),
 	}
 }
 
@@ -127,10 +148,10 @@ func (c *Core) Tick(cycle uint64) {
 // trace, or issuing a memory operation whose producer's completion cycle is
 // already known. A core blocked on an in-flight fill reports no horizon for
 // it — the completion is the owning cache's event, and the engine re-queries
-// after every executed tick. Diagnostic counters that are not part of the
-// result surface (DepBlocked, IssueBlocked, LoadLatHist) are allowed to
-// diverge across skipped cycles; the counters in Stats are reconciled by
-// creditSkip.
+// after every executed tick. Parked operations are never issuable, so only
+// pend is consulted. Diagnostic counters that are not part of the result
+// surface (IssueBlocked, LoadLatHist) are allowed to diverge across skipped
+// cycles; the counters in Stats are reconciled by creditSkip.
 func (c *Core) NextEventCycle(now uint64) uint64 {
 	h := Never
 	if c.robCount > 0 {
@@ -156,17 +177,17 @@ func (c *Core) NextEventCycle(now uint64) uint64 {
 		return now
 	}
 	// Issue: every pend entry is an unissued memory operation. A producer
-	// still in flight (depReady unset) is the cache's event; a completed
-	// producer with a future completion cycle schedules the consumer's
-	// issue.
-	for _, slot := range c.pend {
-		e := &c.rob[slot]
-		if e.dep != 0 {
-			s := (e.dep - 1) % depWindow
-			if !c.depReady[s] {
+	// still in flight (a released operation whose slot was re-dispatched)
+	// is the cache's event; a completed producer with a future completion
+	// cycle schedules the consumer's issue.
+	for i := range c.pend {
+		op := &c.pend[i]
+		if op.dep >= 0 {
+			d := c.depAt[op.dep]
+			if d == inFlight {
 				continue
 			}
-			if d := c.depDone[s]; d > now {
+			if d > now {
 				if d < h {
 					h = d
 				}
@@ -200,13 +221,18 @@ func (c *Core) Err() error { return c.err }
 
 // CheckInvariants verifies the reorder buffer's accounting: the occupancy
 // counters must agree with the entries actually present in the ring, the
-// aggregated instruction count must match a fresh walk, and the pending
-// issue list must name exactly the unissued memory entries. It never
+// aggregated instruction count must match a fresh walk, the pend list
+// (program-ordered, mirroring its ROB entries) and the parked chains must
+// together name each unissued memory entry exactly once, and every parked
+// operation must wait on a slot whose producer is in flight. It never
 // mutates state.
 func (c *Core) CheckInvariants(name string, cycle uint64, report func(check.Violation)) {
-	if c.robCount < 0 || c.robCount >= len(c.rob) {
+	bad := func(format string, args ...interface{}) {
 		report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
-			Detail: fmt.Sprintf("robCount %d outside ring of %d slots", c.robCount, len(c.rob))})
+			Detail: fmt.Sprintf(format, args...)})
+	}
+	if c.robCount < 0 || c.robCount >= len(c.rob) {
+		bad("robCount %d outside ring of %d slots", c.robCount, len(c.rob))
 		return
 	}
 	instrs := 0
@@ -220,19 +246,59 @@ func (c *Core) CheckInvariants(name string, cycle uint64, report func(check.Viol
 		i = (i + 1) % len(c.rob)
 	}
 	if instrs != c.robInstrs {
-		report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
-			Detail: fmt.Sprintf("robInstrs counter %d, ring walk says %d", c.robInstrs, instrs)})
+		bad("robInstrs counter %d, ring walk says %d", c.robInstrs, instrs)
 	}
-	if unissued != len(c.pend) {
-		report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
-			Detail: fmt.Sprintf("pend list holds %d slots, ring walk finds %d unissued memory ops", len(c.pend), unissued)})
-	}
-	for _, slot := range c.pend {
+	// listed counts how often each ROB slot appears in pend or a chain.
+	listed := make([]int, len(c.rob))
+	unissuedOp := func(slot int32) bool {
+		if slot < 0 || int(slot) >= len(c.rob) {
+			return false
+		}
+		listed[slot]++
 		e := &c.rob[slot]
-		if !e.isMem || e.issued {
-			report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
-				Detail: fmt.Sprintf("pend slot %d does not hold an unissued memory op", slot)})
-			break
+		return e.isMem && !e.issued
+	}
+	for k, op := range c.pend {
+		if !unissuedOp(op.slot) {
+			bad("pend entry %d (ROB slot %d) does not hold an unissued memory op", k, op.slot)
+			continue
+		}
+		if e := &c.rob[op.slot]; e.recIdx != op.recIdx || (e.kind == trace.Store) != op.store {
+			bad("pend entry %d says record %d store=%v, ROB slot %d holds record %d kind %v",
+				k, op.recIdx, op.store, op.slot, e.recIdx, e.kind)
+		}
+		if k > 0 && c.pend[k-1].recIdx >= op.recIdx {
+			bad("pend entry %d (record %d) follows record %d: not in program order",
+				k, op.recIdx, c.pend[k-1].recIdx)
+		}
+	}
+	parked := 0
+	for s := range c.parkHead {
+		if c.parkHead[s] == 0 {
+			continue
+		}
+		if c.depAt[s] != inFlight {
+			bad("operations parked on dependence slot %d, whose producer completed at cycle %d", s, c.depAt[s])
+		}
+		for id, n := c.parkHead[s], 0; id != 0; id = c.parkNext[id-1] {
+			if n++; n > len(c.rob) {
+				bad("parked chain on dependence slot %d does not terminate", s)
+				break
+			}
+			parked++
+			if !unissuedOp(id - 1) {
+				bad("parked chain on dependence slot %d names ROB slot %d, not an unissued memory op", s, id-1)
+				break
+			}
+		}
+	}
+	if unissued != len(c.pend)+parked {
+		bad("pend list holds %d ops and %d are parked, ring walk finds %d unissued memory ops",
+			len(c.pend), parked, unissued)
+	}
+	for slot, n := range listed {
+		if n > 1 {
+			bad("ROB slot %d listed %d times across pend and the parked chains", slot, n)
 		}
 	}
 }
@@ -332,26 +398,24 @@ func (c *Core) dispatch(cycle uint64) {
 		// Dispatch the memory operation itself.
 		c.memRecords++
 		idx := c.memRecords
-		var dep uint64
-		if d := uint64(c.pending.DepDist); d > 0 && d < idx {
-			dep = idx - d + 1 // +1 so 0 means "independent"
-			// Out-of-window producers are treated as complete.
-			if idx-(dep-1) >= depWindow {
-				dep = 0
-			}
+		op := pendOp{recIdx: idx, slot: int32(c.robTail), dep: -1, store: c.pending.Kind == trace.Store}
+		// Out-of-window producers are treated as complete.
+		if d := uint64(c.pending.DepDist); d > 0 && d < idx && d < depWindow {
+			op.dep = int32((idx - d) % depWindow)
 		}
-		c.depReady[idx%depWindow] = false
-		e := robEntry{
+		c.depAt[idx%depWindow] = inFlight
+		c.pushEntry(robEntry{
 			isMem:  true,
 			kind:   c.pending.Kind,
 			vaddr:  c.pending.Addr,
 			ip:     c.pending.IP,
 			recIdx: idx,
-			dep:    dep,
+		})
+		if op.dep >= 0 && c.depAt[op.dep] == inFlight {
+			c.park(op)
+		} else {
+			c.pend = append(c.pend, op)
 		}
-		slot := c.robTail
-		c.pushEntry(e)
-		c.pend = append(c.pend, int32(slot))
 		budget--
 		c.pendingValid = false
 		if c.pending.Kind == trace.Load {
@@ -387,6 +451,49 @@ func (c *Core) pushEntry(e robEntry) {
 	c.robCount++
 }
 
+// park chains op onto its producer's dependence-window slot.
+func (c *Core) park(op pendOp) {
+	id := op.slot + 1
+	c.parkNext[op.slot] = 0
+	if t := c.parkTail[op.dep]; t != 0 {
+		c.parkNext[t-1] = id
+	} else {
+		c.parkHead[op.dep] = id
+	}
+	c.parkTail[op.dep] = id
+}
+
+// complete records a completion on dependence-window slot s and releases
+// the operations parked on it into pend at their program-order positions.
+// A released operation keeps its dependence check in the issue scan: the
+// slot may be re-dispatched (aliased by a later record) before it issues.
+func (c *Core) complete(s, done uint64) {
+	c.depAt[s] = done
+	id := c.parkHead[s]
+	if id == 0 {
+		return
+	}
+	c.parkHead[s], c.parkTail[s] = 0, 0
+	c.wake = c.wake[:0]
+	for ; id != 0; id = c.parkNext[id-1] {
+		e := &c.rob[id-1]
+		c.wake = append(c.wake, pendOp{recIdx: e.recIdx, slot: id - 1, dep: int32(s), store: e.kind == trace.Store})
+	}
+	// Both lists are in program order: merge from the back.
+	n := len(c.pend)
+	c.pend = c.pend[:n+len(c.wake)]
+	i, j := n-1, len(c.wake)-1
+	for w := len(c.pend) - 1; j >= 0; w-- {
+		if i >= 0 && c.pend[i].recIdx > c.wake[j].recIdx {
+			c.pend[w] = c.pend[i]
+			i--
+		} else {
+			c.pend[w] = c.wake[j]
+			j--
+		}
+	}
+}
+
 // issue sends ready memory operations to the L1D through limited ports.
 // The pend list is filtered in place: issued entries drop out, blocked
 // entries stay in program order.
@@ -399,40 +506,27 @@ func (c *Core) issue(cycle uint64) {
 		if loads == 0 && stores == 0 {
 			break
 		}
-		slot := c.pend[n]
-		e := &c.rob[slot]
-		if e.kind == trace.Load && loads == 0 {
-			c.pend[w] = slot
+		op := c.pend[n]
+		// Port and dependence checks (an in-flight producer's depAt is
+		// inFlight, later than any cycle).
+		if (op.store && stores == 0) || (!op.store && loads == 0) ||
+			(op.dep >= 0 && c.depAt[op.dep] > cycle) {
+			c.pend[w] = op
 			w++
 			continue
 		}
-		if e.kind == trace.Store && stores == 0 {
-			c.pend[w] = slot
-			w++
-			continue
-		}
-		// Dependence check: producer must have completed.
-		if e.dep != 0 {
-			s := (e.dep - 1) % depWindow
-			if !c.depReady[s] || c.depDone[s] > cycle {
-				c.DepBlocked++
-				c.pend[w] = slot
-				w++
-				continue
-			}
-		}
-		if !c.tryIssue(e, slot, cycle) {
+		if !c.tryIssue(&c.rob[op.slot], op.slot, cycle) {
 			// L1D RQ full: stop issuing this cycle; keep this entry and
 			// everything behind it.
-			c.pend[w] = slot
+			c.pend[w] = op
 			w++
 			n++
 			break
 		}
-		if e.kind == trace.Load {
-			loads--
-		} else {
+		if op.store {
 			stores--
+		} else {
+			loads--
 		}
 	}
 	for ; n < len(c.pend); n++ {
@@ -482,17 +576,13 @@ func (c *Core) ReqDone(token, done uint64) {
 	if token&storeTokenBit != 0 {
 		// Store fill: the ROB entry is long retired; only the dependence
 		// window needs the completion.
-		s := (token &^ storeTokenBit) % depWindow
-		c.depDone[s] = done
-		c.depReady[s] = true
+		c.complete((token&^storeTokenBit)%depWindow, done)
 		return
 	}
 	e := &c.rob[token]
 	e.done = true
 	e.doneCycle = done
-	s := e.recIdx % depWindow
-	c.depDone[s] = done
-	c.depReady[s] = true
+	c.complete(e.recIdx%depWindow, done)
 	d := done - e.issuedAt
 	b := 0
 	for d > 0 && b < len(c.LoadLatHist)-1 {

@@ -46,12 +46,8 @@ func randomTrace(rng *rand.Rand, n int) *trace.Slice {
 // observableDigest captures every piece of machine state whose change is
 // observable in a Result or in a component's subsequent behaviour —
 // excluding the per-cycle counters creditSkip reconciles (CoreStats.Cycles,
-// CoreStats.ROBFullStalls) and scheduler-dependent hidden state: the
-// diagnostics DepBlocked/IssueBlocked, and issueSkip — the issue scan's
-// start hint, which may keep advancing over already-issued entries during
-// ticks that change nothing else. Entries below issueSkip are by
-// construction issued or non-mem, and scanning them again has no side
-// effects, so its value cannot alter observable behaviour.
+// CoreStats.ROBFullStalls) and the scheduler-dependent diagnostics
+// IssueBlocked and LoadLatHist, which are not part of the result surface.
 func observableDigest(m *Machine) string {
 	var b strings.Builder
 	for i := range m.l1ds {

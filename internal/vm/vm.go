@@ -86,6 +86,11 @@ type TLB struct {
 	ways     int
 	entries  []tlbEntry
 	lruClock uint64
+	// last indexes the entry of the most recent hit or insert. Consecutive
+	// lookups mostly share a page (a prefetcher's candidates around one
+	// access), so Lookup tries it before scanning the set. A set never
+	// holds a VPN twice, so the memo finds the entry the scan would.
+	last int
 }
 
 // NewTLB returns a TLB with the given geometry: entries must be positive
@@ -119,21 +124,28 @@ func MustNewTLB(entries, ways int) *TLB {
 	return t
 }
 
-func (t *TLB) set(vpn uint64) []tlbEntry {
-	s := int(vpn) & (t.sets - 1)
+func (t *TLB) setIndex(vpn uint64) int {
 	if t.sets&(t.sets-1) != 0 {
-		s = int(vpn % uint64(t.sets))
+		return int(vpn % uint64(t.sets))
 	}
-	return t.entries[s*t.ways : (s+1)*t.ways]
+	return int(vpn) & (t.sets - 1)
 }
 
-// Lookup returns the cached translation for vpn.
+// Lookup returns the cached translation for vpn. A hit, memoized or not,
+// stamps the entry's LRU position.
 func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
-	set := t.set(vpn)
+	if e := &t.entries[t.last]; e.valid && e.vpn == vpn {
+		t.lruClock++
+		e.lru = t.lruClock
+		return e.pfn, true
+	}
+	s := t.setIndex(vpn)
+	set := t.entries[s*t.ways : (s+1)*t.ways]
 	for i := range set {
 		if set[i].valid && set[i].vpn == vpn {
 			t.lruClock++
 			set[i].lru = t.lruClock
+			t.last = s*t.ways + i
 			return set[i].pfn, true
 		}
 	}
@@ -142,7 +154,8 @@ func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 
 // Insert installs a translation, evicting the LRU way.
 func (t *TLB) Insert(vpn, pfn uint64) {
-	set := t.set(vpn)
+	s := t.setIndex(vpn)
+	set := t.entries[s*t.ways : (s+1)*t.ways]
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -155,6 +168,7 @@ func (t *TLB) Insert(vpn, pfn uint64) {
 	}
 	t.lruClock++
 	set[victim] = tlbEntry{vpn: vpn, pfn: pfn, valid: true, lru: t.lruClock}
+	t.last = s*t.ways + victim
 }
 
 // MMUConfig sets the translation-path latencies (cycles).
