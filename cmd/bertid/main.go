@@ -10,19 +10,20 @@
 // (POST /api/v1/campaigns) or single runs (POST /api/v1/runs — the
 // endpoint cmd/experiments -server uses); the daemon validates them with
 // the harness's typed config errors, dedupes every spec against the
-// content-addressed result store, and fans fresh work across a sharded
-// queue bounded by the harness worker pool. Every completion is journaled
+// content-addressed result store, and queues fresh work in a lease pool
+// that -workers in-process lease workers drain. Every completion is journaled
 // per campaign (append-only, CRC-protected) the moment it finishes, so a
 // killed daemon — SIGKILL included — resumes every in-flight campaign on
 // restart and finishes with a report byte-identical to an uninterrupted
 // run. Live metrics (/metrics, /debug/vars) share the API listener.
 //
-// With -lease-only the daemon becomes a pure coordinator: specs are
-// handed out in leased batches over POST /api/v1/leases to bertiworker
-// processes, which heartbeat and push results back; a lease whose worker
-// dies or partitions expires after -lease-ttl and its specs are
-// reassigned, with duplicate late results deduped — the final report is
-// byte-identical to a solo local run.
+// bertiworker processes may join any daemon: they take leased batches
+// over POST /api/v1/leases, heartbeat, and push results back through the
+// same completion path the in-process workers use. A remote lease whose
+// worker dies or partitions expires after -lease-ttl and its specs are
+// reassigned, with duplicate late results deduped. With -lease-only the
+// daemon runs no in-process workers and becomes a pure coordinator; the
+// final report is byte-identical to a solo local run either way.
 //
 // The first SIGINT/SIGTERM drains gracefully: new submissions get 503,
 // in-flight simulations stop cooperatively at the engine's next poll
@@ -54,8 +55,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address for the API and metrics")
 	dataDir := flag.String("data", "bertid-data", "state root: per-campaign journals + manifests and the content-addressed result store")
-	shards := flag.Int("shards", 0, "work-queue shards (0 = default)")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "in-process lease workers, i.e. concurrent simulations (0 = NumCPU)")
 	flag.IntVar(workers, "j", 0, "alias for -workers")
 	corpusDir := flag.String("corpus-dir", "", "cache generated traces here (v2 containers) and stream them from disk")
 	checkFlag := flag.Bool("check", false, "run the invariant checker on every simulation")
@@ -97,10 +97,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bertid:", err)
 		os.Exit(1)
 	}
+	// The roll-up owns OnResult (the server journals through the lease
+	// pool, not the hook). Attach it before server.New starts the
+	// in-process workers, so no run escapes it.
+	var rollup *harness.ProvenanceRollup
+	if h.EnableProvenance {
+		rollup = harness.NewProvenanceRollup()
+		rollup.Attach(h)
+	}
 	s, err := server.New(server.Options{
 		Harness:           h,
 		DataDir:           *dataDir,
-		Shards:            *shards,
 		LeaseOnly:         *leaseOnly,
 		LeaseTTL:          *leaseTTL,
 		HeartbeatInterval: *leaseHB,
@@ -109,11 +116,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bertid:", err)
 		os.Exit(1)
 	}
-	// The roll-up chains onto the server's OnResult hook (installed by
-	// server.New), so attribution accumulates without stealing journaling.
-	if h.EnableProvenance {
-		rollup := harness.NewProvenanceRollup()
-		rollup.Attach(h)
+	if rollup != nil {
 		s.Live().SetAttribution(func() any { return rollup.Report() })
 	}
 	// WriteTimeout stays 0 on purpose: the SSE progress streams are
@@ -125,7 +128,7 @@ func main() {
 		ReadTimeout:       *readTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
-	mode := "local execution"
+	mode := fmt.Sprintf("%d in-process workers", max(h.Workers, 1))
 	if *leaseOnly {
 		mode = "lease-only coordinator"
 	}

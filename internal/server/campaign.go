@@ -105,8 +105,8 @@ type failedRun struct {
 }
 
 // campaignState is one submitted campaign's in-memory progress. The
-// counters move at batch granularity (noteBatch), fed by the sharded
-// queue's RunManyContext results.
+// counters move per key (noteKeyDone, noteKeyFailed), fed by enqueue and
+// by the pool's completion paths, acceptEntry and acceptFailure.
 type campaignState struct {
 	id      string
 	name    string
@@ -117,7 +117,6 @@ type campaignState struct {
 	mu        sync.Mutex
 	remaining int // specs not yet completed or failed (cancelled stay remaining)
 	completed int
-	cancelled int             // specs returned to the queue by a drain; resumed on restart
 	doneK     map[string]bool // keys already counted via noteKeyDone/noteKeyFailed
 	failed    []failedRun
 	finished  bool
@@ -126,7 +125,7 @@ type campaignState struct {
 }
 
 // newCampaignState starts with everything remaining: per-key completions
-// (the lease path, or enqueue's already-done seeding) may race campaign
+// (an accept path, or enqueue's already-done seeding) may race campaign
 // registration, and a pessimistic start means a completion arriving
 // before enqueue runs simply decrements early instead of corrupting
 // counters that have not been assigned yet.
@@ -148,20 +147,8 @@ func newCampaignState(id, name string, specs []harness.RunSpec, j *campaign.Jour
 	}
 }
 
-// noteBatch folds one finished queue batch into the campaign's counters.
-func (c *campaignState) noteBatch(completed int, failed []failedRun, cancelled int) {
-	c.mu.Lock()
-	c.completed += completed
-	c.remaining -= completed + len(failed)
-	c.failed = append(c.failed, failed...)
-	c.cancelled += cancelled
-	c.maybeFinishLocked()
-	c.notifyLocked()
-	c.mu.Unlock()
-}
-
 // noteKeyDone counts one spec complete, exactly once per key no matter
-// how many paths report it (lease push, enqueue seeding, duplicate
+// how many paths report it (accept path, enqueue seeding, duplicate
 // worker): the done set is the dedup.
 func (c *campaignState) noteKeyDone(key string) {
 	c.mu.Lock()
@@ -243,7 +230,6 @@ func (c *campaignState) status() *CampaignStatus {
 		Total:         len(c.specs),
 		Completed:     c.completed,
 		Failed:        len(c.failed),
-		Cancelled:     c.cancelled,
 	}
 	if c.finished {
 		st.State = StateDone

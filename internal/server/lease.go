@@ -18,12 +18,13 @@ import (
 //
 //	pending --acquire--> leased --complete/fail--> done   (terminal)
 //	   ^                    |
-//	   +------expire--------+
+//	   +------expire--------+   (remote leases only)
 //
 // done is terminal: a late completion for a reassigned spec (the original
 // worker finished after its lease expired) finds the state already done
 // and is deduped, so no spec is ever double-counted; an expired lease
-// returns its specs to pending, so no spec is ever lost.
+// returns its specs to pending, so no spec is ever lost. Every completion
+// in every mode, in-process or pushed, passes through finish.
 const (
 	specPending byte = iota
 	specLeased
@@ -35,6 +36,11 @@ type lease struct {
 	id       string
 	worker   string
 	deadline time.Time
+	// inProcess marks a lease held by one of the daemon's own workers. It
+	// has no deadline: an in-process worker cannot die or partition apart
+	// from its coordinator, and expiring it would only re-run a spec that
+	// is simply taking longer than the TTL.
+	inProcess bool
 	// outstanding holds the batch's not-yet-finished keys; the lease is
 	// discarded once it empties (nothing left to reassign).
 	outstanding map[string]bool
@@ -49,9 +55,15 @@ type workerInfo struct {
 	lastSeen  time.Time
 	leases    uint64
 	specsDone uint64
+	inProcess bool // lives as long as the daemon, idle or not
 }
 
-// leasePool owns the distributed work queue: which specs are waiting,
+// live reports whether w counts as alive at now.
+func (w *workerInfo) live(now time.Time, ttl time.Duration) bool {
+	return w.inProcess || now.Sub(w.lastSeen) <= ttl
+}
+
+// leasePool owns the daemon's only work queue: which specs are waiting,
 // which are out on lease to which worker, and which are finished. All
 // transitions happen under one mutex — the pool is the single authority
 // on spec fate, which is what makes exactly-once accounting checkable.
@@ -70,6 +82,10 @@ type leasePool struct {
 	holder   map[string]string // leased key -> lease ID
 	leases   map[string]*lease
 	workers  map[string]*workerInfo
+	// wake is closed (and replaced) whenever add or expire leaves specs
+	// pending. An idle in-process worker takes it before acquire and
+	// blocks on it, so a spec added between the two is never missed.
+	wake chan struct{}
 }
 
 func newLeasePool(ttl, hb time.Duration, lv *live.Server) *leasePool {
@@ -89,6 +105,23 @@ func newLeasePool(ttl, hb time.Duration, lv *live.Server) *leasePool {
 		holder:  map[string]string{},
 		leases:  map[string]*lease{},
 		workers: map[string]*workerInfo{},
+		wake:    make(chan struct{}),
+	}
+}
+
+// wakeChan returns the channel the next add or expire that leaves specs
+// pending will close.
+func (p *leasePool) wakeChan() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.wake
+}
+
+// wakeLocked wakes every idle in-process worker if any spec is pending.
+func (p *leasePool) wakeLocked() {
+	if p.pendingN > 0 {
+		close(p.wake)
+		p.wake = make(chan struct{})
 	}
 }
 
@@ -113,6 +146,7 @@ func (p *leasePool) add(specs []harness.RunSpec) (alreadyDone []string) {
 		p.pending = append(p.pending, key)
 		p.pendingN++
 	}
+	p.wakeLocked()
 	return alreadyDone
 }
 
@@ -127,12 +161,14 @@ func (p *leasePool) touchWorkerLocked(worker string) *workerInfo {
 	return w
 }
 
-// acquire grants up to max pending specs to worker. Returns nil when no
+// acquire grants up to max pending specs to worker. An inProcess lease
+// carries no deadline and expire never reclaims it. Returns nil when no
 // work is pending.
-func (p *leasePool) acquire(worker string, max int) (*lease, []harness.RunSpec) {
+func (p *leasePool) acquire(worker string, max int, inProcess bool) (*lease, []harness.RunSpec) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := p.touchWorkerLocked(worker)
+	w.inProcess = w.inProcess || inProcess
 	var granted []string
 	for len(granted) < max && len(p.pending) > 0 {
 		key := p.pending[0]
@@ -149,9 +185,12 @@ func (p *leasePool) acquire(worker string, max int) (*lease, []harness.RunSpec) 
 	l := &lease{
 		id:          fmt.Sprintf("l%06d", p.seq),
 		worker:      worker,
-		deadline:    p.now().Add(p.ttl),
+		inProcess:   inProcess,
 		outstanding: make(map[string]bool, len(granted)),
 		total:       len(granted),
+	}
+	if !inProcess {
+		l.deadline = p.now().Add(p.ttl)
 	}
 	specs := make([]harness.RunSpec, len(granted))
 	for i, key := range granted {
@@ -233,14 +272,14 @@ func (p *leasePool) finish(worker, key string) (fresh, known bool) {
 	return true, true
 }
 
-// expire scans for past-deadline leases and returns their outstanding
-// specs to the pending queue. Returns the number of leases expired and
-// specs reassigned.
+// expire scans for past-deadline remote leases and appends their
+// outstanding specs to the back of the pending queue. Returns the number
+// of leases expired and specs reassigned.
 func (p *leasePool) expire() (leases, specs int) {
 	p.mu.Lock()
 	now := p.now()
 	for id, l := range p.leases {
-		if !now.After(l.deadline) {
+		if l.inProcess || !now.After(l.deadline) {
 			continue
 		}
 		leases++
@@ -253,6 +292,7 @@ func (p *leasePool) expire() (leases, specs int) {
 		}
 		delete(p.leases, id)
 	}
+	p.wakeLocked()
 	p.mu.Unlock()
 	if p.live != nil {
 		for i := 0; i < leases; i++ {
@@ -272,7 +312,7 @@ func (p *leasePool) gauges() live.FleetGauges {
 	now := p.now()
 	liveN := 0
 	for _, w := range p.workers {
-		if now.Sub(w.lastSeen) <= p.ttl {
+		if w.live(now, p.ttl) {
 			liveN++
 		}
 	}
@@ -293,7 +333,7 @@ func (p *leasePool) workerStatuses() []WorkerStatus {
 	for id, w := range p.workers {
 		out = append(out, WorkerStatus{
 			Worker:            id,
-			Live:              now.Sub(w.lastSeen) <= p.ttl,
+			Live:              w.live(now, p.ttl),
 			LastSeenAgoMillis: now.Sub(w.lastSeen).Milliseconds(),
 			LeasesAcquired:    w.leases,
 			SpecsCompleted:    w.specsDone,
@@ -305,10 +345,11 @@ func (p *leasePool) workerStatuses() []WorkerStatus {
 
 // ---- coordinator-side completion paths ----
 
-// acceptEntry lands one pushed result: the pool decides its fate (the
-// single authority on first-vs-duplicate), and only a first completion
-// touches the store, the memo cache, the journals, and the campaign
-// counters. Returns "accepted", "duplicate", or "unknown".
+// acceptEntry lands one result, pushed by a remote worker or produced by
+// an in-process one: the pool decides its fate (the single authority on
+// first-vs-duplicate), and only a first completion touches the store, the
+// memo cache, the journals, and the campaign counters. Returns
+// "accepted", "duplicate", or "unknown".
 func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 	fresh, known := s.pool.finish(worker, key)
 	if fresh {
@@ -317,7 +358,6 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 		}
 		s.h.SeedResult(key, r)
 		s.live.RunCompleted()
-		s.live.RemoteResult()
 		s.mu.Lock()
 		var interested []*campaignState
 		for _, c := range s.campaigns {
@@ -325,7 +365,6 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 				interested = append(interested, c)
 			}
 		}
-		delete(s.pending, key)
 		s.mu.Unlock()
 		for _, c := range interested {
 			_ = c.journal.Append(key, r)
@@ -338,9 +377,9 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 		return "duplicate"
 	}
 	// The pool never tracked this key in this daemon life; if it is already
-	// finished in the memo cache or the store (done before a restart, or
-	// executed locally), the push is a late duplicate, otherwise it is
-	// work the coordinator never issued.
+	// finished in the memo cache or the store (done before a restart), the
+	// push is a late duplicate, otherwise it is work the coordinator never
+	// issued.
 	if _, ok := s.h.ResultFor(key); ok {
 		s.live.DuplicateResult()
 		return "duplicate"
@@ -353,10 +392,9 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 	return "unknown"
 }
 
-// acceptFailure lands one pushed failure. Failures are terminal for this
-// daemon life (like the harness's error memoization) but are not
-// persisted, so they re-execute after a restart — same policy as local
-// mode.
+// acceptFailure lands one failure, pushed or in-process. Failures are
+// terminal for this daemon life (like the harness's error memoization)
+// but are not persisted, so they re-execute after a restart.
 func (s *Server) acceptFailure(worker, key, msg string) string {
 	fresh, known := s.pool.finish(worker, key)
 	if !fresh {
@@ -374,8 +412,7 @@ func (s *Server) acceptFailure(worker, key, msg string) string {
 			interested = append(interested, c)
 		}
 	}
-	delete(s.pending, key)
-	s.adhocErr[key] = msg
+	s.failed[key] = msg
 	s.mu.Unlock()
 	for _, c := range interested {
 		c.noteKeyFailed(key, msg)
@@ -438,7 +475,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		TTLMillis:       s.pool.ttl.Milliseconds(),
 		HeartbeatMillis: s.pool.hb.Milliseconds(),
 	}
-	if l, specs := s.pool.acquire(req.Worker, max); l != nil {
+	if l, specs := s.pool.acquire(req.Worker, max, false); l != nil {
 		grant.ID = l.id
 		grant.Specs = specs
 	}
@@ -499,6 +536,7 @@ func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 		switch s.acceptEntry(req.Worker, e.Key, e.Result) {
 		case "accepted":
 			resp.Accepted++
+			s.live.RemoteResult()
 		case "duplicate":
 			resp.Duplicates++
 		default:

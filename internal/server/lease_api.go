@@ -95,7 +95,8 @@ type ResultsResponse struct {
 // WorkerStatus is one registry row in the GET /api/v1/workers response.
 type WorkerStatus struct {
 	Worker string `json:"worker"`
-	// Live reports whether the worker was seen within the lease TTL.
+	// Live reports whether the worker was seen within the lease TTL. The
+	// daemon's in-process workers are always live.
 	Live              bool   `json:"live"`
 	LastSeenAgoMillis int64  `json:"last_seen_ago_ms"`
 	LeasesAcquired    uint64 `json:"leases_acquired"`

@@ -41,13 +41,59 @@ func newFakePool(ttl time.Duration) (*leasePool, *fakeClock) {
 	return p, clk
 }
 
+// poolWatch is what a test captures just before one pool op, so
+// checkPoolInvariants can relate the state after the op to the state
+// before it.
+type poolWatch struct {
+	wake     <-chan struct{}
+	pendingN int
+	inProc   []string // keys out on in-process leases
+	// wakes marks an add or expire: if it leaves specs pending, the wake
+	// channel taken before it must be closed.
+	wakes bool
+}
+
+// watchPool captures p for the next op's invariant check.
+func watchPool(p *leasePool, wakes bool) *poolWatch {
+	w := &poolWatch{wake: p.wakeChan(), wakes: wakes}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w.pendingN = p.pendingN
+	for _, l := range p.leases {
+		if l.inProcess {
+			for key := range l.outstanding {
+				w.inProc = append(w.inProc, key)
+			}
+		}
+	}
+	return w
+}
+
 // checkPoolInvariants asserts the structural invariants the state machine
 // promises: exact pending count, holder/lease agreement, and no key in
-// two leases.
-func checkPoolInvariants(t *testing.T, p *leasePool) {
+// two leases. Given the watch taken before the last op (nil skips these),
+// it also asserts that expire never returned an in-process lease's keys
+// to pending, and that no wake-up was lost: the channel taken before the
+// op is closed if the op was an add or expire that left specs pending, or
+// if specs became pending where none were.
+func checkPoolInvariants(t *testing.T, p *leasePool, w *poolWatch) {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if w != nil {
+		for _, key := range w.inProc {
+			if p.state[key] == specPending {
+				t.Fatalf("in-process lease's key %q returned to pending", key)
+			}
+		}
+		if p.pendingN > 0 && (w.wakes || w.pendingN == 0) {
+			select {
+			case <-w.wake:
+			default:
+				t.Fatalf("%d spec(s) pending but the wake channel taken before the op is open", p.pendingN)
+			}
+		}
+	}
 	pending := 0
 	for key, st := range p.state {
 		switch st {
@@ -100,13 +146,13 @@ func TestLeasePoolLifecycle(t *testing.T) {
 	if done := p.add(specs); len(done) != 0 {
 		t.Fatalf("fresh add reported %v already done", done)
 	}
-	checkPoolInvariants(t, p)
+	checkPoolInvariants(t, p, nil)
 
-	l, granted := p.acquire("w1", 3)
+	l, granted := p.acquire("w1", 3, false)
 	if l == nil || len(granted) != 3 || l.worker != "w1" {
 		t.Fatalf("acquire: lease %+v, %d specs", l, len(granted))
 	}
-	checkPoolInvariants(t, p)
+	checkPoolInvariants(t, p, nil)
 
 	// Heartbeats extend the deadline: after two half-TTL advances with a
 	// heartbeat in between, the lease must still be alive.
@@ -135,10 +181,10 @@ func TestLeasePoolLifecycle(t *testing.T) {
 	if p.heartbeat(l.id, "w1", 2) {
 		t.Fatal("heartbeat on an expired lease accepted")
 	}
-	checkPoolInvariants(t, p)
+	checkPoolInvariants(t, p, nil)
 
 	// The reassigned specs plus the two never-leased ones go to w2.
-	l2, granted2 := p.acquire("w2", 64)
+	l2, granted2 := p.acquire("w2", 64, false)
 	if l2 == nil || len(granted2) != 4 {
 		t.Fatalf("reacquire after expiry granted %d specs, want 4", len(granted2))
 	}
@@ -155,7 +201,7 @@ func TestLeasePoolLifecycle(t *testing.T) {
 	for _, spec := range granted2 {
 		p.finish("w2", spec.Key())
 	}
-	checkPoolInvariants(t, p)
+	checkPoolInvariants(t, p, nil)
 
 	g := p.gauges()
 	if g.SpecsPending != 0 || g.LeasesOutstanding != 0 || g.WorkersSeen != 2 {
@@ -180,8 +226,8 @@ func TestLeasePoolLifecycle(t *testing.T) {
 // TestLeasePoolNeverLosesOrDoubleCounts is the property test behind the
 // exactly-once claim: under a seeded random interleaving of acquire /
 // heartbeat / expire / finish (including duplicate and late finishes),
-// every spec is first-completed exactly once and the structural
-// invariants hold after every step.
+// with a third of the leases in-process, every spec is first-completed
+// exactly once and the invariants hold after every step.
 func TestLeasePoolNeverLosesOrDoubleCounts(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -199,10 +245,12 @@ func TestLeasePoolNeverLosesOrDoubleCounts(t *testing.T) {
 			var leaseIDs []string
 
 			for step := 0; step < 600; step++ {
-				switch rng.Intn(10) {
-				case 0, 1, 2: // acquire
+				op := rng.Intn(10)
+				watch := watchPool(p, op == 4)
+				switch op {
+				case 0, 1, 2: // acquire; op 2 takes an in-process lease
 					w := workers[rng.Intn(len(workers))]
-					if l, _ := p.acquire(w, 1+rng.Intn(5)); l != nil {
+					if l, _ := p.acquire(w, 1+rng.Intn(5), op == 2); l != nil {
 						leaseIDs = append(leaseIDs, l.id)
 					}
 				case 3: // heartbeat a random (possibly dead) lease
@@ -222,7 +270,7 @@ func TestLeasePoolNeverLosesOrDoubleCounts(t *testing.T) {
 						freshCount[key]++
 					}
 				}
-				checkPoolInvariants(t, p)
+				checkPoolInvariants(t, p, watch)
 			}
 			// Drain: finish everything still unfinished.
 			for _, key := range keys {

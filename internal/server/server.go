@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
 	"os"
@@ -28,42 +27,26 @@ const APISchemaVersion = 1
 // the campaign identity added.
 const ReportSchemaVersion = 1
 
-// DefaultShards is the work-queue shard count when Options leaves it zero.
-// Shards give cross-campaign fairness — a huge campaign's batches
-// interleave with a small one's — while the harness's global worker
-// semaphore keeps total simulation concurrency bounded regardless of how
-// many shards drain at once.
-const DefaultShards = 4
-
-// batchSize bounds the specs per queue batch. Small batches keep shards
-// preemptible: a later campaign's first batch starts after at most one
-// batch of an earlier campaign, not after the whole campaign.
-const batchSize = 8
-
-// shardBacklog bounds each shard's queued batches before dispatchers block.
-const shardBacklog = 256
-
 // Options configures a Server.
 type Options struct {
-	// Harness executes the runs (required). The server owns its OnResult
-	// hook and its base context; do not install either elsewhere.
+	// Harness executes the runs (required). The daemon runs
+	// max(Harness.Workers, 1) in-process lease workers on it. The server
+	// installs no OnResult hook; set one of your own before New starts
+	// the workers.
 	Harness *harness.Harness
 	// DataDir is the daemon's state root (required): per-campaign journals
 	// and manifests live in DataDir/campaigns, the content-addressed result
 	// store in DataDir/results.
 	DataDir string
-	// Shards is the work-queue shard count (DefaultShards if 0).
-	Shards int
 	// Live receives run counters and serves /metrics; a listener-less one
 	// is created when nil.
 	Live *live.Server
 	// Logf sinks operational log lines (log.Printf when nil).
 	Logf func(format string, args ...any)
-	// LeaseOnly switches execution to the distributed worker protocol:
-	// campaign and ad-hoc specs go to the lease pool for bertiworker
-	// processes to pull, instead of the local shard queue. The lease
-	// endpoints are served either way (a local daemon simply never has
-	// pending pool work).
+	// LeaseOnly makes the daemon a pure coordinator: it runs zero
+	// in-process workers, so every spec waits in the lease pool for
+	// bertiworker processes to pull. The lease endpoints are served either
+	// way, and remote workers may join a default daemon too.
 	LeaseOnly bool
 	// LeaseTTL is how long a lease survives without a heartbeat or a
 	// results push before its specs are reassigned (DefaultLeaseTTL if 0).
@@ -73,45 +56,34 @@ type Options struct {
 	HeartbeatInterval time.Duration
 }
 
-// batch is one unit of queued work: a slice of specs bound for
-// RunManyContext, attributed to a campaign (nil for ad-hoc single runs).
-type batch struct {
-	camp  *campaignState
-	specs []harness.RunSpec
-}
-
 // Server is the campaign service: it admits experiment specs over HTTP,
 // dedupes them against everything ever computed (memo cache, result store,
-// in-flight single-flight), fans fresh work across a sharded queue, and
-// journals every completion so a killed daemon resumes every in-flight
-// campaign on restart.
+// lease pool), hands fresh work to in-process and remote lease workers,
+// and journals every completion so a killed daemon resumes every
+// in-flight campaign on restart.
 type Server struct {
-	h         *harness.Harness
-	live      *live.Server
-	store     *Store
-	campDir   string
-	logf      func(string, ...any)
-	mux       *http.ServeMux
-	pool      *leasePool
-	leaseOnly bool
+	h       *harness.Harness
+	live    *live.Server
+	store   *Store
+	campDir string
+	logf    func(string, ...any)
+	mux     *http.ServeMux
+	pool    *leasePool
 
 	runCtx     context.Context
 	cancelRuns context.CancelFunc
-	shards     []chan batch
 	workerWG   sync.WaitGroup
-	dispatchWG sync.WaitGroup
 	drainOnce  sync.Once
 
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
-	pending   map[string]bool   // ad-hoc run keys queued but not finished
-	adhocErr  map[string]string // ad-hoc run keys that failed (memoized error text)
+	failed    map[string]string // run keys that failed this daemon life (error text)
 	draining  bool
 }
 
 // New builds the server: opens the result store, recovers every on-disk
 // campaign (journals seeded, unfinished specs re-enqueued), and starts the
-// shard workers. Mount Handler on an HTTP listener to serve it.
+// in-process lease workers. Mount Handler on an HTTP listener to serve it.
 func New(opts Options) (*Server, error) {
 	if opts.Harness == nil {
 		return nil, errors.New("server: Options.Harness is required")
@@ -127,10 +99,6 @@ func New(opts Options) (*Server, error) {
 	if err := os.MkdirAll(campDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	nshards := opts.Shards
-	if nshards <= 0 {
-		nshards = DefaultShards
-	}
 	lv := opts.Live
 	if lv == nil {
 		lv = live.NewServer()
@@ -145,52 +113,57 @@ func New(opts Options) (*Server, error) {
 		store:     store,
 		campDir:   campDir,
 		logf:      logf,
-		leaseOnly: opts.LeaseOnly,
 		campaigns: map[string]*campaignState{},
-		pending:   map[string]bool{},
-		adhocErr:  map[string]string{},
+		failed:    map[string]string{},
 	}
 	s.pool = newLeasePool(opts.LeaseTTL, opts.HeartbeatInterval, lv)
 	lv.SetFleetGauges(s.pool.gauges)
 	s.runCtx, s.cancelRuns = context.WithCancel(context.Background())
-	s.h.SetContext(s.runCtx)
-	s.h.OnResult = s.onResult
-	s.shards = make([]chan batch, nshards)
-	for i := range s.shards {
-		s.shards[i] = make(chan batch, shardBacklog)
-	}
 	s.buildMux()
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	for i := range s.shards {
+	for i := 1; !opts.LeaseOnly && i <= max(s.h.Workers, 1); i++ {
 		s.workerWG.Add(1)
-		go s.shardWorker(s.shards[i])
+		go s.localWorker(fmt.Sprintf("local-%d", i))
 	}
 	s.workerWG.Add(1)
 	go s.expiryLoop()
 	return s, nil
 }
 
-// onResult is the harness completion hook: persist to the store, bump live
-// metrics, and journal into every active campaign that contains the key.
-// Journal.Append dedupes re-completions; its first write error is retained
-// on the journal and reported at status time rather than aborting runs.
-func (s *Server) onResult(key string, _ harness.RunSpec, r *sim.Result) {
-	if err := s.store.Put(key, r); err != nil {
-		s.logf("server: result store: %v", err)
-	}
-	s.live.RunCompleted()
-	s.mu.Lock()
-	var interested []*campaignState
-	for _, c := range s.campaigns {
-		if c.keys[key] {
-			interested = append(interested, c)
+// localWorker is one in-process lease worker. It takes one spec per
+// acquire, runs it on the harness, and lands the outcome through
+// acceptEntry or acceptFailure, the same finish-gated path a remote push
+// takes. Idle, it blocks on the pool's wake channel, taken before acquire
+// so a spec added in between still wakes it. A drain cancels the run and
+// leaves its spec leased; the manifest and journal resume it next life.
+func (s *Server) localWorker(id string) {
+	defer s.workerWG.Done()
+	for s.runCtx.Err() == nil {
+		wake := s.pool.wakeChan()
+		_, specs := s.pool.acquire(id, 1, true)
+		if specs == nil {
+			select {
+			case <-wake:
+			case <-s.runCtx.Done():
+			}
+			continue
 		}
-	}
-	s.mu.Unlock()
-	for _, c := range interested {
-		_ = c.journal.Append(key, r)
+		spec := specs[0]
+		r, err := s.h.RunContext(s.runCtx, spec)
+		switch {
+		case err == nil:
+			s.acceptEntry(id, spec.Key(), r)
+		case !sim.IsCancel(err):
+			// Normalised to a *harness.RunError as the harness's batch
+			// runner does, so the failure text matches a worker's push.
+			var re *harness.RunError
+			if !errors.As(err, &re) {
+				re = &harness.RunError{Spec: spec, Attempts: 1, Err: err}
+			}
+			s.acceptFailure(id, spec.Key(), re.Error())
+		}
 	}
 }
 
@@ -231,135 +204,49 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// enqueue seeds c's specs from the result store, counts what is already
-// complete, and dispatches the remainder — to the lease pool in
-// lease-only mode, across the shards otherwise. Safe to call exactly once
-// per campaignState. Counters were initialised pessimistically at
-// construction (everything remaining), so a remote completion racing this
-// call is safe: noteKeyDone dedupes per key via the campaign's done set.
+// enqueue counts what of c is already finished (memo cache, result store,
+// or a failure this daemon life) and adds the remainder to the lease
+// pool. Safe to call exactly once per campaignState, after c is
+// registered. Counters start pessimistic (everything remaining) and
+// dedupe per key, so a completion racing this call is counted once. A key
+// the pool finished after the checks below was landed by acceptEntry or
+// acceptFailure, which saw c registered and noted it.
 func (s *Server) enqueue(c *campaignState) {
 	var todo []harness.RunSpec
-	var doneKeys []string
 	for _, spec := range c.specs {
 		key := spec.Key()
 		if _, ok := s.h.ResultFor(key); ok {
-			doneKeys = append(doneKeys, key)
+			c.noteKeyDone(key)
 			continue
 		}
 		if r, ok := s.store.Get(key); ok {
 			s.h.SeedResult(key, r)
-			doneKeys = append(doneKeys, key)
+			c.noteKeyDone(key)
+			continue
+		}
+		s.mu.Lock()
+		msg, failed := s.failed[key]
+		s.mu.Unlock()
+		if failed {
+			c.noteKeyFailed(key, msg)
 			continue
 		}
 		todo = append(todo, spec)
 	}
-	if s.leaseOnly {
-		doneKeys = append(doneKeys, s.pool.add(todo)...)
-	}
-	for _, k := range doneKeys {
-		c.noteKeyDone(k)
-	}
-	if s.leaseOnly || len(todo) == 0 {
-		return
-	}
-	perShard := make([][]harness.RunSpec, len(s.shards))
-	for _, spec := range todo {
-		i := s.shardOf(spec.Key())
-		perShard[i] = append(perShard[i], spec)
-	}
-	// The Add must be ordered against Drain's Wait by s.mu: a drain that
-	// already started owns the queue's lifecycle, and this campaign's
-	// remainder resumes on the next daemon life instead.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return
-	}
-	s.dispatchWG.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.dispatchWG.Done()
-		for i, specs := range perShard {
-			for len(specs) > 0 {
-				n := batchSize
-				if n > len(specs) {
-					n = len(specs)
-				}
-				s.shards[i] <- batch{camp: c, specs: specs[:n]}
-				specs = specs[n:]
-			}
-		}
-	}()
+	s.pool.add(todo)
 }
 
-// shardOf maps a memo key to its queue shard.
-func (s *Server) shardOf(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(s.shards)))
-}
-
-// shardWorker drains one shard: each batch runs on the harness pool (the
-// global worker semaphore bounds real concurrency) and its outcome feeds
-// the owning campaign's counters. Cancelled specs stay unfinished — the
-// journal-plus-manifest pair resumes them after restart.
-func (s *Server) shardWorker(ch chan batch) {
-	defer s.workerWG.Done()
-	for b := range ch {
-		out, err := s.h.RunManyContext(s.runCtx, b.specs)
-		completed := 0
-		for _, r := range out {
-			if r != nil {
-				completed++
-			}
-		}
-		var failed []failedRun
-		cancelled := 0
-		var rf *harness.RunFailures
-		if errors.As(err, &rf) {
-			for _, f := range rf.Failed {
-				failed = append(failed, failedRun{Key: f.Spec.Key(), Error: f.Error()})
-				s.live.RunFailed()
-			}
-			cancelled = len(rf.Cancelled)
-		} else if err != nil {
-			s.logf("server: batch failed: %v", err)
-		}
-		if b.camp != nil {
-			b.camp.noteBatch(completed, failed, cancelled)
-		} else {
-			s.noteAdhoc(b.specs, failed)
-		}
-	}
-}
-
-// noteAdhoc clears finished ad-hoc keys and records their failures.
-func (s *Server) noteAdhoc(specs []harness.RunSpec, failed []failedRun) {
-	s.mu.Lock()
-	for _, spec := range specs {
-		delete(s.pending, spec.Key())
-	}
-	for _, f := range failed {
-		s.adhocErr[f.Key] = f.Error
-	}
-	s.mu.Unlock()
-}
-
-// Drain stops the service gracefully: new submissions get 503, the queue
+// Drain stops the service gracefully: new submissions get 503, the run
 // context is cancelled so in-flight simulations stop cooperatively at the
 // engine's next poll stride, every completed run is already journaled and
-// flushed (Journal.Append is write-through), and the shard pool exits.
-// Idempotent; returns once the pool is fully drained.
+// flushed (Journal.Append is write-through), and the in-process workers
+// exit. Idempotent; returns once every worker has stopped.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
 		s.mu.Unlock()
 		s.cancelRuns()
-		s.dispatchWG.Wait()
-		for _, ch := range s.shards {
-			close(ch)
-		}
 		s.workerWG.Wait()
 	})
 }
@@ -437,7 +324,6 @@ type CampaignStatus struct {
 	Total         int    `json:"total"`
 	Completed     int    `json:"completed"`
 	Failed        int    `json:"failed"`
-	Cancelled     int    `json:"cancelled"`
 }
 
 // Report is the final campaign document: every completed run sorted by
@@ -748,35 +634,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	if msg, ok := s.adhocErr[key]; ok {
-		s.mu.Unlock()
+	msg, failed := s.failed[key]
+	draining := s.draining
+	s.mu.Unlock()
+	if failed {
 		writeJSON(w, http.StatusOK, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "failed", Error: msg})
 		return
 	}
-	if s.pending[key] {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "running"})
-		return
-	}
-	if s.draining {
-		s.mu.Unlock()
+	if draining {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("daemon is draining; not admitting new runs"))
 		return
 	}
-	s.pending[key] = true
-	if s.leaseOnly {
-		s.mu.Unlock()
-		// A worker will pull this spec; completion lands via acceptEntry,
-		// which clears the pending mark.
-		s.pool.add([]harness.RunSpec{spec})
-		writeJSON(w, http.StatusAccepted, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "running"})
-		return
-	}
-	s.dispatchWG.Add(1) // ordered against Drain's Wait by s.mu
-	s.mu.Unlock()
-	go func() {
-		defer s.dispatchWG.Done()
-		s.shards[s.shardOf(key)] <- batch{specs: []harness.RunSpec{spec}}
-	}()
+	// A key already pending or leased is shared, so re-adding is the poll.
+	s.pool.add([]harness.RunSpec{spec})
 	writeJSON(w, http.StatusAccepted, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "running"})
 }

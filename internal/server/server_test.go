@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/bertisim/berti/internal/harness"
+	"github.com/bertisim/berti/internal/obs/live"
 	"github.com/bertisim/berti/internal/sim"
 )
 
@@ -35,7 +36,7 @@ func srvSpecs() []harness.RunSpec {
 func newTestServer(t *testing.T, dataDir string) (*Server, *harness.Harness) {
 	t.Helper()
 	h := harness.New(srvScale)
-	s, err := New(Options{Harness: h, DataDir: dataDir, Shards: 2, Logf: t.Logf})
+	s, err := New(Options{Harness: h, DataDir: dataDir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,9 @@ func TestConcurrentDuplicateSubmission(t *testing.T) {
 		mu.Lock()
 		perKey[key]++
 		mu.Unlock()
-		prev(key, spec, r)
+		if prev != nil {
+			prev(key, spec, r)
+		}
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -169,6 +172,162 @@ func TestConcurrentDuplicateSubmission(t *testing.T) {
 	}
 }
 
+// TestLocalLeasesNeverExpire pins the in-process worker contract: their
+// leases carry no deadline, so a default daemon whose TTL is far shorter
+// than every run still executes each spec exactly once, with no expiry or
+// reassignment, and its workers appear in the registry like remote ones.
+func TestLocalLeasesNeverExpire(t *testing.T) {
+	// At this scale each mcf run takes ~100 ms on a 2-vCPU host, five
+	// times the lease TTL; the expiry scan runs every 5 ms.
+	h := harness.New(harness.Scale{Name: "srv-slow", MemRecords: 30_000, WarmupInstr: 20_000, SimInstr: 300_000, Mixes: 2})
+	h.Workers = 2
+	var mu sync.Mutex
+	perKey := map[string]int{}
+	h.OnResult = func(key string, _ harness.RunSpec, _ *sim.Result) {
+		mu.Lock()
+		perKey[key]++
+		mu.Unlock()
+	}
+	s, err := New(Options{
+		Harness:           h,
+		DataDir:           t.TempDir(),
+		Logf:              t.Logf,
+		LeaseTTL:          20 * time.Millisecond,
+		HeartbeatInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	ctx := testCtx(t)
+
+	var specs []harness.RunSpec
+	for _, pf := range []string{"next-line", "ip-stride", "berti", "bop"} {
+		specs = append(specs, harness.RunSpec{Workload: "mcf_like_1554", L1DPf: pf})
+	}
+	ack, err := cl.Submit(ctx, "slow", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.WaitCampaign(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Completed != len(specs) {
+		t.Fatalf("campaign finished as %+v, want done %d/%d", st, len(specs), len(specs))
+	}
+	mu.Lock()
+	if len(perKey) != len(specs) {
+		t.Fatalf("OnResult saw %d distinct keys, want %d: %v", len(perKey), len(specs), perKey)
+	}
+	for k, n := range perKey {
+		if n != 1 {
+			t.Fatalf("spec %q executed %d times, want exactly once", k, n)
+		}
+	}
+	mu.Unlock()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap live.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fl := snap.Fleet; fl.LeasesExpired != 0 || fl.SpecsReassigned != 0 {
+		t.Fatalf("fleet metrics: %+v, want no expired leases and no reassigned specs", fl)
+	}
+
+	ws, err := cl.Workers(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ws) != h.Workers {
+		t.Fatalf("worker registry lists %d workers, want the %d in-process ones: %+v", len(ws), h.Workers, ws)
+	}
+	var done uint64
+	for _, w := range ws {
+		if !strings.HasPrefix(w.Worker, "local-") || !w.Live {
+			t.Fatalf("registry row %+v, want a live in-process worker", w)
+		}
+		done += w.SpecsCompleted
+	}
+	if done != uint64(st.Total) {
+		t.Fatalf("in-process workers completed %d specs, want the campaign's %d", done, st.Total)
+	}
+}
+
+// TestFailedSpecFailsEveryCampaign: a spec that failed this daemon life
+// fails again, with the same text, in a later campaign and an ad-hoc poll
+// that name it — it neither hangs nor counts as complete.
+func TestFailedSpecFailsEveryCampaign(t *testing.T) {
+	h := harness.New(srvScale)
+	h.RunTimeout = time.Nanosecond
+	h.Retry = harness.RetryPolicy{MaxAttempts: 1}
+	s, err := New(Options{Harness: h, DataDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	ctx := testCtx(t)
+
+	specs := srvSpecs()
+	failures := func(specs []harness.RunSpec) []failedRun {
+		t.Helper()
+		ack, err := cl.Submit(ctx, "fail", specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cl.WaitCampaign(ctx, ack.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed || st.Completed != 0 || st.Failed != len(specs) {
+			t.Fatalf("campaign finished as %+v, want %d failed", st, len(specs))
+		}
+		body, err := cl.Report(ctx, ack.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep Report
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Failed
+	}
+	first := failures(specs[:1])
+	later := failures(specs[:2])
+	key := specs[0].Key()
+	if first[0].Key != key || first[0].Error == "" {
+		t.Fatalf("first campaign's failure: %+v", first)
+	}
+	var again []failedRun
+	for _, f := range later {
+		if f.Key == key {
+			again = append(again, f)
+		}
+	}
+	if len(again) != 1 || again[0].Error != first[0].Error {
+		t.Fatalf("later campaign reports %+v for %q, want the first failure %q", again, key, first[0].Error)
+	}
+	st, err := cl.postRun(ctx, specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "failed" || st.Error != first[0].Error {
+		t.Fatalf("ad-hoc poll: %+v, want failed with %q", st, first[0].Error)
+	}
+}
+
 // TestRestartResumesCampaign is the crash-resume contract in-process: a
 // campaign interrupted by a drain (standing in for SIGKILL — the journals
 // are write-through, so the drain adds nothing they need) must resume on a
@@ -200,15 +359,9 @@ func TestRestartResumesCampaign(t *testing.T) {
 	// work still pending.
 	h1 := harness.New(srvScale)
 	h1.Workers = 1
-	s1, err := New(Options{Harness: h1, DataDir: dataDir, Shards: 1, Logf: t.Logf})
+	s1, err := New(Options{Harness: h1, DataDir: dataDir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var first atomic.Int32
-	prev := h1.OnResult
-	h1.OnResult = func(key string, spec harness.RunSpec, r *sim.Result) {
-		prev(key, spec, r)
-		first.Add(1)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	cl1 := NewClient(ts1.URL)
@@ -219,7 +372,15 @@ func TestRestartResumesCampaign(t *testing.T) {
 	if ack.ID != refAck.ID {
 		t.Fatalf("same sweep produced different campaign IDs: %q vs %q", ack.ID, refAck.ID)
 	}
-	for first.Load() == 0 {
+	// The campaign counts a key complete only after its journal append.
+	for {
+		st, err := cl1WaitlessStatus(s1, ack.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Completed >= 1 {
+			break
+		}
 		if ctx.Err() != nil {
 			t.Fatal("timed out waiting for the first completion")
 		}
@@ -234,7 +395,7 @@ func TestRestartResumesCampaign(t *testing.T) {
 	// Life 2: a fresh daemon over the same data dir must recover the
 	// campaign from manifest+journal+store and finish it.
 	h2 := harness.New(srvScale)
-	s2, err := New(Options{Harness: h2, DataDir: dataDir, Shards: 1, Logf: t.Logf})
+	s2, err := New(Options{Harness: h2, DataDir: dataDir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
