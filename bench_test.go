@@ -12,6 +12,7 @@ package berti_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"sync"
 	"testing"
@@ -50,7 +51,7 @@ func benchExperiment(b *testing.B, id string) {
 	var out bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		e.Run(h, &out)
+		e.Run(context.Background(), h, &out)
 	}
 	if out.Len() == 0 {
 		b.Fatal("experiment produced no output")
@@ -134,7 +135,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		cfg := sim.DefaultConfig()
 		cfg.WarmupInstructions = 10_000
 		cfg.SimInstructions = 100_000
-		res := sim.MustRunOnce(cfg, tr, func() cache.Prefetcher { return core.New(core.DefaultConfig()) }, nil)
+		m := sim.MustNew(cfg, []trace.Reader{trace.NewSliceReader(tr)}, func() cache.Prefetcher { return core.New(core.DefaultConfig()) }, nil)
+		res := sim.MustRun(m)
 		cycles += res.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")

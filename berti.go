@@ -19,6 +19,7 @@
 package berti
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -124,7 +125,7 @@ func Simulate(opts Options) (*Report, error) {
 		scale.SimInstr = opts.Instructions
 	}
 	h := harness.New(scale)
-	res, err := h.Run(harness.RunSpec{
+	res, err := h.RunContext(context.TODO(), harness.RunSpec{
 		Workload: opts.Workload,
 		Mix:      opts.Mix,
 		L1DPf:    opts.L1DPrefetcher,
@@ -253,7 +254,7 @@ func RunExperiment(id string, w io.Writer, scale string) error {
 		return fmt.Errorf("berti: unknown scale %q", scale)
 	}
 	h := harness.New(s)
-	e.Run(h, w)
+	e.Run(context.TODO(), h, w)
 	if fails := h.Failures(); len(fails) > 0 {
 		// The report was still rendered from the surviving runs; surface
 		// the failures so callers do not mistake it for a clean artifact.

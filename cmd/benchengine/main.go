@@ -19,6 +19,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -302,7 +303,7 @@ func measure(scale harness.Scale, workload, class, pf string, sched sim.Schedule
 	var instr uint64
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		out, err := h.RunWith(spec, harness.RunOptions{})
+		out, err := h.RunWithContext(context.Background(), spec, sim.Options{})
 		elapsed := time.Since(start)
 		if err != nil {
 			return cell{}, nil, fmt.Errorf("%s pf=%q %s: %w", workload, pf, sched, err)

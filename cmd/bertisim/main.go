@@ -228,20 +228,20 @@ func main() {
 
 	h := harness.New(scale)
 	h.Scheduler = sched
-	h.SetContext(ctx)
 
 	var checker *check.Checker
 	if runChecked {
 		checker = check.New()
 	}
 
+	opts := sim.Options{Observer: observer, Checker: checker, Fault: faultPlan, Provenance: tracker}
 	var res, base *sim.Result
 	var runErr, baseErr error
 	var elapsed time.Duration
 	if *traceFile != "" {
 		// runMachine wires one reader through the engine with this run's
-		// observability hooks; both the v1 and v2 paths share it.
-		runMachine := func(rd trace.Reader, l1, l2 string, o *obs.Observer, ck *check.Checker, fp *fault.Plan, pv *provenance.Tracker) (*sim.Result, error) {
+		// hooks; both the v1 and v2 paths share it.
+		runMachine := func(rd trace.Reader, l1, l2 string, opts sim.Options) (*sim.Result, error) {
 			cfg := sim.DefaultConfig()
 			cfg.WarmupInstructions = scale.WarmupInstr
 			cfg.SimInstructions = scale.SimInstr
@@ -268,19 +268,10 @@ func main() {
 			}
 			m.SetScheduler(sched)
 			m.SetContext(ctx)
-			m.SetObserver(o)
-			if ck != nil {
-				m.SetChecker(ck, 0, 0)
-			}
-			if pv != nil {
-				m.SetProvenance(pv)
-			}
-			if fp != nil && !fp.TraceFault() {
-				m.SetFaultPlan(fp)
-			}
+			m.Attach(opts)
 			return m.Run()
 		}
-		var run func(l1, l2 string, o *obs.Observer, ck *check.Checker, fp *fault.Plan, pv *provenance.Tracker) (*sim.Result, error)
+		var run func(l1, l2 string, opts sim.Options) (*sim.Result, error)
 		if sniffV2(*traceFile) {
 			if faultPlan != nil && faultPlan.TraceFault() {
 				fmt.Fprintln(os.Stderr, "bertisim: trace-level fault plans need a v1 trace (v2 chunks are CRC-checked; use tracegen -format v1)")
@@ -297,7 +288,7 @@ func main() {
 					*skip, tf.Meta().Instructions)
 				os.Exit(exitUsage)
 			}
-			run = func(l1, l2 string, o *obs.Observer, ck *check.Checker, fp *fault.Plan, pv *provenance.Tracker) (*sim.Result, error) {
+			run = func(l1, l2 string, opts sim.Options) (*sim.Result, error) {
 				// Fresh window reader per run: the main and baseline runs each
 				// stream the file independently.
 				rd, err := tf.NewWindowReader(*skip, tracestore.ReaderOptions{Loop: true})
@@ -305,7 +296,7 @@ func main() {
 					return nil, err
 				}
 				defer rd.Close()
-				return runMachine(rd, l1, l2, o, ck, fp, pv)
+				return runMachine(rd, l1, l2, opts)
 			}
 		} else {
 			data, err := os.ReadFile(*traceFile)
@@ -331,15 +322,15 @@ func main() {
 				// FastForward lands on for v2.
 				tr.Records = tr.Records[skipIndex(tr, *skip):]
 			}
-			run = func(l1, l2 string, o *obs.Observer, ck *check.Checker, fp *fault.Plan, pv *provenance.Tracker) (*sim.Result, error) {
-				return runMachine(trace.NewLoopReader(tr), l1, l2, o, ck, fp, pv)
+			run = func(l1, l2 string, opts sim.Options) (*sim.Result, error) {
+				return runMachine(trace.NewLoopReader(tr), l1, l2, opts)
 			}
 		}
 		start := time.Now()
-		res, runErr = run(*l1d, *l2, observer, checker, faultPlan, tracker)
+		res, runErr = run(*l1d, *l2, opts)
 		elapsed = time.Since(start)
 		if runErr == nil {
-			base, baseErr = run("ip-stride", "", nil, nil, nil, nil)
+			base, baseErr = run("ip-stride", "", sim.Options{})
 		}
 		*workload = *traceFile
 	} else {
@@ -349,16 +340,14 @@ func main() {
 		}
 		spec := harness.RunSpec{Workload: *workload, L1DPf: *l1d, L2Pf: *l2, DRAMCfg: *dramCfg}
 		start := time.Now()
-		if observer != nil || checker != nil || faultPlan != nil || tracker != nil {
-			res, runErr = h.RunWith(spec, harness.RunOptions{
-				Observer: observer, Checker: checker, Fault: faultPlan, Provenance: tracker,
-			})
+		if opts == (sim.Options{}) {
+			res, runErr = h.RunContext(ctx, spec)
 		} else {
-			res, runErr = h.Run(spec)
+			res, runErr = h.RunWithContext(ctx, spec, opts)
 		}
 		elapsed = time.Since(start)
 		if runErr == nil {
-			base, baseErr = h.Run(harness.RunSpec{Workload: *workload, L1DPf: "ip-stride", DRAMCfg: *dramCfg})
+			base, baseErr = h.RunContext(ctx, harness.RunSpec{Workload: *workload, L1DPf: "ip-stride", DRAMCfg: *dramCfg})
 		}
 	}
 	if runErr != nil {

@@ -216,7 +216,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: second signal: exiting immediately")
 		os.Exit(130)
 	}()
-	h.SetContext(ctx)
 
 	fmt.Printf("scale=%s (%d mem records, %d warmup, %d measured instructions)\n\n",
 		h.Scale.Name, h.Scale.MemRecords, h.Scale.WarmupInstr, h.Scale.SimInstr)
@@ -229,7 +228,7 @@ func main() {
 		}
 		start := time.Now()
 		fmt.Printf("--- %s (%s) ---\n", e.ID, e.Paper)
-		e.Run(h, os.Stdout)
+		e.Run(ctx, h, os.Stdout)
 		fmt.Printf("[%s took %s]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		// Experiments render from the surviving runs; report what was lost
 		// so a partially-failed artifact is never mistaken for a clean one.

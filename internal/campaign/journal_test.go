@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -247,7 +248,7 @@ func TestJournalSeedsHarness(t *testing.T) {
 		t.Fatalf("Seed reported %d, want 1", n)
 	}
 	// The workload name does not exist, so only a memo hit can succeed.
-	got, err := h.Run(spec)
+	got, err := h.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("seeded spec must be a memo hit: %v", err)
 	}

@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ func cancelSpecs() []RunSpec {
 	return specs
 }
 
-// TestRunManyCancelMidPool cancels a RunMany batch after the first result
+// TestRunManyCancelMidPool cancels a RunManyContext batch after the first result
 // completes: the pool must drain without leaking goroutines, completed
 // slots keep their results, cancelled slots carry the typed *CancelError,
 // and nothing cancelled is memoized or recorded as a failure.
@@ -94,7 +96,7 @@ func TestRunManyCancelMidPool(t *testing.T) {
 	}
 	h.OnResult = nil
 	respec := fails.Cancelled[0].Spec
-	r, err := h.Run(respec)
+	r, err := h.RunContext(context.Background(), respec)
 	if err != nil || r == nil {
 		t.Fatalf("cancelled spec must be re-runnable after cancellation: %v", err)
 	}
@@ -129,25 +131,36 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 
 	// The same spec runs normally once the pressure is off.
-	if _, err := h.Run(spec); err != nil {
+	if _, err := h.RunContext(context.Background(), spec); err != nil {
 		t.Fatalf("spec must run cleanly after a cancelled attempt: %v", err)
 	}
 }
 
-// TestSetContextFlowsToRun: the harness base context set by the campaign
-// driver governs plain Run/RunMany calls (the experiment code never sees a
-// context, yet Ctrl-C still stops it).
-func TestSetContextFlowsToRun(t *testing.T) {
+// TestExperimentStopsOnCancelledContext: every renderer threads its ctx to
+// the runs it issues, so an experiment started under a cancelled context
+// still renders (placeholder rows) but executes no spec, fires no
+// OnResult, and records no failure — how Ctrl-C stops a figure mid-run.
+func TestExperimentStopsOnCancelledContext(t *testing.T) {
 	h := New(tinyScale)
+	var fired atomic.Int64
+	h.OnResult = func(string, RunSpec, *sim.Result) { fired.Add(1) }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h.SetContext(ctx)
-	if _, err := h.Run(RunSpec{Workload: "roms_like"}); !sim.IsCancel(err) {
-		t.Fatalf("Run must observe the harness base context, got %v", err)
+	for _, e := range Experiments() {
+		var buf bytes.Buffer
+		e.Run(ctx, h, &buf)
+		if buf.Len() == 0 {
+			t.Errorf("%s rendered nothing under a cancelled context", e.ID)
+		}
 	}
-	h.SetContext(context.Background())
-	if _, err := h.Run(RunSpec{Workload: "roms_like"}); err != nil {
-		t.Fatalf("restored context must run cleanly: %v", err)
+	if n := len(h.Results()); n != 0 {
+		t.Fatalf("cancelled experiments executed %d spec(s)", n)
+	}
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("OnResult fired %d time(s) under a cancelled context", n)
+	}
+	if f := h.Failures(); len(f) != 0 {
+		t.Fatalf("cancellation must not be recorded as a failure: %v", f)
 	}
 }
 

@@ -2,9 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
+
+// microScale is the smallest scale at which every experiment renders.
+var microScale = Scale{Name: "micro", MemRecords: 8_000, WarmupInstr: 6_000, SimInstr: 15_000, Mixes: 1}
 
 // TestEveryExperimentProducesItsTable runs each experiment at a micro scale
 // and asserts the report contains its headline table — a wiring regression
@@ -13,8 +17,7 @@ func TestEveryExperimentProducesItsTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment (micro scale)")
 	}
-	micro := Scale{Name: "micro", MemRecords: 8_000, WarmupInstr: 6_000, SimInstr: 15_000, Mixes: 1}
-	h := New(micro)
+	h := New(microScale)
 	wantFragment := map[string]string{
 		"Fig1Accuracy":            "Figure 1(a)",
 		"Fig1Energy":              "normalized to no prefetching",
@@ -49,7 +52,7 @@ func TestEveryExperimentProducesItsTable(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			e.Run(h, &buf)
+			e.Run(context.Background(), h, &buf)
 			out := buf.String()
 			if out == "" {
 				t.Fatal("no output")
@@ -62,5 +65,34 @@ func TestEveryExperimentProducesItsTable(t *testing.T) {
 				t.Fatalf("output of %s lacks %q:\n%s", e.ID, frag, out)
 			}
 		})
+	}
+}
+
+// TestRenderedTextIndependentOfWorkers renders the figures that aggregate
+// batched runs (suite-mean energy ratios, geomean speedups) on fresh
+// harnesses with one and four workers: completion order differs, but
+// every sum is taken in spec order, so the text must be byte-identical.
+func TestRenderedTextIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders three figures twice (micro scale)")
+	}
+	render := func(workers int) string {
+		h := New(microScale)
+		h.Workers = workers
+		var buf bytes.Buffer
+		for _, id := range []string{"Fig1Energy", "Fig15Energy", "Fig8L1DSpeedup"} {
+			e, ok := ExperimentByID(id)
+			if !ok {
+				t.Fatalf("unknown experiment %s", id)
+			}
+			e.Run(context.Background(), h, &buf)
+		}
+		if f := h.Failures(); len(f) != 0 {
+			t.Fatalf("workers=%d: %d run(s) failed: %v", workers, len(f), f[0])
+		}
+		return buf.String()
+	}
+	if one, four := render(1), render(4); one != four {
+		t.Fatalf("rendered text depends on the worker count:\nworkers=1:\n%s\nworkers=4:\n%s", one, four)
 	}
 }

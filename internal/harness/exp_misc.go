@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -71,7 +72,7 @@ func init() {
 // runAblPerIP compares the paper's per-IP local deltas against the same
 // machinery keyed by page (the DPC-3 Berti the design evolved from) — the
 // choice the paper's title is about.
-func runAblPerIP(h *Harness, w io.Writer) {
+func runAblPerIP(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Ablation: per-IP (local) vs per-page delta context",
 		"keying", "SPEC", "GAP")
 	for _, c := range []struct{ label, pf string }{
@@ -79,8 +80,8 @@ func runAblPerIP(h *Harness, w io.Writer) {
 		{"per-page (DPC-3)", "berti-dpc3"},
 	} {
 		t.AddRow(c.label,
-			h.suiteSpeedup(MemIntSuite("spec"), c.pf, ""),
-			h.suiteSpeedup(MemIntSuite("gap"), c.pf, ""))
+			h.suiteSpeedup(ctx, MemIntSuite("spec"), c.pf, ""),
+			h.suiteSpeedup(ctx, MemIntSuite("gap"), c.pf, ""))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "the paper's thesis: IP-local context beats page context for delta selection")
@@ -88,7 +89,7 @@ func runAblPerIP(h *Harness, w io.Writer) {
 
 // runAblPythia reproduces the Section V claim: Pythia is a capable L2
 // prefetcher on its own, but adds less than ~1% once Berti runs at the L1D.
-func runAblPythia(h *Harness, w io.Writer) {
+func runAblPythia(ctx context.Context, h *Harness, w io.Writer) {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Ablation: Pythia at L2 vs Berti at L1D (speedup over IP-stride)",
 		"config", "ALL")
@@ -100,7 +101,7 @@ func runAblPythia(h *Harness, w io.Writer) {
 		{"berti + pythia", "berti", "pythia"},
 	}
 	for _, c := range cfgs {
-		t.AddRow(c.label, h.suiteSpeedup(names, c.l1, c.l2))
+		t.AddRow(c.label, h.suiteSpeedup(ctx, names, c.l1, c.l2))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: with Berti at the L1D, Pythia adds <1%")
@@ -110,7 +111,7 @@ func runAblPythia(h *Harness, w io.Writer) {
 // reproduction adds on top of the paper's text (DESIGN.md §6): the
 // timeliness margin on the timely-delta search and the trigger gating of
 // the medium-coverage (L2-fill) band.
-func runAblCalibration(h *Harness, w io.Writer) {
+func runAblCalibration(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Ablation: reproduction calibration knobs (speedup over IP-stride)",
 		"margin-%", "medium-band", "speedup")
 	for _, margin := range []int{0, 25, 50} {
@@ -122,7 +123,7 @@ func runAblCalibration(h *Harness, w io.Writer) {
 			if gated {
 				band = "triggers-only"
 			}
-			t.AddRow(margin, band, h.bertiVariantSpeedup(cfg))
+			t.AddRow(margin, band, h.bertiVariantSpeedup(ctx, cfg))
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -132,22 +133,20 @@ func runAblCalibration(h *Harness, w io.Writer) {
 // runAblIdeal reproduces the Section IV-G observation: for CloudSuite-like
 // traces even an ideal L1D prefetcher gains little, while the MemInt suites
 // have large headroom.
-func runAblIdeal(h *Harness, w io.Writer) {
+func runAblIdeal(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Ablation: ideal L1D prefetcher headroom (speedup over IP-stride)",
 		"workload", "berti", "ideal")
 	names := append(append([]string{}, CloudSuiteNames()...), SensitivitySubset()...)
 	for _, n := range names {
-		base := h.RunSafe(baseSpec(n))
-		berti := h.RunSafe(RunSpec{Workload: n, L1DPf: "berti"})
-		ideal := h.RunSafe(RunSpec{Workload: n, L1DPf: "oracle"})
-		t.AddRow(n, SpeedupOver(berti, base), SpeedupOver(ideal, base))
+		r := h.runAll(ctx, []RunSpec{baseSpec(n), {Workload: n, L1DPf: "berti"}, {Workload: n, L1DPf: "oracle"}})
+		t.AddRow(n, SpeedupOver(r[1], r[0]), SpeedupOver(r[2], r[0]))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: cloud traces show little headroom even for an ideal prefetcher;")
 	fmt.Fprintln(w, "Berti approaches the oracle where local deltas exist")
 }
 
-func runTab1(h *Harness, w io.Writer) {
+func runTab1(ctx context.Context, h *Harness, w io.Writer) {
 	cfg := core.DefaultConfig()
 	b := core.New(cfg)
 	histEntryBits := 7 + cfg.LineAddrBits + cfg.TimestampBits
@@ -175,7 +174,7 @@ func runTab1(h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "paper value: 2.55 KB")
 }
 
-func runTab2(h *Harness, w io.Writer) {
+func runTab2(ctx context.Context, h *Harness, w io.Writer) {
 	c := sim.DefaultConfig()
 	t := metrics.NewTable("Table II: baseline system", "component", "configuration")
 	t.AddRow("Core", fmt.Sprintf("OoO approx, %d-entry window, %d-issue, %d-retire, %dld/%dst ports",
@@ -195,7 +194,7 @@ func runTab2(h *Harness, w io.Writer) {
 	fmt.Fprintln(w, t)
 }
 
-func runTab3(h *Harness, w io.Writer) {
+func runTab3(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Table III: evaluated prefetchers", "name", "level", "storage-KB", "notes")
 	for _, e := range prefetch.All() {
 		level := "L1D"
@@ -209,8 +208,8 @@ func runTab3(h *Harness, w io.Writer) {
 
 // bertiVariantSpeedup computes geomean speedup over IP-stride on the
 // sensitivity subset for a Berti config.
-func (h *Harness) bertiVariantSpeedup(cfg core.Config) float64 {
-	return h.GeomeanSpeedup(SensitivitySubset(),
+func (h *Harness) bertiVariantSpeedup(ctx context.Context, cfg core.Config) float64 {
+	return h.GeomeanSpeedup(ctx, SensitivitySubset(),
 		func(wl string) RunSpec {
 			c := cfg
 			return RunSpec{Workload: wl, L1DPf: "berti", BertiOverride: &c}
@@ -218,7 +217,7 @@ func (h *Harness) bertiVariantSpeedup(cfg core.Config) float64 {
 		baseSpec)
 }
 
-func runFig21(h *Harness, w io.Writer) {
+func runFig21(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 21: watermark sensitivity (speedup over IP-stride, sensitivity subset)",
 		"L1-watermark", "L2-watermark", "speedup")
 	for _, hi := range []int{35, 50, 65, 80, 95} {
@@ -229,14 +228,14 @@ func runFig21(h *Harness, w io.Writer) {
 			cfg := core.DefaultConfig()
 			cfg.HighWatermarkPct = hi
 			cfg.MediumWatermarkPct = lo
-			t.AddRow(hi, lo, h.bertiVariantSpeedup(cfg))
+			t.AddRow(hi, lo, h.bertiVariantSpeedup(ctx, cfg))
 		}
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: 65/35 is the sweet spot; many configurations still help")
 }
 
-func runFig22(h *Harness, w io.Writer) {
+func runFig22(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 22: Berti table size sensitivity",
 		"structure", "scale", "speedup")
 	scales := []struct {
@@ -257,32 +256,32 @@ func runFig22(h *Harness, w io.Writer) {
 		for _, q := range []int{1, 2, 4, 8, 16} {
 			cfg := core.DefaultConfig()
 			s.mul(&cfg, q)
-			t.AddRow(s.label, fmt.Sprintf("%.2fx", float64(q)/4), h.bertiVariantSpeedup(cfg))
+			t.AddRow(s.label, fmt.Sprintf("%.2fx", float64(q)/4), h.bertiVariantSpeedup(ctx, cfg))
 		}
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: shrinking the table of deltas hurts the most; growing tables gains little")
 }
 
-func runAblLatency(h *Harness, w io.Writer) {
+func runAblLatency(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Ablation: latency counter width (Section IV.J)",
 		"bits", "speedup")
 	for _, bits := range []int{4, 8, 12, 32} {
 		cfg := core.DefaultConfig()
 		cfg.LatencyBits = bits
-		t.AddRow(bits, h.bertiVariantSpeedup(cfg))
+		t.AddRow(bits, h.bertiVariantSpeedup(ctx, cfg))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: 4 bits drops performance noticeably; 32 bits gains nothing over 12")
 }
 
-func runAblCrossPage(h *Harness, w io.Writer) {
+func runAblCrossPage(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Ablation: cross-page prefetching (Section IV.J)",
 		"cross-page", "speedup")
 	for _, cp := range []bool{true, false} {
 		cfg := core.DefaultConfig()
 		cfg.CrossPage = cp
-		t.AddRow(fmt.Sprint(cp), h.bertiVariantSpeedup(cfg))
+		t.AddRow(fmt.Sprint(cp), h.bertiVariantSpeedup(ctx, cfg))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: disabling cross-page prefetching costs a few percent")

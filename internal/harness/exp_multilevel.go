@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -56,26 +57,26 @@ func init() {
 	})
 }
 
-func runFig12(h *Harness, w io.Writer) {
+func runFig12(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 12: multi-level prefetching speedup over IP-stride",
 		"config", "SPEC", "GAP", "ALL")
 	t.AddRow("Berti (L1D only)",
-		h.suiteSpeedup(MemIntSuite("spec"), "berti", ""),
-		h.suiteSpeedup(MemIntSuite("gap"), "berti", ""),
-		h.suiteSpeedup(MemIntSuite("all"), "berti", ""))
+		h.suiteSpeedup(ctx, MemIntSuite("spec"), "berti", ""),
+		h.suiteSpeedup(ctx, MemIntSuite("gap"), "berti", ""),
+		h.suiteSpeedup(ctx, MemIntSuite("all"), "berti", ""))
 	for _, c := range MultiLevelCombos {
 		label := c.L1 + "+" + c.L2
 		t.AddRow(label,
-			h.suiteSpeedup(MemIntSuite("spec"), c.L1, c.L2),
-			h.suiteSpeedup(MemIntSuite("gap"), c.L1, c.L2),
-			h.suiteSpeedup(MemIntSuite("all"), c.L1, c.L2))
+			h.suiteSpeedup(ctx, MemIntSuite("spec"), c.L1, c.L2),
+			h.suiteSpeedup(ctx, MemIntSuite("gap"), c.L1, c.L2),
+			h.suiteSpeedup(ctx, MemIntSuite("all"), c.L1, c.L2))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "shape target: Berti alone >= every combo without Berti; adding an L2")
 	fmt.Fprintln(w, "prefetcher on top of Berti gains little")
 }
 
-func runFig13(h *Harness, w io.Writer) {
+func runFig13(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 13: demand MPKI with multi-level prefetching",
 		"config", "suite", "L2", "LLC")
 	cfgs := [][2]string{{"mlop", ""}, {"berti", ""}}
@@ -90,7 +91,7 @@ func runFig13(h *Harness, w io.Writer) {
 		for _, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var l2, llc float64
-			for _, r := range h.RunManySafe(specsFor(names, c[0], c[1])) {
+			for _, r := range h.runAll(ctx, specsFor(names, c[0], c[1])) {
 				instr := r.Config.SimInstructions
 				l2 += r.Cores[0].L2.MPKI(instr)
 				llc += r.LLC.MPKI(instr)
@@ -103,10 +104,10 @@ func runFig13(h *Harness, w io.Writer) {
 }
 
 // trafficRatios returns (L2, LLC, DRAM) traffic normalized to no-prefetch.
-func (h *Harness) trafficRatios(names []string, l1, l2 string) (rl2, rllc, rdram float64) {
+func (h *Harness) trafficRatios(ctx context.Context, names []string, l1, l2 string) (rl2, rllc, rdram float64) {
 	var tl2, tllc, tdram, bl2, bllc, bdram float64
-	results := h.RunManySafe(specsFor(names, l1, l2))
-	bases := h.RunManySafe(specsFor(names, "", ""))
+	out := h.runAll(ctx, append(specsFor(names, l1, l2), specsFor(names, "", "")...))
+	results, bases := out[:len(names)], out[len(names):]
 	for i := range results {
 		ta := results[i].Traffic()
 		tb := bases[i].Traffic()
@@ -131,7 +132,7 @@ func (h *Harness) trafficRatios(names []string, l1, l2 string) (rl2, rllc, rdram
 	return
 }
 
-func runFig14(h *Harness, w io.Writer) {
+func runFig14(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 14: traffic normalized to no prefetching",
 		"config", "suite", "L1D<->L2", "L2<->LLC", "LLC<->DRAM")
 	cfgs := [][2]string{
@@ -144,7 +145,7 @@ func runFig14(h *Harness, w io.Writer) {
 			label += "+" + c[1]
 		}
 		for _, suite := range []string{"spec", "gap"} {
-			a, b, d := h.trafficRatios(MemIntSuite(suite), c[0], c[1])
+			a, b, d := h.trafficRatios(ctx, MemIntSuite(suite), c[0], c[1])
 			t.AddRow(label, suite, a, b, d)
 		}
 	}
@@ -153,7 +154,7 @@ func runFig14(h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "L2 prefetchers (Bingo) add large off-chip traffic, especially on GAP")
 }
 
-func runFig15(h *Harness, w io.Writer) {
+func runFig15(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 15: dynamic energy normalized to no prefetching",
 		"config", "SPEC", "GAP")
 	cfgs := [][2]string{
@@ -166,8 +167,8 @@ func runFig15(h *Harness, w io.Writer) {
 			label += "+" + c[1]
 		}
 		t.AddRow(label,
-			h.energyRatio(MemIntSuite("spec"), c[0], c[1]),
-			h.energyRatio(MemIntSuite("gap"), c[0], c[1]))
+			h.energyRatio(ctx, MemIntSuite("spec"), c[0], c[1]),
+			h.energyRatio(ctx, MemIntSuite("gap"), c[0], c[1]))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "shape target: Berti consumes the least extra energy among L1D prefetchers;")
@@ -175,7 +176,7 @@ func runFig15(h *Harness, w io.Writer) {
 	_ = energy.Default22nm() // model documented in internal/energy
 }
 
-func bandwidthRows(h *Harness, w io.Writer, title string, cfgs [][2]string) {
+func bandwidthRows(ctx context.Context, h *Harness, w io.Writer, title string, cfgs [][2]string) {
 	t := metrics.NewTable(title, "config", "MTPS", "SPEC", "GAP")
 	for _, c := range cfgs {
 		label := c[0]
@@ -186,14 +187,14 @@ func bandwidthRows(h *Harness, w io.Writer, title string, cfgs [][2]string) {
 			name string
 			mtps string
 		}{{"", "6400"}, {"ddr4-3200", "3200"}, {"ddr3-1600", "1600"}} {
-			spec := h.GeomeanSpeedup(MemIntSuite("spec"),
+			spec := h.GeomeanSpeedup(ctx, MemIntSuite("spec"),
 				func(wl string) RunSpec {
 					return RunSpec{Workload: wl, L1DPf: c[0], L2Pf: c[1], DRAMCfg: d.name}
 				},
 				func(wl string) RunSpec {
 					return RunSpec{Workload: wl, L1DPf: "ip-stride", DRAMCfg: d.name}
 				})
-			gap := h.GeomeanSpeedup(MemIntSuite("gap"),
+			gap := h.GeomeanSpeedup(ctx, MemIntSuite("gap"),
 				func(wl string) RunSpec {
 					return RunSpec{Workload: wl, L1DPf: c[0], L2Pf: c[1], DRAMCfg: d.name}
 				},
@@ -206,27 +207,30 @@ func bandwidthRows(h *Harness, w io.Writer, title string, cfgs [][2]string) {
 	fmt.Fprintln(w, t)
 }
 
-func runFig16(h *Harness, w io.Writer) {
-	bandwidthRows(h, w, "Figure 16: L1D prefetchers under constrained DRAM bandwidth",
+func runFig16(ctx context.Context, h *Harness, w io.Writer) {
+	bandwidthRows(ctx, h, w, "Figure 16: L1D prefetchers under constrained DRAM bandwidth",
 		[][2]string{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}})
 	fmt.Fprintln(w, "shape target: GAP insensitive to bandwidth; SPEC loses a few percent at 1600 MTPS")
 }
 
-func runFig17(h *Harness, w io.Writer) {
-	bandwidthRows(h, w, "Figure 17: multi-level prefetching under constrained DRAM bandwidth",
+func runFig17(ctx context.Context, h *Harness, w io.Writer) {
+	bandwidthRows(ctx, h, w, "Figure 17: multi-level prefetching under constrained DRAM bandwidth",
 		[][2]string{{"berti", "spp-ppf"}, {"mlop", "bingo"}})
 }
 
-func runFig18(h *Harness, w io.Writer) {
+func runFig18(ctx context.Context, h *Harness, w io.Writer) {
 	names := CloudSuiteNames()
 	t := metrics.NewTable("Figure 18: CloudSuite-like speedup over IP-stride",
 		"workload", "mlop", "ipcp", "berti", "berti+spp-ppf")
 	for _, n := range names {
-		base := h.RunSafe(baseSpec(n))
-		row := []interface{}{n}
+		specs := []RunSpec{baseSpec(n)}
 		for _, c := range [][2]string{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}, {"berti", "spp-ppf"}} {
-			r := h.RunSafe(RunSpec{Workload: n, L1DPf: c[0], L2Pf: c[1]})
-			row = append(row, SpeedupOver(r, base))
+			specs = append(specs, RunSpec{Workload: n, L1DPf: c[0], L2Pf: c[1]})
+		}
+		out := h.runAll(ctx, specs)
+		row := []interface{}{n}
+		for _, r := range out[1:] {
+			row = append(row, SpeedupOver(r, out[0]))
 		}
 		t.AddRow(row...)
 	}
@@ -235,7 +239,7 @@ func runFig18(h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "classification_like favours the accurate prefetcher (Berti)")
 }
 
-func runFig19(h *Harness, w io.Writer) {
+func runFig19(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 19: MISB at L2 under each L1D prefetcher",
 		"config", "CLOUD", "SPEC", "GAP")
 	for _, l1 := range L1DPrefetchers {
@@ -244,12 +248,12 @@ func runFig19(h *Harness, w io.Writer) {
 			if l2 != "" {
 				label += "+misb"
 			}
-			cloud := h.GeomeanSpeedup(CloudSuiteNames(),
+			cloud := h.GeomeanSpeedup(ctx, CloudSuiteNames(),
 				func(wl string) RunSpec { return RunSpec{Workload: wl, L1DPf: l1, L2Pf: l2} },
 				baseSpec)
 			t.AddRow(label, cloud,
-				h.suiteSpeedup(MemIntSuite("spec"), l1, l2),
-				h.suiteSpeedup(MemIntSuite("gap"), l1, l2))
+				h.suiteSpeedup(ctx, MemIntSuite("spec"), l1, l2),
+				h.suiteSpeedup(ctx, MemIntSuite("gap"), l1, l2))
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -289,7 +293,7 @@ func mixSpeedup(r, base []float64) float64 {
 	return metrics.Geomean(ratios)
 }
 
-func runFig20(h *Harness, w io.Writer) {
+func runFig20(ctx context.Context, h *Harness, w io.Writer) {
 	mixes := Mixes(h.Scale.Mixes)
 	t := metrics.NewTable(
 		fmt.Sprintf("Figure 20: 4-core mixes (%d), speedup over IP-stride", len(mixes)),
@@ -303,10 +307,16 @@ func runFig20(h *Harness, w io.Writer) {
 		if c[1] != "" {
 			label += "+" + c[1]
 		}
-		var sps []float64
+		var specs []RunSpec
 		for mi, mix := range mixes {
-			r := h.RunSafe(RunSpec{Mix: mix, L1DPf: c[0], L2Pf: c[1], Seed: int64(mi) * 16})
-			b := h.RunSafe(RunSpec{Mix: mix, L1DPf: "ip-stride", Seed: int64(mi) * 16})
+			specs = append(specs,
+				RunSpec{Mix: mix, L1DPf: c[0], L2Pf: c[1], Seed: int64(mi) * 16},
+				RunSpec{Mix: mix, L1DPf: "ip-stride", Seed: int64(mi) * 16})
+		}
+		out := h.runAll(ctx, specs)
+		var sps []float64
+		for mi := range mixes {
+			r, b := out[2*mi], out[2*mi+1]
 			var ripc, bipc []float64
 			for ci := range r.Cores {
 				ripc = append(ripc, r.Cores[ci].IPC)

@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/bertisim/berti/internal/cache"
 	"github.com/bertisim/berti/internal/core"
@@ -61,7 +61,7 @@ func init() {
 // accuracyOf returns the artifact-formula accuracy for one run.
 func accuracyOf(r *sim.Result) float64 { return r.Cores[0].L1D.Accuracy() }
 
-func runFig1Accuracy(h *Harness, w io.Writer) {
+func runFig1Accuracy(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 1(a): prefetch accuracy (useful fraction of prefetch fills)",
 		"prefetcher", "level", "SPEC", "GAP")
 	type cfgT struct {
@@ -79,7 +79,7 @@ func runFig1Accuracy(h *Harness, w io.Writer) {
 		for si, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var num, den float64
-			results := h.RunManySafe(specsFor(names, c.l1, c.l2))
+			results := h.runAll(ctx, specsFor(names, c.l1, c.l2))
 			for _, r := range results {
 				st := r.Cores[0].L1D
 				if c.level == "L2" {
@@ -108,36 +108,30 @@ func specsFor(names []string, l1, l2 string) []RunSpec {
 
 // energyRatio returns total dynamic energy normalized to the no-prefetch
 // run, averaged (arithmetic mean of ratios) across the names.
-func (h *Harness) energyRatio(names []string, l1, l2 string) float64 {
+func (h *Harness) energyRatio(ctx context.Context, names []string, l1, l2 string) float64 {
+	specs := make([]RunSpec, 0, 2*len(names))
+	for _, name := range names {
+		specs = append(specs, RunSpec{Workload: name, L1DPf: l1, L2Pf: l2}, RunSpec{Workload: name})
+	}
+	out := h.runAll(ctx, specs)
 	model := energy.Default22nm()
 	var sum float64
 	var n int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, name := range names {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			r := h.RunSafe(RunSpec{Workload: name, L1DPf: l1, L2Pf: l2})
-			base := h.RunSafe(RunSpec{Workload: name})
-			er := energy.Compute(model, r).Total()
-			eb := energy.Compute(model, base).Total()
-			if eb > 0 {
-				mu.Lock()
-				sum += er / eb
-				n++
-				mu.Unlock()
-			}
-		}(name)
+	for i := 0; i < len(out); i += 2 {
+		er := energy.Compute(model, out[i]).Total()
+		eb := energy.Compute(model, out[i+1]).Total()
+		if eb > 0 {
+			sum += er / eb
+			n++
+		}
 	}
-	wg.Wait()
 	if n == 0 {
 		return 0
 	}
 	return sum / float64(n)
 }
 
-func runFig1Energy(h *Harness, w io.Writer) {
+func runFig1Energy(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 1(b)/15: dynamic energy normalized to no prefetching",
 		"prefetcher", "SPEC", "GAP")
 	cfgs := []struct{ name, l1, l2 string }{
@@ -149,8 +143,8 @@ func runFig1Energy(h *Harness, w io.Writer) {
 		{"Berti", "berti", ""},
 	}
 	for _, c := range cfgs {
-		spec := h.energyRatio(MemIntSuite("spec"), c.l1, c.l2)
-		gap := h.energyRatio(MemIntSuite("gap"), c.l1, c.l2)
+		spec := h.energyRatio(ctx, MemIntSuite("spec"), c.l1, c.l2)
+		gap := h.energyRatio(ctx, MemIntSuite("gap"), c.l1, c.l2)
 		t.AddRow(c.name, spec, gap)
 	}
 	fmt.Fprintln(w, t)
@@ -160,7 +154,7 @@ func runFig1Energy(h *Harness, w io.Writer) {
 // runFig3 inspects learned state directly: it replays mcf-like accesses
 // into a Berti and a BOP instance inside full simulations and dumps the
 // per-IP deltas vs. the single global offset.
-func runFig3(h *Harness, w io.Writer) {
+func runFig3(ctx context.Context, h *Harness, w io.Writer) {
 	tr, err := h.Trace("mcf_like_1554", 0)
 	if err != nil {
 		fmt.Fprintf(w, "Figure 3 failed: %v\n", err)
@@ -176,6 +170,7 @@ func runFig3(h *Harness, w io.Writer) {
 		berti = core.New(core.DefaultConfig())
 		return berti
 	}, nil)
+	m.SetContext(ctx)
 	if _, err := m.Run(); err != nil {
 		fmt.Fprintf(w, "Figure 3 failed (berti run): %v\n", err)
 		return
@@ -184,6 +179,7 @@ func runFig3(h *Harness, w io.Writer) {
 		bopPf = bop.New(bop.DefaultConfig())
 		return bopPf
 	}, nil)
+	m2.SetContext(ctx)
 	res2, err := m2.Run()
 	if err != nil {
 		fmt.Fprintf(w, "Figure 3 failed (bop run): %v\n", err)
@@ -214,7 +210,7 @@ func runFig3(h *Harness, w io.Writer) {
 // not needed, but keeps the harness decoupled from generator internals).
 func ipOf(loc int) uint64 { return 0x400000 + uint64(loc)*21 }
 
-func runFig7(h *Harness, w io.Writer) {
+func runFig7(ctx context.Context, h *Harness, w io.Writer) {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Figure 7: geomean speedup (SPEC+GAP) vs storage",
 		"config", "storage-KB", "speedup-vs-ipstride")
@@ -235,7 +231,7 @@ func runFig7(h *Harness, w io.Writer) {
 		{"Berti+SPP-PPF", "berti", "spp-ppf"},
 	}
 	for _, c := range cfgs {
-		sp := h.suiteSpeedup(names, c.l1, c.l2)
+		sp := h.suiteSpeedup(ctx, names, c.l1, c.l2)
 		t.AddRow(c.label, storageKB(c.l1, c.l2), sp)
 	}
 	fmt.Fprintln(w, t)
@@ -257,29 +253,32 @@ func storageKB(names ...string) float64 {
 	return float64(bits) / 8 / 1024
 }
 
-func runFig8(h *Harness, w io.Writer) {
+func runFig8(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 8: L1D prefetcher speedup over IP-stride",
 		"prefetcher", "SPEC", "GAP", "ALL")
 	for _, pf := range L1DPrefetchers {
 		t.AddRow(pf,
-			h.suiteSpeedup(MemIntSuite("spec"), pf, ""),
-			h.suiteSpeedup(MemIntSuite("gap"), pf, ""),
-			h.suiteSpeedup(MemIntSuite("all"), pf, ""))
+			h.suiteSpeedup(ctx, MemIntSuite("spec"), pf, ""),
+			h.suiteSpeedup(ctx, MemIntSuite("gap"), pf, ""),
+			h.suiteSpeedup(ctx, MemIntSuite("all"), pf, ""))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "shape target: Berti highest on both suites; only Berti >= 1.0 on GAP")
 }
 
-func runFig9(h *Harness, w io.Writer) {
+func runFig9(ctx context.Context, h *Harness, w io.Writer) {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Figure 9: per-workload speedup over IP-stride",
 		"workload", "mlop", "ipcp", "berti")
 	for _, n := range names {
-		base := h.RunSafe(baseSpec(n))
-		row := []interface{}{n}
+		specs := []RunSpec{baseSpec(n)}
 		for _, pf := range L1DPrefetchers {
-			r := h.RunSafe(RunSpec{Workload: n, L1DPf: pf})
-			row = append(row, SpeedupOver(r, base))
+			specs = append(specs, RunSpec{Workload: n, L1DPf: pf})
+		}
+		out := h.runAll(ctx, specs)
+		row := []interface{}{n}
+		for _, r := range out[1:] {
+			row = append(row, SpeedupOver(r, out[0]))
 		}
 		t.AddRow(row...)
 	}
@@ -288,14 +287,14 @@ func runFig9(h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "where global-pattern prefetchers (MLOP) win")
 }
 
-func runFig10(h *Harness, w io.Writer) {
+func runFig10(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 10: L1D accuracy, split timely vs late",
 		"prefetcher", "suite", "accuracy", "timely-frac")
 	for _, pf := range L1DPrefetchers {
 		for _, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var useful, late, fills float64
-			for _, r := range h.RunManySafe(specsFor(names, pf, "")) {
+			for _, r := range h.runAll(ctx, specsFor(names, pf, "")) {
 				st := r.Cores[0].L1D
 				useful += float64(st.PrefUseful)
 				late += float64(st.PrefLate)
@@ -315,7 +314,7 @@ func runFig10(h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "shape target: Berti ~0.9 accuracy and mostly timely; MLOP/IPCP lower with more late")
 }
 
-func runFig11(h *Harness, w io.Writer) {
+func runFig11(ctx context.Context, h *Harness, w io.Writer) {
 	t := metrics.NewTable("Figure 11: demand MPKI with L1D prefetchers",
 		"config", "suite", "L1D", "L2", "LLC")
 	cfgs := append([]string{"ip-stride"}, L1DPrefetchers...)
@@ -323,7 +322,7 @@ func runFig11(h *Harness, w io.Writer) {
 		for _, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var l1, l2, llc float64
-			for _, r := range h.RunManySafe(specsFor(names, pf, "")) {
+			for _, r := range h.runAll(ctx, specsFor(names, pf, "")) {
 				instr := r.Config.SimInstructions
 				l1 += r.Cores[0].L1D.MPKI(instr)
 				l2 += r.Cores[0].L2.MPKI(instr)

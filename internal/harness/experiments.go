@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"io"
 	"sort"
 )
@@ -10,7 +11,7 @@ type Experiment struct {
 	ID    string
 	Paper string // which table/figure of the paper it reproduces
 	Desc  string
-	Run   func(h *Harness, w io.Writer)
+	Run   func(ctx context.Context, h *Harness, w io.Writer)
 }
 
 var experiments []Experiment
@@ -86,8 +87,8 @@ func baseSpec(w string) RunSpec { return RunSpec{Workload: w, L1DPf: "ip-stride"
 
 // suiteSpeedup computes the geomean speedup of a config over the IP-stride
 // baseline across a suite.
-func (h *Harness) suiteSpeedup(names []string, l1, l2 string) float64 {
-	return h.GeomeanSpeedup(names,
+func (h *Harness) suiteSpeedup(ctx context.Context, names []string, l1, l2 string) float64 {
+	return h.GeomeanSpeedup(ctx, names,
 		func(w string) RunSpec { return RunSpec{Workload: w, L1DPf: l1, L2Pf: l2} },
 		baseSpec)
 }

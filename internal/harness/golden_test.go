@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"github.com/bertisim/berti/internal/check"
 	"github.com/bertisim/berti/internal/fault"
 	"github.com/bertisim/berti/internal/prefetch"
+	"github.com/bertisim/berti/internal/sim"
 	"github.com/bertisim/berti/internal/workloads"
 )
 
@@ -31,7 +33,7 @@ var goldenFile = filepath.Join("testdata", "golden_digests.txt")
 type goldenCase struct {
 	name string
 	spec RunSpec
-	opts *RunOptions // nil = memoized Run
+	opts *sim.Options // nil = memoized RunContext
 }
 
 // goldenCases enumerates the pinned runs: every workload with and without
@@ -71,7 +73,7 @@ func goldenCases() []goldenCase {
 		cs = append(cs, goldenCase{
 			name: "fault/" + string(p.Kind),
 			spec: RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"},
-			opts: &RunOptions{
+			opts: &sim.Options{
 				Fault:          &p,
 				CheckInterval:  1_000,
 				MSHRStuckAfter: 2_000,
@@ -101,12 +103,12 @@ func TestGoldenResultDigests(t *testing.T) {
 				t.Parallel()
 				var b []byte
 				if gc.opts == nil {
-					res, err := h.Run(gc.spec)
+					res, err := h.RunContext(context.Background(), gc.spec)
 					b = resultJSON(t, res, err)
 				} else {
 					opts := *gc.opts
 					opts.Checker = check.New()
-					res, err := h.RunWith(gc.spec, opts)
+					res, err := h.RunWithContext(context.Background(), gc.spec, opts)
 					b = resultJSON(t, res, err)
 				}
 				sum := sha256.Sum256(b)

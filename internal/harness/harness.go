@@ -21,7 +21,6 @@ import (
 	"github.com/bertisim/berti/internal/dram"
 	"github.com/bertisim/berti/internal/fault"
 	"github.com/bertisim/berti/internal/metrics"
-	"github.com/bertisim/berti/internal/obs"
 	"github.com/bertisim/berti/internal/obs/provenance"
 	"github.com/bertisim/berti/internal/prefetch"
 	"github.com/bertisim/berti/internal/prefetch/oracle"
@@ -90,7 +89,7 @@ func (e *RunError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// RunFailures aggregates the failed runs of a RunMany batch whose other
+// RunFailures aggregates the failed runs of a RunManyContext batch whose other
 // runs completed (the partial-results failure report).
 type RunFailures struct {
 	// Failed holds one *RunError per failing spec.
@@ -400,7 +399,6 @@ type Harness struct {
 	suppressed int
 	sem        chan struct{}
 	semOnce    sync.Once
-	ctx        context.Context
 
 	corpus     *tracestore.Corpus
 	corpusErr  error
@@ -420,26 +418,6 @@ func New(scale Scale) *Harness {
 
 // DefaultMaxFailures bounds the failures a harness records verbatim.
 const DefaultMaxFailures = 64
-
-// SetContext installs the base context every Run/RunSafe/RunMany call
-// observes (campaign-wide cancellation without threading a ctx through
-// every experiment's render function). A nil ctx restores
-// context.Background(). Call before starting the campaign.
-func (h *Harness) SetContext(ctx context.Context) {
-	h.mu.Lock()
-	h.ctx = ctx
-	h.mu.Unlock()
-}
-
-// context returns the installed base context (Background when unset).
-func (h *Harness) context() context.Context {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.ctx == nil {
-		return context.Background()
-	}
-	return h.ctx
-}
 
 // Failures returns every run failure recorded so far (up to MaxFailures),
 // in completion order.
@@ -632,44 +610,14 @@ func (h *Harness) acquire() func() {
 	return func() { <-h.sem }
 }
 
-// RunOptions configures a one-off (unmemoized) run: observability,
-// invariant checking, and fault injection.
-type RunOptions struct {
-	// Observer attaches the PR 1 observability layer (sampler/tracer).
-	Observer *obs.Observer
-	// Checker attaches an invariant checker; violations become the run
-	// error (*check.ViolationError) while the result is still returned.
-	Checker *check.Checker
-	// CheckInterval / MSHRStuckAfter tune the checker (0 = defaults).
-	CheckInterval  uint64
-	MSHRStuckAfter uint64
-	// Watchdog overrides the engine's progress-free cycle window
-	// (0 = sim.StallWatchdogCycles). Fault tests shrink it so deliberate
-	// deadlocks fail fast.
-	Watchdog uint64
-	// Fault injects deterministic damage. Trace-level plans re-encode the
-	// workload trace, mutate the bytes, and decode — a corrupt stream
-	// surfaces as a *trace.DecodeError before simulation starts.
-	Fault *fault.Plan
-	// Provenance attaches a per-prefetch lifecycle tracker; the run's
-	// Result carries its attribution report.
-	Provenance *provenance.Tracker
-}
-
-// Run executes (or returns the memoized result of) one simulation under
-// the harness's base context (see SetContext). Both outcomes are memoized:
-// a failing spec returns the same error without re-running. The failure
-// (with panic recovery and the retry policy already applied) is also
-// recorded on the harness; see Failures.
-func (h *Harness) Run(spec RunSpec) (*sim.Result, error) {
-	return h.RunContext(h.context(), spec)
-}
-
-// RunContext is Run with explicit cooperative cancellation: once ctx is
-// done the in-flight simulation stops at the engine's next poll stride and
-// the call returns an error chain holding a *sim.CancelError. Cancelled
-// runs are neither memoized nor recorded as failures — a resumed campaign
-// re-executes them.
+// RunContext executes (or returns the memoized result of) one simulation.
+// Both outcomes are memoized: a failing spec returns the same error
+// without re-running. The failure (with panic recovery and the retry
+// policy already applied) is also recorded on the harness; see Failures.
+// Once ctx is done the in-flight simulation stops at the engine's next
+// poll stride and the call returns an error chain holding a
+// *sim.CancelError. Cancelled runs are neither memoized nor recorded as
+// failures — a resumed campaign re-executes them.
 //
 // Identical specs are single-flight: when a spec's key is already
 // executing, further callers wait for that execution and share its
@@ -728,7 +676,7 @@ func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, done chan 
 	if h.Remote != nil {
 		r, err = h.runRemote(ctx, spec)
 	} else {
-		opts := RunOptions{}
+		var opts sim.Options
 		if h.EnableChecks {
 			opts.Checker = check.New()
 		}
@@ -816,18 +764,6 @@ func (h *Harness) Results() map[string]*sim.Result {
 	return out
 }
 
-// RunSafe is Run for result-rendering call sites: a failing run yields a
-// zero-stats placeholder (never nil, never a panic) so sibling rows of an
-// experiment table still render, and the failure stays queryable through
-// Failures.
-func (h *Harness) RunSafe(spec RunSpec) *sim.Result {
-	r, err := h.Run(spec)
-	if err != nil {
-		return placeholderResult(spec)
-	}
-	return r
-}
-
 // placeholderResult stands in for a failed run: correct core count, zero
 // statistics (ratios over it degrade to 0, not to a nil dereference).
 func placeholderResult(spec RunSpec) *sim.Result {
@@ -845,11 +781,11 @@ func placeholderResult(spec RunSpec) *sim.Result {
 // (bounded attempts, exponential backoff with deterministic jitter). Every
 // final failure is recorded on the harness; cancellations are returned
 // unrecorded so the campaign layer can re-run them after a resume.
-func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts RunOptions) (*sim.Result, error) {
+func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
 	attempts := 0
 	for {
 		attempts++
-		res, err := h.runOnce(ctx, spec, opts)
+		res, err := protect(func() (*sim.Result, error) { return h.run(ctx, spec, opts) })
 		if err == nil {
 			return res, nil
 		}
@@ -885,13 +821,8 @@ func protect(f func() (*sim.Result, error)) (res *sim.Result, err error) {
 	return f()
 }
 
-// runOnce performs a single protected execution.
-func (h *Harness) runOnce(ctx context.Context, spec RunSpec, opts RunOptions) (*sim.Result, error) {
-	return protect(func() (*sim.Result, error) { return h.run(ctx, spec, opts) })
-}
-
 // run builds and executes the machine for one spec (unprotected).
-func (h *Harness) run(ctx context.Context, spec RunSpec, opts RunOptions) (*sim.Result, error) {
+func (h *Harness) run(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
 	if ctx != nil && ctx.Err() != nil {
 		// Already cancelled: skip the (potentially expensive) trace
 		// generation and machine build entirely. Memo hits were served
@@ -910,21 +841,7 @@ func (h *Harness) run(ctx context.Context, spec RunSpec, opts RunOptions) (*sim.
 	if ctx != nil && ctx != context.Background() {
 		m.SetContext(ctx)
 	}
-	if opts.Observer != nil {
-		m.SetObserver(opts.Observer)
-	}
-	if opts.Checker != nil {
-		m.SetChecker(opts.Checker, opts.CheckInterval, opts.MSHRStuckAfter)
-	}
-	if opts.Provenance != nil {
-		m.SetProvenance(opts.Provenance)
-	}
-	if opts.Fault != nil && !opts.Fault.TraceFault() {
-		m.SetFaultPlan(opts.Fault)
-	}
-	if opts.Watchdog > 0 {
-		m.SetStallWatchdog(opts.Watchdog)
-	}
+	m.Attach(opts)
 	timeout := h.RunTimeout
 	if timeout == 0 {
 		timeout = DefaultRunTimeout
@@ -935,23 +852,13 @@ func (h *Harness) run(ctx context.Context, spec RunSpec, opts RunOptions) (*sim.
 	return m.Run()
 }
 
-// RunObserved executes one simulation with the observability layer
-// attached (interval sampler, event tracer). Observed runs bypass the memo
-// cache in both directions: a time series or event trace belongs to a
-// single execution, and the result must reflect the run that produced it.
-func (h *Harness) RunObserved(spec RunSpec, o *obs.Observer) (*sim.Result, error) {
-	return h.RunWith(spec, RunOptions{Observer: o})
-}
-
-// RunWith executes one unmemoized simulation with the given options
-// (observability, invariant checking, fault injection). Failures get the
-// same protection as Run: panic recovery, deadline, the retry policy.
-func (h *Harness) RunWith(spec RunSpec, opts RunOptions) (*sim.Result, error) {
-	return h.RunWithContext(h.context(), spec, opts)
-}
-
-// RunWithContext is RunWith with explicit cooperative cancellation.
-func (h *Harness) RunWithContext(ctx context.Context, spec RunSpec, opts RunOptions) (*sim.Result, error) {
+// RunWithContext executes one unmemoized simulation with the given hooks
+// (observability, invariant checking, fault injection, provenance).
+// Unmemoized runs bypass the memo cache in both directions: a time series
+// or event trace belongs to a single execution, and the result must
+// reflect the run that produced it. Failures get the same protection as
+// RunContext: panic recovery, deadline, the retry policy.
+func (h *Harness) RunWithContext(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
 	release := h.acquire()
 	defer release()
 	return h.runProtected(ctx, spec, opts)
@@ -1070,24 +977,20 @@ func damageTrace(tr *trace.Slice, fp *fault.Plan) (*trace.Slice, error) {
 	return trace.Decode(bytes.NewReader(mutated))
 }
 
-// RunMany executes specs on a bounded worker pool (h.Workers goroutines,
-// not one per spec) and returns results in spec order regardless of
-// completion order. Each worker goes through the panic-safe Run path, so
-// one crashing simulation cannot take down its siblings: a failing run
-// leaves a nil slot and contributes to the returned *RunFailures while the
-// other runs' results are still returned (the partial results the
-// robustness layer exists to preserve).
-func (h *Harness) RunMany(specs []RunSpec) ([]*sim.Result, error) {
-	return h.RunManyContext(h.context(), specs)
-}
-
-// RunManyContext is RunMany with cooperative cancellation. When ctx fires,
-// in-flight simulations stop at the engine's next poll stride, not-yet-
-// started specs are skipped without executing a cycle, and the pool drains
-// cleanly (every worker exits; no goroutine outlives the call). Results
-// completed before the cancellation keep their slots; cancelled slots are
-// nil and reported under RunFailures.Cancelled with the typed
-// *sim.CancelError.
+// RunManyContext executes specs on a bounded worker pool (h.Workers
+// goroutines, not one per spec) and returns results in spec order
+// regardless of completion order. Each worker goes through the panic-safe
+// RunContext path, so one crashing simulation cannot take down its
+// siblings: a failing run leaves a nil slot and contributes to the
+// returned *RunFailures while the other runs' results are still returned
+// (the partial results the robustness layer exists to preserve).
+//
+// When ctx fires, in-flight simulations stop at the engine's next poll
+// stride, not-yet-started specs are skipped without executing a cycle, and
+// the pool drains cleanly (every worker exits; no goroutine outlives the
+// call). Results completed before the cancellation keep their slots;
+// cancelled slots are nil and reported under RunFailures.Cancelled with
+// the typed *sim.CancelError.
 func (h *Harness) RunManyContext(ctx context.Context, specs []RunSpec) ([]*sim.Result, error) {
 	out := make([]*sim.Result, len(specs))
 	errs := make([]error, len(specs))
@@ -1139,10 +1042,11 @@ func (h *Harness) RunManyContext(ctx context.Context, specs []RunSpec) ([]*sim.R
 	return out, nil
 }
 
-// RunManySafe is RunMany for rendering call sites: failed slots hold
-// zero-stats placeholders instead of nil.
-func (h *Harness) RunManySafe(specs []RunSpec) []*sim.Result {
-	out, _ := h.RunMany(specs)
+// runAll is RunManyContext for rendering call sites: failed slots hold
+// zero-stats placeholders instead of nil, so sibling rows of a table still
+// render and the failures stay queryable through Failures.
+func (h *Harness) runAll(ctx context.Context, specs []RunSpec) []*sim.Result {
+	out, _ := h.RunManyContext(ctx, specs)
 	for i, r := range out {
 		if r == nil {
 			out[i] = placeholderResult(specs[i])
@@ -1190,18 +1094,15 @@ func SpeedupOver(r, base *sim.Result) float64 {
 // GeomeanSpeedup runs pf and the baseline over every workload and returns
 // the geometric-mean speedup (the paper's headline metric: speedup over an
 // L1D with IP-stride).
-func (h *Harness) GeomeanSpeedup(names []string, spec func(w string) RunSpec, base func(w string) RunSpec) float64 {
-	ratios := make([]float64, len(names))
-	var wg sync.WaitGroup
-	for i, w := range names {
-		wg.Add(1)
-		go func(i int, w string) {
-			defer wg.Done()
-			r := h.RunSafe(spec(w))
-			b := h.RunSafe(base(w))
-			ratios[i] = SpeedupOver(r, b)
-		}(i, w)
+func (h *Harness) GeomeanSpeedup(ctx context.Context, names []string, spec func(w string) RunSpec, base func(w string) RunSpec) float64 {
+	specs := make([]RunSpec, 0, 2*len(names))
+	for _, w := range names {
+		specs = append(specs, spec(w), base(w))
 	}
-	wg.Wait()
+	out := h.runAll(ctx, specs)
+	ratios := make([]float64, len(names))
+	for i := range ratios {
+		ratios[i] = SpeedupOver(out[2*i], out[2*i+1])
+	}
 	return metrics.Geomean(ratios)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ var tinyScale = Scale{Name: "tiny", MemRecords: 40_000, WarmupInstr: 30_000, Sim
 // error path of the hardened harness.
 func mustRun(t *testing.T, h *Harness, spec RunSpec) *sim.Result {
 	t.Helper()
-	res, err := h.Run(spec)
+	res, err := h.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Run(%+v): %v", spec, err)
 	}
@@ -48,12 +49,12 @@ func TestRunManyOrder(t *testing.T) {
 		{Workload: "roms_like"},
 		{Workload: "roms_like", L1DPf: "next-line"},
 	}
-	out, err := h.RunMany(specs)
+	out, err := h.RunManyContext(context.Background(), specs)
 	if err != nil {
-		t.Fatalf("RunMany: %v", err)
+		t.Fatalf("RunManyContext: %v", err)
 	}
 	if len(out) != 2 || out[0] == nil || out[1] == nil {
-		t.Fatal("RunMany results missing")
+		t.Fatal("RunManyContext results missing")
 	}
 	if out[0].L1DPfName != "" || out[1].L1DPfName != "next-line" {
 		t.Fatalf("results out of order: %q %q", out[0].L1DPfName, out[1].L1DPfName)
@@ -113,7 +114,7 @@ func TestTableExperimentsRunFast(t *testing.T) {
 	for _, id := range []string{"Tab1Storage", "Tab2Config", "Tab3PrefConfig"} {
 		e, _ := ExperimentByID(id)
 		var buf bytes.Buffer
-		e.Run(h, &buf)
+		e.Run(context.Background(), h, &buf)
 		if buf.Len() == 0 {
 			t.Fatalf("%s produced no output", id)
 		}
@@ -124,7 +125,7 @@ func TestTab1Reports255KB(t *testing.T) {
 	h := New(tinyScale)
 	e, _ := ExperimentByID("Tab1Storage")
 	var buf bytes.Buffer
-	e.Run(h, &buf)
+	e.Run(context.Background(), h, &buf)
 	if !strings.Contains(buf.String(), "2.55") {
 		t.Fatalf("Table I must total 2.55 KB:\n%s", buf.String())
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestProvenanceDifferentialWorkloads(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			spec := RunSpec{Workload: w.Name, L1DPf: "berti"}
-			ro, eo := off.Run(spec)
-			rp, ep := on.Run(spec)
+			ro, eo := off.RunContext(context.Background(), spec)
+			rp, ep := on.RunContext(context.Background(), spec)
 			a, b := resultJSON(t, ro, eo), stripProvenance(t, rp, ep)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("provenance tracking perturbed %s:\noff: %s\non:  %s", w.Name, a, b)
@@ -78,7 +79,7 @@ func TestProvenanceReconcilesOnGAP(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := h.Run(RunSpec{Workload: w.Name, L1DPf: "berti"})
+			res, err := h.RunContext(context.Background(), RunSpec{Workload: w.Name, L1DPf: "berti"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func TestProvenanceRollupMergesAcrossRuns(t *testing.T) {
 		{Workload: "pr-kron", L1DPf: "berti"},
 	}
 	for _, s := range specs {
-		if _, err := h.Run(s); err != nil {
+		if _, err := h.RunContext(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func TestTraceFaultsYieldDecodeError(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			h := New(faultScale)
 			plan := &fault.Plan{Kind: kind, Seed: 11, Rate: 0.05}
-			_, err := h.RunWith(faultSpec, RunOptions{Checker: check.New(), Fault: plan})
+			_, err := h.RunWithContext(context.Background(), faultSpec, sim.Options{Checker: check.New(), Fault: plan})
 			if err == nil {
 				t.Fatal("damaged trace must fail the run")
 			}
@@ -50,7 +50,7 @@ func TestTraceFaultsYieldDecodeError(t *testing.T) {
 				t.Fatalf("deterministic decode failures must not be retried: %v", err)
 			}
 			// The pristine memoized trace must be untouched by the damage.
-			if _, err := h.Run(faultSpec); err != nil {
+			if _, err := h.RunContext(context.Background(), faultSpec); err != nil {
 				t.Fatalf("fault-free rerun after trace fault: %v", err)
 			}
 		})
@@ -68,7 +68,7 @@ func TestFillFaultsTripMSHRStuck(t *testing.T) {
 		t.Run(string(plan.Kind), func(t *testing.T) {
 			h := New(faultScale)
 			ck := check.New()
-			_, err := h.RunWith(faultSpec, RunOptions{
+			_, err := h.RunWithContext(context.Background(), faultSpec, sim.Options{
 				Checker: ck, CheckInterval: 500, MSHRStuckAfter: 2_000,
 				Watchdog: 50_000, Fault: plan,
 			})
@@ -104,7 +104,7 @@ func TestStateCorruptionDetected(t *testing.T) {
 		t.Run(string(tc.plan.Kind), func(t *testing.T) {
 			h := New(faultScale)
 			ck := check.New()
-			_, err := h.RunWith(faultSpec, RunOptions{
+			_, err := h.RunWithContext(context.Background(), faultSpec, sim.Options{
 				Checker: ck, CheckInterval: 500, Fault: tc.plan,
 			})
 			if err == nil {
@@ -124,7 +124,7 @@ func TestFaultDetectionDeterministic(t *testing.T) {
 	counts := func() int {
 		h := New(faultScale)
 		ck := check.New()
-		_, err := h.RunWith(faultSpec, RunOptions{
+		_, err := h.RunWithContext(context.Background(), faultSpec, sim.Options{
 			Checker: ck, CheckInterval: 500, MSHRStuckAfter: 2_000,
 			Watchdog: 50_000, Fault: plan,
 		})
@@ -143,11 +143,11 @@ func TestFaultDetectionDeterministic(t *testing.T) {
 // faults injected a checked run must produce an identical result.
 func TestCheckedRunMatchesUnchecked(t *testing.T) {
 	h := New(faultScale)
-	plain, err := h.Run(faultSpec)
+	plain, err := h.RunContext(context.Background(), faultSpec)
 	if err != nil {
 		t.Fatalf("unchecked run: %v", err)
 	}
-	checked, err := h.RunWith(faultSpec, RunOptions{Checker: check.New(), CheckInterval: 500})
+	checked, err := h.RunWithContext(context.Background(), faultSpec, sim.Options{Checker: check.New(), CheckInterval: 500})
 	if err != nil {
 		t.Fatalf("checked run reported violations on a healthy machine: %v", err)
 	}
@@ -165,9 +165,9 @@ func TestRunManyPartialResults(t *testing.T) {
 		{Workload: "no-such-workload"},
 		{Workload: "roms_like", L1DPf: "next-line"},
 	}
-	out, err := h.RunMany(specs)
+	out, err := h.RunManyContext(context.Background(), specs)
 	if err == nil {
-		t.Fatal("RunMany must report the failed spec")
+		t.Fatal("RunManyContext must report the failed spec")
 	}
 	var rf *RunFailures
 	if !errors.As(err, &rf) {
@@ -186,10 +186,10 @@ func TestRunManyPartialResults(t *testing.T) {
 	if len(h.Failures()) != 1 {
 		t.Fatalf("harness must record exactly the one failure, got %v", h.Failures())
 	}
-	// RunManySafe renders placeholders for the failed slot.
-	safe := h.RunManySafe(specs)
+	// runAll renders placeholders for the failed slot.
+	safe := h.runAll(context.Background(), specs)
 	if safe[1] == nil || safe[1].IPC() != 0 {
-		t.Fatal("RunManySafe must substitute a zero-stats placeholder")
+		t.Fatal("runAll must substitute a zero-stats placeholder")
 	}
 }
 
@@ -279,8 +279,8 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 func TestRunMemoizesErrors(t *testing.T) {
 	h := New(faultScale)
 	bad := RunSpec{Workload: "roms_like", L1DPf: "no-such-prefetcher"}
-	_, err1 := h.Run(bad)
-	_, err2 := h.Run(bad)
+	_, err1 := h.RunContext(context.Background(), bad)
+	_, err2 := h.RunContext(context.Background(), bad)
 	if err1 == nil || err1 != err2 {
 		t.Fatalf("errors must be memoized: %v vs %v", err1, err2)
 	}
@@ -297,7 +297,7 @@ func TestBertiOverrideValidated(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.DeltasPerEntry = 0
 	bad.BertiOverride = &cfg
-	_, err := h.Run(bad)
+	_, err := h.RunContext(context.Background(), bad)
 	var se *SpecError
 	if !errors.As(err, &se) || se.Field != "BertiOverride" {
 		t.Fatalf("expected BertiOverride *SpecError, got %v", err)

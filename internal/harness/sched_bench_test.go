@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -41,7 +42,7 @@ func BenchmarkScheduler(b *testing.B) {
 					b.ResetTimer()
 					var instr uint64
 					for i := 0; i < b.N; i++ {
-						res, err := h.RunWith(spec, RunOptions{})
+						res, err := h.RunWithContext(context.Background(), spec, sim.Options{})
 						if err != nil {
 							b.Fatal(err)
 						}

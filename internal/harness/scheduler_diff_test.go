@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -61,8 +62,8 @@ func TestSchedulerDifferentialWorkloads(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			spec := RunSpec{Workload: w.Name}
-			rt, et := ticked.Run(spec)
-			rh, eh := horizon.Run(spec)
+			rt, et := ticked.RunContext(context.Background(), spec)
+			rh, eh := horizon.RunContext(context.Background(), spec)
 			a, b := resultJSON(t, rt, et), resultJSON(t, rh, eh)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("schedulers diverged on %s:\nticked:  %s\nhorizon: %s", w.Name, a, b)
@@ -91,8 +92,8 @@ func TestSchedulerDifferentialPrefetchers(t *testing.T) {
 			} else {
 				spec.L1DPf = e.Name
 			}
-			rt, et := ticked.Run(spec)
-			rh, eh := horizon.Run(spec)
+			rt, et := ticked.RunContext(context.Background(), spec)
+			rh, eh := horizon.RunContext(context.Background(), spec)
 			a, b := resultJSON(t, rt, et), resultJSON(t, rh, eh)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("schedulers diverged with %s:\nticked:  %s\nhorizon: %s", e.Name, a, b)
@@ -118,7 +119,7 @@ func TestSchedulerDifferentialFaults(t *testing.T) {
 			run := func(s sim.Scheduler) []byte {
 				h := New(diffScale)
 				h.Scheduler = s
-				res, err := h.RunWith(RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}, RunOptions{
+				res, err := h.RunWithContext(context.Background(), RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}, sim.Options{
 					Checker:  check.New(),
 					Watchdog: 300_000,
 					Fault:    plan,
@@ -142,8 +143,8 @@ func TestSchedulerDifferentialMix(t *testing.T) {
 	}
 	ticked, horizon := schedulerPair()
 	spec := RunSpec{Mix: []string{"mcf_like_1554", "lbm_like", "bfs-road", "pr-kron"}, L1DPf: "berti"}
-	rt, et := ticked.Run(spec)
-	rh, eh := horizon.Run(spec)
+	rt, et := ticked.RunContext(context.Background(), spec)
+	rh, eh := horizon.RunContext(context.Background(), spec)
 	a, b := resultJSON(t, rt, et), resultJSON(t, rh, eh)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("schedulers diverged on mix:\nticked:  %s\nhorizon: %s", a, b)

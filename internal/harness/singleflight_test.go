@@ -62,9 +62,9 @@ func TestRunManyDuplicateSpecsExecuteOnce(t *testing.T) {
 
 	spec := RunSpec{Workload: "roms_like", L1DPf: "next-line"}
 	specs := []RunSpec{spec, spec, spec, spec, spec, spec}
-	out, err := h.RunMany(specs)
+	out, err := h.RunManyContext(context.Background(), specs)
 	if err != nil {
-		t.Fatalf("RunMany: %v", err)
+		t.Fatalf("RunManyContext: %v", err)
 	}
 	for i, r := range out {
 		if r != out[0] || r == nil {
@@ -123,11 +123,11 @@ func TestRemoteHook(t *testing.T) {
 	h.OnResult = func(string, RunSpec, *sim.Result) { fired.Add(1) }
 
 	spec := RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}
-	r1, err := h.Run(spec)
+	r1, err := h.RunContext(context.Background(), spec)
 	if err != nil || r1 != canned {
 		t.Fatalf("remote run = (%v, %v), want the canned result", r1, err)
 	}
-	if r2, err := h.Run(spec); err != nil || r2 != canned {
+	if r2, err := h.RunContext(context.Background(), spec); err != nil || r2 != canned {
 		t.Fatalf("second run must be a memo hit: (%v, %v)", r2, err)
 	}
 	if calls.Load() != 1 {
@@ -138,7 +138,7 @@ func TestRemoteHook(t *testing.T) {
 	}
 
 	bad := RunSpec{Workload: "nope"}
-	if _, err := h.Run(bad); err == nil {
+	if _, err := h.RunContext(context.Background(), bad); err == nil {
 		t.Fatal("remote failure must surface")
 	} else {
 		var re *RunError

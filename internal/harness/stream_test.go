@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -35,13 +36,13 @@ func TestStreamingStatsIdentity(t *testing.T) {
 			spec := RunSpec{Workload: name, L1DPf: "berti"}
 
 			mem := New(streamScale)
-			memRes, err := mem.Run(spec)
+			memRes, err := mem.RunContext(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("in-memory run: %v", err)
 			}
 			streamed := New(streamScale)
 			streamed.CorpusDir = corpusDir
-			streamRes, err := streamed.Run(spec)
+			streamRes, err := streamed.RunContext(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("streaming run: %v", err)
 			}
@@ -69,13 +70,13 @@ func TestStreamingMixIdentity(t *testing.T) {
 	spec := RunSpec{Mix: mix, L1DPf: "berti", Seed: 1}
 
 	mem := New(streamScale)
-	memRes, err := mem.Run(spec)
+	memRes, err := mem.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("in-memory mix run: %v", err)
 	}
 	streamed := New(streamScale)
 	streamed.CorpusDir = t.TempDir()
-	streamRes, err := streamed.Run(spec)
+	streamRes, err := streamed.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("streaming mix run: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestRunManyPool(t *testing.T) {
 	for workers := 1; workers <= 3; workers++ {
 		h := New(streamScale)
 		h.Workers = workers
-		results, err := h.RunMany(specs)
+		results, err := h.RunManyContext(context.Background(), specs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -445,7 +445,7 @@ func TestRemoteHarnessThinClient(t *testing.T) {
 	local.OnResult = func(string, harness.RunSpec, *sim.Result) { fired.Add(1) }
 
 	spec := harness.RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}
-	out, err := local.RunMany([]harness.RunSpec{spec, spec, spec})
+	out, err := local.RunManyContext(context.Background(), []harness.RunSpec{spec, spec, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	h := harness.New(srvScale)
 	spec := harness.RunSpec{Workload: "mcf_like_1554", L1DPf: "next-line"}
-	r, err := h.Run(spec)
+	r, err := h.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestRetireOrderInOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 0
 	cfg.SimInstructions = 900
-	res := MustRunOnce(cfg, tr, nil, nil)
+	res := mustRunOnce(cfg, tr, nil, nil)
 	// The window is 352: until the head (slow) load completes, at most
 	// ROBSize instructions can be in flight; cycles must cover at least
 	// the head's miss latency.
@@ -43,7 +43,7 @@ func TestIssueSkipDoesNotSkipUnissued(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 0
 	cfg.SimInstructions = 202
-	res := MustRunOnce(cfg, tr, nil, nil) // must terminate: consumer issues eventually
+	res := mustRunOnce(cfg, tr, nil, nil) // must terminate: consumer issues eventually
 	if res.Cores[0].Core.Loads != 202 {
 		t.Fatalf("loads retired = %d, want 202", res.Cores[0].Core.Loads)
 	}
@@ -59,7 +59,7 @@ func TestNonMemAggregation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 0
 	cfg.SimInstructions = 100_000
-	res := MustRunOnce(cfg, tr, nil, nil)
+	res := mustRunOnce(cfg, tr, nil, nil)
 	// Pure ALU work retires at exactly RetireWidth=4 per cycle
 	// asymptotically.
 	if ipc := res.IPC(); ipc < 3.5 || ipc > 4.01 {
@@ -94,7 +94,7 @@ func TestDepDistToStore(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 0
 	cfg.SimInstructions = 7000
-	res := MustRunOnce(cfg, tr, nil, nil)
+	res := mustRunOnce(cfg, tr, nil, nil)
 	if res.Cores[0].Core.Loads == 0 || res.Cores[0].Core.Stores == 0 {
 		t.Fatal("mixed trace did not retire")
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -149,7 +150,6 @@ type Machine struct {
 	// pq-orphan) fire once at plan.After cycles; fill plans attach a hook
 	// to every L1D.
 	faultPlan      *fault.Plan
-	injector       *fault.FillInjector
 	corruptApplied bool
 
 	// deadline bounds the run's wall-clock time (zero = unbounded).
@@ -248,38 +248,30 @@ func MustNew(cfg Config, traces []trace.Reader, l1dPf, l2Pf PrefetcherFactory) *
 	return m
 }
 
-// SetObserver attaches the observability layer. Must be called before Run.
-// A nil observer (or nil fields) leaves the corresponding subsystem
-// disabled at zero cost. The tracer is threaded into every cache level and
-// MMU; the sampler is driven from the measurement loop over core 0.
-func (m *Machine) SetObserver(o *obs.Observer) {
-	m.obsv = o
-	if o == nil || o.Tracer == nil {
-		return
-	}
-	for i := range m.l1ds {
-		m.l1ds[i].SetTracer(o.Tracer)
-		m.l2s[i].SetTracer(o.Tracer)
-		m.mmus[i].SetTracer(o.Tracer)
-	}
-	m.llc.SetTracer(o.Tracer)
+// Options selects the hooks attached to one run: observability, invariant
+// checking, fault injection and provenance. The zero value attaches
+// nothing, and every absent hook costs at most one nil check per tick.
+type Options struct {
+	// Observer attaches the observability layer (sampler/tracer).
+	Observer *obs.Observer
+	// Checker attaches an invariant checker; violations become the run
+	// error (*check.ViolationError) while the result is still returned.
+	Checker *check.Checker
+	// CheckInterval / MSHRStuckAfter tune the checker (0 = defaults).
+	CheckInterval  uint64
+	MSHRStuckAfter uint64
+	// Watchdog overrides the engine's progress-free cycle window
+	// (0 = StallWatchdogCycles). Fault tests shrink it so deliberate
+	// deadlocks fail fast.
+	Watchdog uint64
+	// Fault injects deterministic damage. Attach wires only
+	// simulation-level plans; trace-level plans damage the encoded trace
+	// before decoding, which is the caller's job.
+	Fault *fault.Plan
+	// Provenance attaches a per-prefetch lifecycle tracker; the run's
+	// Result carries its attribution report.
+	Provenance *provenance.Tracker
 }
-
-// SetProvenance attaches a per-prefetch lifecycle tracker, threading it
-// through every cache level so provenance IDs stay meaningful as prefetches
-// cross the hierarchy. Must be called before Run. The tracker is a pure
-// observer: core statistics are byte-identical with and without it.
-func (m *Machine) SetProvenance(t *provenance.Tracker) {
-	m.prov = t
-	for i := range m.l1ds {
-		m.l1ds[i].SetProvenance(t)
-		m.l2s[i].SetProvenance(t)
-	}
-	m.llc.SetProvenance(t)
-}
-
-// Provenance returns the attached tracker (nil if none).
-func (m *Machine) Provenance() *provenance.Tracker { return m.prov }
 
 // DefaultCheckInterval is the cycle stride between invariant sweeps.
 const DefaultCheckInterval = 10_000
@@ -289,44 +281,47 @@ const DefaultCheckInterval = 10_000
 // above any legitimate DRAM round trip.
 const DefaultMSHRStuckAfter = 100_000
 
-// SetChecker attaches the invariant checker. Must be called before Run.
-// interval and stuckAfter of 0 select the defaults. A nil checker leaves
-// checking disabled at the cost of one nil check per tick.
-func (m *Machine) SetChecker(c *check.Checker, interval, stuckAfter uint64) {
-	m.checker = c
-	m.checkInterval = interval
-	if m.checkInterval == 0 {
-		m.checkInterval = DefaultCheckInterval
+// Attach wires the hooks o selects into the machine. Call it once, before
+// Run. The tracer and the provenance tracker are threaded through every
+// cache level (and the tracer through every MMU) so IDs stay meaningful as
+// requests cross the hierarchy; the sampler is driven from the measurement
+// loop over core 0. Fill fault plans (drop-fill, delay-fill) hook every
+// L1D's fill path; state-corruption plans (dup-line, pq-orphan) fire once
+// when the cycle counter reaches plan.After. Observers and the tracker are
+// pure: core statistics are byte-identical with and without them.
+func (m *Machine) Attach(o Options) {
+	m.obsv = o.Observer
+	if o.Observer != nil && o.Observer.Tracer != nil {
+		for i := range m.l1ds {
+			m.l1ds[i].SetTracer(o.Observer.Tracer)
+			m.l2s[i].SetTracer(o.Observer.Tracer)
+			m.mmus[i].SetTracer(o.Observer.Tracer)
+		}
+		m.llc.SetTracer(o.Observer.Tracer)
 	}
-	m.mshrStuckAfter = stuckAfter
-	if m.mshrStuckAfter == 0 {
-		m.mshrStuckAfter = DefaultMSHRStuckAfter
+	if o.Provenance != nil {
+		m.prov = o.Provenance
+		for i := range m.l1ds {
+			m.l1ds[i].SetProvenance(o.Provenance)
+			m.l2s[i].SetProvenance(o.Provenance)
+		}
+		m.llc.SetProvenance(o.Provenance)
 	}
-}
-
-// SetFaultPlan attaches a simulation-level fault plan. Must be called
-// before Run. Fill plans (drop-fill, delay-fill) hook every L1D's fill
-// path; state-corruption plans (dup-line, pq-orphan) fire once when the
-// cycle counter reaches plan.After. Trace-level plans are a no-op here
-// (apply them to the encoded bytes before decoding).
-func (m *Machine) SetFaultPlan(p *fault.Plan) {
-	m.faultPlan = p
-	if inj := fault.NewFillInjector(p); inj != nil {
-		m.injector = inj
-		for _, l1 := range m.l1ds {
-			l1.SetFaultHook(inj)
+	if o.Checker != nil {
+		m.checker = o.Checker
+		m.checkInterval = cmp.Or(o.CheckInterval, DefaultCheckInterval)
+		m.mshrStuckAfter = cmp.Or(o.MSHRStuckAfter, DefaultMSHRStuckAfter)
+	}
+	if o.Fault != nil && !o.Fault.TraceFault() {
+		m.faultPlan = o.Fault
+		if inj := fault.NewFillInjector(o.Fault); inj != nil {
+			for _, l1 := range m.l1ds {
+				l1.SetFaultHook(inj)
+			}
 		}
 	}
+	m.watchdogCycles = o.Watchdog
 }
-
-// Injector returns the attached fill injector (nil if none) for test
-// observability of injection counts.
-func (m *Machine) Injector() *fault.FillInjector { return m.injector }
-
-// SetStallWatchdog overrides the progress-free cycle window after which the
-// run is declared hung (0 restores StallWatchdogCycles). Fault-injection
-// tests shrink it so a deliberately deadlocked machine fails fast.
-func (m *Machine) SetStallWatchdog(cycles uint64) { m.watchdogCycles = cycles }
 
 // SetDeadline bounds the run's wall-clock time; 0 disables the bound. The
 // deadline is checked every few thousand cycles, so enforcement is
@@ -699,42 +694,6 @@ func (m *Machine) afterCycle(st *loopState) error {
 		}
 	}
 	return nil
-}
-
-// RunReader is the stream-first entry point: build a single-core machine
-// over any record source (an in-memory slice reader, a looping reader, or a
-// tracestore streaming reader) and run it. The engine never materializes
-// the trace; memory is bounded by whatever window the reader itself holds.
-func RunReader(cfg Config, rd trace.Reader, l1dPf, l2Pf PrefetcherFactory) (*Result, error) {
-	return RunReaderContext(context.Background(), cfg, rd, l1dPf, l2Pf)
-}
-
-// RunReaderContext is RunReader with cooperative cancellation: once ctx is
-// done the run stops at the next poll stride and returns a *CancelError.
-func RunReaderContext(ctx context.Context, cfg Config, rd trace.Reader, l1dPf, l2Pf PrefetcherFactory) (*Result, error) {
-	cfg.Cores = 1
-	m, err := New(cfg, []trace.Reader{rd}, l1dPf, l2Pf)
-	if err != nil {
-		return nil, err
-	}
-	m.SetContext(ctx)
-	return m.Run()
-}
-
-// RunOnce is a convenience: build a single-core machine over an in-memory
-// trace and run it.
-func RunOnce(cfg Config, tr *trace.Slice, l1dPf, l2Pf PrefetcherFactory) (*Result, error) {
-	return RunReader(cfg, trace.NewSliceReader(tr), l1dPf, l2Pf)
-}
-
-// MustRunOnce is RunOnce for configurations and traces known to be good
-// (tests, benchmarks); it panics on any error.
-func MustRunOnce(cfg Config, tr *trace.Slice, l1dPf, l2Pf PrefetcherFactory) *Result {
-	res, err := RunOnce(cfg, tr, l1dPf, l2Pf)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // L2RQRejects exposes core i's L2 read-queue rejections (diagnostics).

@@ -101,8 +101,7 @@ func TestWatchdogFiresOnDeadlock(t *testing.T) {
 	cfg.SimInstructions = 10_000
 	tr := strideTrace(20_000, 9, 1) // long strides: misses from the start
 	m := MustNew(cfg, []trace.Reader{trace.NewSliceReader(tr)}, nil, nil)
-	m.SetFaultPlan(&fault.Plan{Kind: fault.DelayFill, Rate: 1, Param: 1 << 40})
-	m.SetStallWatchdog(5_000)
+	m.Attach(Options{Fault: &fault.Plan{Kind: fault.DelayFill, Rate: 1, Param: 1 << 40}, Watchdog: 5_000})
 	_, err := m.Run()
 	var se *StallError
 	if !errors.As(err, &se) {

@@ -27,8 +27,8 @@ func TestBertiLearnsAndCoversChains(t *testing.T) {
 	cfg.WarmupInstructions = 80_000
 	cfg.SimInstructions = 200_000
 
-	base := MustRunOnce(cfg, tr, nil, nil)
-	withBerti := MustRunOnce(cfg, tr, bertiFactory, nil)
+	base := mustRunOnce(cfg, tr, nil, nil)
+	withBerti := mustRunOnce(cfg, tr, bertiFactory, nil)
 
 	if sp := withBerti.IPC() / base.IPC(); sp < 1.5 {
 		t.Fatalf("Berti speedup on chains = %.3f, want > 1.5", sp)
@@ -57,7 +57,7 @@ func TestBertiL2FillsLandAtL2(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 80_000
 	cfg.SimInstructions = 200_000
-	res := MustRunOnce(cfg, tr, bertiFactory, nil)
+	res := mustRunOnce(cfg, tr, bertiFactory, nil)
 	if res.Cores[0].L2.PrefFills == 0 {
 		t.Fatal("no prefetch fills reached L2")
 	}
@@ -77,7 +77,7 @@ func TestL2PrefetcherIntegration(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 60_000
 	cfg.SimInstructions = 150_000
-	res := MustRunOnce(cfg, tr, nil, func() cache.Prefetcher { return spp.New(spp.DefaultConfig()) })
+	res := mustRunOnce(cfg, tr, nil, func() cache.Prefetcher { return spp.New(spp.DefaultConfig()) })
 	l2 := res.Cores[0].L2
 	if l2.PrefFills == 0 {
 		t.Fatal("SPP at L2 never filled")
@@ -131,8 +131,8 @@ func TestBandwidthConstrainedSlower(t *testing.T) {
 	fast.SimInstructions = 150_000
 	slow := fast
 	slow.DRAM.BurstCycles = 20 // DDR3-1600
-	fr := MustRunOnce(fast, tr, bertiFactory, nil)
-	sr := MustRunOnce(slow, tr, bertiFactory, nil)
+	fr := mustRunOnce(fast, tr, bertiFactory, nil)
+	sr := mustRunOnce(slow, tr, bertiFactory, nil)
 	if sr.IPC() > fr.IPC()*1.02 {
 		t.Fatalf("constrained DRAM must not be faster: %.3f vs %.3f", sr.IPC(), fr.IPC())
 	}

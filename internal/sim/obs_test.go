@@ -17,7 +17,7 @@ func observedRun(t *testing.T, cfg Config, tr *trace.Slice) (*Result, []byte, []
 		Tracer:  obs.NewTracer(1 << 12),
 	}
 	m := MustNew(cfg, []trace.Reader{trace.NewSliceReader(tr)}, bertiFactory, nil)
-	m.SetObserver(o)
+	m.Attach(Options{Observer: o})
 	res := MustRun(m)
 	var csv, tj bytes.Buffer
 	if res.TimeSeries == nil {
@@ -57,7 +57,7 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Cores = 1
 	tr := strideTrace(60_000, 9, 2)
-	plain := MustRunOnce(cfg, tr, bertiFactory, nil)
+	plain := mustRunOnce(cfg, tr, bertiFactory, nil)
 	observed, _, _ := observedRun(t, cfg, tr)
 	if plain.Cycles != observed.Cycles {
 		t.Fatalf("observation perturbed the run: %d vs %d cycles",

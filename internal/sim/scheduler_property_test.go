@@ -129,7 +129,7 @@ func TestHorizonQuiescenceProperty(t *testing.T) {
 // TestSchedulerResultIdentity runs the same machine configuration to
 // completion under both schedulers and requires identical Results — the
 // in-package complement of the harness-level differential suite, covering
-// the raw engine path (RunOnce) without registry plumbing.
+// the raw engine path (New + Run) without registry plumbing.
 func TestSchedulerResultIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr := randomTrace(rng, 6_000)

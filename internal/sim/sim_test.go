@@ -31,6 +31,13 @@ func chainTrace(n int, dep uint8) *trace.Slice {
 	return tr
 }
 
+// mustRunOnce builds a single-core machine over tr and runs it to
+// completion, panicking on any error.
+func mustRunOnce(cfg Config, tr *trace.Slice, l1dPf, l2Pf PrefetcherFactory) *Result {
+	cfg.Cores = 1
+	return MustRun(MustNew(cfg, []trace.Reader{trace.NewSliceReader(tr)}, l1dPf, l2Pf))
+}
+
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.WarmupInstructions = 5_000
@@ -40,7 +47,7 @@ func smallConfig() Config {
 
 func TestIPCWithinPhysicalBounds(t *testing.T) {
 	cfg := smallConfig()
-	res := MustRunOnce(cfg, strideTrace(60_000, 0, 3), nil, nil)
+	res := mustRunOnce(cfg, strideTrace(60_000, 0, 3), nil, nil)
 	// Stride 0 = same line every time: everything hits; retire width
 	// bounds IPC at 4.
 	if ipc := res.IPC(); ipc <= 1 || ipc > 4.01 {
@@ -50,8 +57,8 @@ func TestIPCWithinPhysicalBounds(t *testing.T) {
 
 func TestMissLatencySlowsExecution(t *testing.T) {
 	cfg := smallConfig()
-	hit := MustRunOnce(cfg, strideTrace(60_000, 0, 3), nil, nil)
-	miss := MustRunOnce(cfg, strideTrace(60_000, 9, 3), nil, nil)
+	hit := mustRunOnce(cfg, strideTrace(60_000, 0, 3), nil, nil)
+	miss := mustRunOnce(cfg, strideTrace(60_000, 9, 3), nil, nil)
 	if miss.IPC() >= hit.IPC() {
 		t.Fatalf("missing run (%.3f) not slower than hitting run (%.3f)",
 			miss.IPC(), hit.IPC())
@@ -64,8 +71,8 @@ func TestMissLatencySlowsExecution(t *testing.T) {
 func TestDependentChainSerializes(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SimInstructions = 20_000
-	chained := MustRunOnce(cfg, chainTrace(30_000, 1), nil, nil)
-	indep := MustRunOnce(cfg, chainTrace(30_000, 0), nil, nil)
+	chained := mustRunOnce(cfg, chainTrace(30_000, 1), nil, nil)
+	indep := mustRunOnce(cfg, chainTrace(30_000, 0), nil, nil)
 	if chained.IPC() > indep.IPC()/3 {
 		t.Fatalf("chain did not serialize: dep=%.3f indep=%.3f",
 			chained.IPC(), indep.IPC())
@@ -87,8 +94,8 @@ func TestPrefetcherImprovesDependentStream(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.SimInstructions = 20_000
-	base := MustRunOnce(cfg, tr, nil, nil)
-	pf := MustRunOnce(cfg, tr, func() cache.Prefetcher {
+	base := mustRunOnce(cfg, tr, nil, nil)
+	pf := mustRunOnce(cfg, tr, func() cache.Prefetcher {
 		nl := nextline.New(8)
 		nl.OnHits = true
 		return nl
@@ -108,7 +115,7 @@ func TestPrefetcherImprovesDependentStream(t *testing.T) {
 
 func TestWarmupExcludedFromStats(t *testing.T) {
 	cfg := smallConfig()
-	res := MustRunOnce(cfg, strideTrace(60_000, 1, 3), nil, nil)
+	res := mustRunOnce(cfg, strideTrace(60_000, 1, 3), nil, nil)
 	if res.Cores[0].Core.Instructions != cfg.SimInstructions {
 		t.Fatalf("measured %d instructions, want %d",
 			res.Cores[0].Core.Instructions, cfg.SimInstructions)
@@ -121,7 +128,7 @@ func TestMultiCoreSharesBandwidth(t *testing.T) {
 	mk := func() trace.Reader { return trace.NewLoopReader(strideTrace(40_000, 9, 2)) }
 	m := MustNew(cfg, []trace.Reader{mk(), mk(), mk(), mk()}, nil, nil)
 	multi := MustRun(m)
-	single := MustRunOnce(smallConfig(), strideTrace(40_000, 9, 2), nil, nil)
+	single := mustRunOnce(smallConfig(), strideTrace(40_000, 9, 2), nil, nil)
 	for i := range multi.Cores {
 		if multi.Cores[i].IPC <= 0 {
 			t.Fatalf("core %d made no progress", i)
@@ -142,7 +149,7 @@ func TestStoresRetireWithoutBlocking(t *testing.T) {
 		tr.Append(trace.Record{IP: 0x40aa, Addr: addr, Kind: trace.Store, NonMemBefore: 3})
 	}
 	cfg := smallConfig()
-	res := MustRunOnce(cfg, tr, nil, nil)
+	res := mustRunOnce(cfg, tr, nil, nil)
 	// Store misses are write-allocated in the background and retire
 	// immediately; throughput is MSHR-bandwidth-bound (~0.3 IPC here),
 	// not serialized on the full miss latency (~0.02 IPC).
@@ -166,7 +173,7 @@ func TestWritebacksReachDRAM(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.SimInstructions = 180_000
-	res := MustRunOnce(cfg, tr, nil, nil)
+	res := mustRunOnce(cfg, tr, nil, nil)
 	if res.DRAM.Writes == 0 {
 		t.Fatal("dirty evictions never reached DRAM")
 	}
@@ -174,7 +181,7 @@ func TestWritebacksReachDRAM(t *testing.T) {
 
 func TestResultTrafficConsistency(t *testing.T) {
 	cfg := smallConfig()
-	res := MustRunOnce(cfg, strideTrace(60_000, 5, 3), nil, nil)
+	res := mustRunOnce(cfg, strideTrace(60_000, 5, 3), nil, nil)
 	tr := res.Traffic()
 	l2, llc, dr := tr.Total()
 	if l2 == 0 || llc == 0 || dr == 0 {
