@@ -51,7 +51,8 @@ func benchExperiment(b *testing.B, id string) {
 	var out bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		e.Run(context.Background(), h, &out)
+		h.RunManyContext(context.Background(), harness.Plan(h.Scale, []harness.Experiment{e}))
+		e.Render(h.Runs(context.Background()), &out)
 	}
 	if out.Len() == 0 {
 		b.Fatal("experiment produced no output")

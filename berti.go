@@ -254,7 +254,9 @@ func RunExperiment(id string, w io.Writer, scale string) error {
 		return fmt.Errorf("berti: unknown scale %q", scale)
 	}
 	h := harness.New(s)
-	e.Run(context.TODO(), h, w)
+	// Failed runs are recorded on h and reported from h.Failures below.
+	_, _ = h.RunManyContext(context.TODO(), harness.Plan(s, []harness.Experiment{e}))
+	e.Render(h.Runs(context.TODO()), w)
 	if fails := h.Failures(); len(fails) > 0 {
 		// The report was still rendered from the surviving runs; surface
 		// the failures so callers do not mistake it for a clean artifact.

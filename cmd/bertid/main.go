@@ -7,8 +7,8 @@
 //	BERTI_SCALE=quick bertid -data /var/lib/bertid
 //
 // Clients submit experiment spec sets over HTTP/JSON
-// (POST /api/v1/campaigns) or single runs (POST /api/v1/runs — the
-// endpoint cmd/experiments -server uses); the daemon validates them with
+// (POST /api/v1/campaigns — cmd/experiments -server submits its whole
+// batch as one campaign); the daemon validates them with
 // the harness's typed config errors, dedupes every spec against the
 // content-addressed result store, and queues fresh work in a lease pool
 // that -workers in-process lease workers drain. Every completion is journaled

@@ -11,12 +11,14 @@
 //	experiments -all -server http://127.0.0.1:9090
 //	BERTI_SCALE=quick experiments -all
 //
-// -server switches to thin-client mode: every simulation executes on a
-// bertid daemon (deduped there against every other client) while the
-// journal, reports, metrics, and exit codes stay local. -max-failures
-// bounds the failures logged verbatim per experiment; the overflow is
-// reported as suppressed but still counts toward the exit code and the
-// failed-run metric.
+// A campaign is one batch: the selected experiments' specs are planned up
+// front, executed together on one worker pool, and only then rendered.
+// -server switches to thin-client mode: the batch runs as one campaign on
+// a bertid daemon (deduped there against every other client) while the
+// journal, reports, metrics, and exit codes stay local; a daemon at a
+// different BERTI_SCALE is a usage error. -max-failures bounds the
+// failures logged verbatim; the overflow is reported as suppressed but
+// still counts toward the exit code and the failed-run metric.
 //
 // -corpus-dir enables the content-addressed trace corpus: generated
 // workload traces are persisted there as v2 containers and simulations
@@ -90,7 +92,7 @@ func main() {
 	provCap := flag.Int("provenance-cap", 0, "per-run provenance record-pool capacity (0 = default 65536)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live campaign metrics (run counters, merged attribution, expvar) on this address")
 	serverURL := flag.String("server", "", "thin-client mode: run every simulation on the bertid daemon at this URL; journaling, reports, and metrics stay local")
-	maxFailures := flag.Int("max-failures", 0, "failures recorded verbatim per experiment (0 = default 64, negative = unbounded); overflow is suppressed from the log but still counts toward metrics and the exit code")
+	maxFailures := flag.Int("max-failures", 0, "failures recorded verbatim (0 = default 64, negative = unbounded); overflow is suppressed from the log but still counts toward metrics and the exit code")
 	flag.Parse()
 
 	if *list {
@@ -143,8 +145,9 @@ func main() {
 	// everything downstream is oblivious to where the cycles were spent.
 	// Execution knobs (-check, -sched, -corpus-dir, provenance) belong to
 	// the daemon in this mode.
+	var daemon *server.Client
 	if *serverURL != "" {
-		h.Remote = server.NewClient(*serverURL).Run
+		daemon = server.NewClient(*serverURL)
 		fmt.Fprintf(os.Stderr, "experiments: running on daemon %s\n", *serverURL)
 	}
 
@@ -219,26 +222,45 @@ func main() {
 
 	fmt.Printf("scale=%s (%d mem records, %d warmup, %d measured instructions)\n\n",
 		h.Scale.Name, h.Scale.MemRecords, h.Scale.WarmupInstr, h.Scale.SimInstr)
-	failed := 0
-	interrupted := false
-	for _, e := range selected {
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		start := time.Now()
-		fmt.Printf("--- %s (%s) ---\n", e.ID, e.Paper)
-		e.Run(ctx, h, os.Stdout)
-		fmt.Printf("[%s took %s]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		// Experiments render from the surviving runs; report what was lost
-		// so a partially-failed artifact is never mistaken for a clean one.
-		// Failures are scoped per experiment (noteFailures resets them).
-		failed += noteFailures(h, e.ID, metrics)
-		if ctx.Err() != nil {
-			interrupted = true
-			break
+	specs := harness.Plan(h.Scale, selected)
+	memo := 0
+	for _, spec := range specs {
+		if _, ok := h.ResultFor(spec.Key()); ok {
+			memo++
 		}
 	}
+	start := time.Now()
+	if daemon != nil {
+		err = daemon.Batch(ctx, h, specs)
+	} else {
+		_, err = h.RunManyContext(ctx, specs)
+	}
+	took := time.Since(start)
+	fmt.Printf("[batch: %d specs, %d from memo/journal, took %s, %.0f specs/h]\n\n",
+		len(specs), memo, took.Round(time.Millisecond), float64(len(specs)-memo)/took.Hours())
+	var mismatch *server.ScaleMismatchError
+	switch {
+	case errors.As(err, &mismatch):
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	case daemon != nil && err != nil && !sim.IsCancel(err):
+		fmt.Fprintln(os.Stderr, "experiments: daemon:", err)
+		os.Exit(1)
+	}
+	// Placeholder rows of an interrupted batch would pass for results, so
+	// only a finished batch renders; failed runs render as placeholders and
+	// are reported below.
+	interrupted := ctx.Err() != nil
+	if !interrupted {
+		runs := h.Runs(ctx)
+		for _, e := range selected {
+			fmt.Printf("--- %s (%s) ---\n", e.ID, e.Paper)
+			e.Render(runs, os.Stdout)
+			fmt.Println()
+		}
+		interrupted = ctx.Err() != nil
+	}
+	failed := noteFailures(h, metrics)
 
 	if journal != nil {
 		if err := journal.Err(); err != nil {
@@ -276,24 +298,24 @@ func main() {
 	}
 }
 
-// noteFailures folds one experiment's failure report into the campaign
-// exit code and the live metrics, then resets the per-experiment scope.
+// noteFailures reports the batch's run failures and returns how many
+// count toward the exit code, bumping the live failed-run metric for each.
 // Failures are capped by the harness (-max-failures); the overflow is
 // suppressed only from the verbatim log — every suppressed failure still
 // counts toward the returned total and the failed-run metric, so a
 // campaign whose failure set blew past the cap can never masquerade as
 // clean in either the exit code or /metrics.
-func noteFailures(h *harness.Harness, expID string, metrics *live.Server) int {
+func noteFailures(h *harness.Harness, metrics *live.Server) int {
 	failed := 0
 	for _, f := range h.Failures() {
 		failed++
 		var dle *sim.DeadlineError
 		if errors.As(f, &dle) {
-			fmt.Fprintf(os.Stderr, "experiments: %s: run-timeout %v exceeded by spec %s (cycle %d; raise -run-timeout or lower BERTI_SCALE)\n",
-				expID, dle.Limit, f.Spec.Key(), dle.Snapshot.Cycle)
+			fmt.Fprintf(os.Stderr, "experiments: run-timeout %v exceeded by spec %s (cycle %d; raise -run-timeout or lower BERTI_SCALE)\n",
+				dle.Limit, f.Spec.Key(), dle.Snapshot.Cycle)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "experiments: %s: run failed: %v\n", expID, f)
+		fmt.Fprintf(os.Stderr, "experiments: run failed: %v\n", f)
 	}
 	if n := h.SuppressedFailures(); n > 0 {
 		failed += n
@@ -301,14 +323,13 @@ func noteFailures(h *harness.Harness, expID string, metrics *live.Server) int {
 		if cap == 0 {
 			cap = harness.DefaultMaxFailures
 		}
-		fmt.Fprintf(os.Stderr, "experiments: %s: ... and %d more failure(s) suppressed (cap %d)\n", expID, n, cap)
+		fmt.Fprintf(os.Stderr, "experiments: ... and %d more failure(s) suppressed (cap %d)\n", n, cap)
 	}
 	if metrics != nil {
 		for i := 0; i < failed; i++ {
 			metrics.RunFailed()
 		}
 	}
-	h.ResetFailures()
 	return failed
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -136,25 +135,23 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestExperimentStopsOnCancelledContext: every renderer threads its ctx to
-// the runs it issues, so an experiment started under a cancelled context
-// still renders (placeholder rows) but executes no spec, fires no
-// OnResult, and records no failure — how Ctrl-C stops a figure mid-run.
+// TestExperimentStopsOnCancelledContext: the batch driver (Plan, then one
+// RunManyContext) started under a cancelled context executes no spec,
+// fires no OnResult, and records no failure — how Ctrl-C stops a campaign.
 func TestExperimentStopsOnCancelledContext(t *testing.T) {
 	h := New(tinyScale)
 	var fired atomic.Int64
 	h.OnResult = func(string, RunSpec, *sim.Result) { fired.Add(1) }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, e := range Experiments() {
-		var buf bytes.Buffer
-		e.Run(ctx, h, &buf)
-		if buf.Len() == 0 {
-			t.Errorf("%s rendered nothing under a cancelled context", e.ID)
-		}
+	specs := Plan(h.Scale, Experiments())
+	_, err := h.RunManyContext(ctx, specs)
+	var rf *RunFailures
+	if !errors.As(err, &rf) || len(rf.Cancelled) != len(specs) {
+		t.Fatalf("every planned spec must come back cancelled, got %v", err)
 	}
 	if n := len(h.Results()); n != 0 {
-		t.Fatalf("cancelled experiments executed %d spec(s)", n)
+		t.Fatalf("cancelled batch executed %d spec(s)", n)
 	}
 	if n := fired.Load(); n != 0 {
 		t.Fatalf("OnResult fired %d time(s) under a cancelled context", n)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -11,68 +10,10 @@ import (
 	"github.com/bertisim/berti/internal/sim"
 )
 
-func init() {
-	registerExperiment(Experiment{
-		ID: "Tab1Storage", Paper: "Table I",
-		Desc: "Berti storage breakdown (must total 2.55 KB)",
-		Run:  runTab1,
-	})
-	registerExperiment(Experiment{
-		ID: "Tab2Config", Paper: "Table II",
-		Desc: "baseline system configuration",
-		Run:  runTab2,
-	})
-	registerExperiment(Experiment{
-		ID: "Tab3PrefConfig", Paper: "Table III",
-		Desc: "evaluated prefetcher configurations and storage",
-		Run:  runTab3,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig21Watermarks", Paper: "Figure 21",
-		Desc: "L1/L2 coverage watermark sensitivity",
-		Run:  runFig21,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig22TableSizes", Paper: "Figure 22",
-		Desc: "Berti table size sensitivity (0.25x..4x)",
-		Run:  runFig22,
-	})
-	registerExperiment(Experiment{
-		ID: "AblLatencyBits", Paper: "Section IV.J",
-		Desc: "latency counter width (4/12/32 bits)",
-		Run:  runAblLatency,
-	})
-	registerExperiment(Experiment{
-		ID: "AblCrossPage", Paper: "Section IV.J",
-		Desc: "cross-page prefetching on/off",
-		Run:  runAblCrossPage,
-	})
-	registerExperiment(Experiment{
-		ID: "AblIdealL1D", Paper: "Section IV-G",
-		Desc: "ideal (oracle) L1D prefetcher headroom, cloud vs MemInt",
-		Run:  runAblIdeal,
-	})
-	registerExperiment(Experiment{
-		ID: "AblCalibration", Paper: "DESIGN.md §6",
-		Desc: "this reproduction's calibration knobs: timeliness margin, medium-band gating",
-		Run:  runAblCalibration,
-	})
-	registerExperiment(Experiment{
-		ID: "AblPythia", Paper: "Section V",
-		Desc: "Pythia (RL, L2) with and without Berti at L1D",
-		Run:  runAblPythia,
-	})
-	registerExperiment(Experiment{
-		ID: "AblPerIP", Paper: "Section I / ref [46]",
-		Desc: "per-IP (local) deltas vs the DPC-3 per-page keying",
-		Run:  runAblPerIP,
-	})
-}
-
-// runAblPerIP compares the paper's per-IP local deltas against the same
+// renderAblPerIP compares the paper's per-IP local deltas against the same
 // machinery keyed by page (the DPC-3 Berti the design evolved from) — the
 // choice the paper's title is about.
-func runAblPerIP(ctx context.Context, h *Harness, w io.Writer) {
+func renderAblPerIP(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Ablation: per-IP (local) vs per-page delta context",
 		"keying", "SPEC", "GAP")
 	for _, c := range []struct{ label, pf string }{
@@ -80,16 +21,16 @@ func runAblPerIP(ctx context.Context, h *Harness, w io.Writer) {
 		{"per-page (DPC-3)", "berti-dpc3"},
 	} {
 		t.AddRow(c.label,
-			h.suiteSpeedup(ctx, MemIntSuite("spec"), c.pf, ""),
-			h.suiteSpeedup(ctx, MemIntSuite("gap"), c.pf, ""))
+			suiteSpeedup(r, MemIntSuite("spec"), c.pf, ""),
+			suiteSpeedup(r, MemIntSuite("gap"), c.pf, ""))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "the paper's thesis: IP-local context beats page context for delta selection")
 }
 
-// runAblPythia reproduces the Section V claim: Pythia is a capable L2
+// renderAblPythia reproduces the Section V claim: Pythia is a capable L2
 // prefetcher on its own, but adds less than ~1% once Berti runs at the L1D.
-func runAblPythia(ctx context.Context, h *Harness, w io.Writer) {
+func renderAblPythia(r *Runs, w io.Writer) {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Ablation: Pythia at L2 vs Berti at L1D (speedup over IP-stride)",
 		"config", "ALL")
@@ -101,17 +42,17 @@ func runAblPythia(ctx context.Context, h *Harness, w io.Writer) {
 		{"berti + pythia", "berti", "pythia"},
 	}
 	for _, c := range cfgs {
-		t.AddRow(c.label, h.suiteSpeedup(ctx, names, c.l1, c.l2))
+		t.AddRow(c.label, suiteSpeedup(r, names, c.l1, c.l2))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: with Berti at the L1D, Pythia adds <1%")
 }
 
-// runAblCalibration ablates the two Berti calibration decisions this
+// renderAblCalibration ablates the two Berti calibration decisions this
 // reproduction adds on top of the paper's text (DESIGN.md §6): the
 // timeliness margin on the timely-delta search and the trigger gating of
 // the medium-coverage (L2-fill) band.
-func runAblCalibration(ctx context.Context, h *Harness, w io.Writer) {
+func renderAblCalibration(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Ablation: reproduction calibration knobs (speedup over IP-stride)",
 		"margin-%", "medium-band", "speedup")
 	for _, margin := range []int{0, 25, 50} {
@@ -123,30 +64,30 @@ func runAblCalibration(ctx context.Context, h *Harness, w io.Writer) {
 			if gated {
 				band = "triggers-only"
 			}
-			t.AddRow(margin, band, h.bertiVariantSpeedup(ctx, cfg))
+			t.AddRow(margin, band, bertiVariantSpeedup(r, cfg))
 		}
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "defaults: margin 25%, triggers-only (see DESIGN.md §6 for rationale)")
 }
 
-// runAblIdeal reproduces the Section IV-G observation: for CloudSuite-like
+// renderAblIdeal reproduces the Section IV-G observation: for CloudSuite-like
 // traces even an ideal L1D prefetcher gains little, while the MemInt suites
 // have large headroom.
-func runAblIdeal(ctx context.Context, h *Harness, w io.Writer) {
+func renderAblIdeal(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Ablation: ideal L1D prefetcher headroom (speedup over IP-stride)",
 		"workload", "berti", "ideal")
 	names := append(append([]string{}, CloudSuiteNames()...), SensitivitySubset()...)
 	for _, n := range names {
-		r := h.runAll(ctx, []RunSpec{baseSpec(n), {Workload: n, L1DPf: "berti"}, {Workload: n, L1DPf: "oracle"}})
-		t.AddRow(n, SpeedupOver(r[1], r[0]), SpeedupOver(r[2], r[0]))
+		out := r.All([]RunSpec{baseSpec(n), {Workload: n, L1DPf: "berti"}, {Workload: n, L1DPf: "oracle"}})
+		t.AddRow(n, SpeedupOver(out[1], out[0]), SpeedupOver(out[2], out[0]))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: cloud traces show little headroom even for an ideal prefetcher;")
 	fmt.Fprintln(w, "Berti approaches the oracle where local deltas exist")
 }
 
-func runTab1(ctx context.Context, h *Harness, w io.Writer) {
+func renderTab1(r *Runs, w io.Writer) {
 	cfg := core.DefaultConfig()
 	b := core.New(cfg)
 	histEntryBits := 7 + cfg.LineAddrBits + cfg.TimestampBits
@@ -174,7 +115,7 @@ func runTab1(ctx context.Context, h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "paper value: 2.55 KB")
 }
 
-func runTab2(ctx context.Context, h *Harness, w io.Writer) {
+func renderTab2(r *Runs, w io.Writer) {
 	c := sim.DefaultConfig()
 	t := metrics.NewTable("Table II: baseline system", "component", "configuration")
 	t.AddRow("Core", fmt.Sprintf("OoO approx, %d-entry window, %d-issue, %d-retire, %dld/%dst ports",
@@ -194,7 +135,7 @@ func runTab2(ctx context.Context, h *Harness, w io.Writer) {
 	fmt.Fprintln(w, t)
 }
 
-func runTab3(ctx context.Context, h *Harness, w io.Writer) {
+func renderTab3(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Table III: evaluated prefetchers", "name", "level", "storage-KB", "notes")
 	for _, e := range prefetch.All() {
 		level := "L1D"
@@ -208,8 +149,8 @@ func runTab3(ctx context.Context, h *Harness, w io.Writer) {
 
 // bertiVariantSpeedup computes geomean speedup over IP-stride on the
 // sensitivity subset for a Berti config.
-func (h *Harness) bertiVariantSpeedup(ctx context.Context, cfg core.Config) float64 {
-	return h.GeomeanSpeedup(ctx, SensitivitySubset(),
+func bertiVariantSpeedup(r *Runs, cfg core.Config) float64 {
+	return GeomeanSpeedup(r, SensitivitySubset(),
 		func(wl string) RunSpec {
 			c := cfg
 			return RunSpec{Workload: wl, L1DPf: "berti", BertiOverride: &c}
@@ -217,7 +158,7 @@ func (h *Harness) bertiVariantSpeedup(ctx context.Context, cfg core.Config) floa
 		baseSpec)
 }
 
-func runFig21(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig21(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 21: watermark sensitivity (speedup over IP-stride, sensitivity subset)",
 		"L1-watermark", "L2-watermark", "speedup")
 	for _, hi := range []int{35, 50, 65, 80, 95} {
@@ -228,14 +169,14 @@ func runFig21(ctx context.Context, h *Harness, w io.Writer) {
 			cfg := core.DefaultConfig()
 			cfg.HighWatermarkPct = hi
 			cfg.MediumWatermarkPct = lo
-			t.AddRow(hi, lo, h.bertiVariantSpeedup(ctx, cfg))
+			t.AddRow(hi, lo, bertiVariantSpeedup(r, cfg))
 		}
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: 65/35 is the sweet spot; many configurations still help")
 }
 
-func runFig22(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig22(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 22: Berti table size sensitivity",
 		"structure", "scale", "speedup")
 	scales := []struct {
@@ -256,32 +197,32 @@ func runFig22(ctx context.Context, h *Harness, w io.Writer) {
 		for _, q := range []int{1, 2, 4, 8, 16} {
 			cfg := core.DefaultConfig()
 			s.mul(&cfg, q)
-			t.AddRow(s.label, fmt.Sprintf("%.2fx", float64(q)/4), h.bertiVariantSpeedup(ctx, cfg))
+			t.AddRow(s.label, fmt.Sprintf("%.2fx", float64(q)/4), bertiVariantSpeedup(r, cfg))
 		}
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: shrinking the table of deltas hurts the most; growing tables gains little")
 }
 
-func runAblLatency(ctx context.Context, h *Harness, w io.Writer) {
+func renderAblLatency(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Ablation: latency counter width (Section IV.J)",
 		"bits", "speedup")
 	for _, bits := range []int{4, 8, 12, 32} {
 		cfg := core.DefaultConfig()
 		cfg.LatencyBits = bits
-		t.AddRow(bits, h.bertiVariantSpeedup(ctx, cfg))
+		t.AddRow(bits, bertiVariantSpeedup(r, cfg))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: 4 bits drops performance noticeably; 32 bits gains nothing over 12")
 }
 
-func runAblCrossPage(ctx context.Context, h *Harness, w io.Writer) {
+func renderAblCrossPage(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Ablation: cross-page prefetching (Section IV.J)",
 		"cross-page", "speedup")
 	for _, cp := range []bool{true, false} {
 		cfg := core.DefaultConfig()
 		cfg.CrossPage = cp
-		t.AddRow(fmt.Sprint(cp), h.bertiVariantSpeedup(ctx, cfg))
+		t.AddRow(fmt.Sprint(cp), bertiVariantSpeedup(r, cfg))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "paper: disabling cross-page prefetching costs a few percent")

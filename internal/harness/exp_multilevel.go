@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -9,74 +8,26 @@ import (
 	"github.com/bertisim/berti/internal/metrics"
 )
 
-func init() {
-	registerExperiment(Experiment{
-		ID: "Fig12MultiLevel", Paper: "Figure 12",
-		Desc: "multi-level (L1D+L2) prefetching speedups vs Berti alone",
-		Run:  runFig12,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig13MultiLevelMPKI", Paper: "Figure 13",
-		Desc: "L2/LLC demand MPKI with multi-level prefetching",
-		Run:  runFig13,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig14Traffic", Paper: "Figure 14",
-		Desc: "inter-level traffic normalized to no prefetching",
-		Run:  runFig14,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig15Energy", Paper: "Figure 15",
-		Desc: "dynamic energy normalized to no prefetching, incl. multi-level",
-		Run:  runFig15,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig16BandwidthL1D", Paper: "Figure 16",
-		Desc: "L1D prefetcher speedups under constrained DRAM bandwidth",
-		Run:  runFig16,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig17BandwidthML", Paper: "Figure 17",
-		Desc: "multi-level prefetching under constrained DRAM bandwidth",
-		Run:  runFig17,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig18CloudSuite", Paper: "Figure 18",
-		Desc: "CloudSuite-like speedups for L1D and multi-level prefetching",
-		Run:  runFig18,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig19MISB", Paper: "Figure 19",
-		Desc: "adding the MISB temporal prefetcher at L2",
-		Run:  runFig19,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig20MultiCore", Paper: "Figure 20",
-		Desc: "4-core heterogeneous mixes, speedup over IP-stride",
-		Run:  runFig20,
-	})
-}
-
-func runFig12(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig12(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 12: multi-level prefetching speedup over IP-stride",
 		"config", "SPEC", "GAP", "ALL")
 	t.AddRow("Berti (L1D only)",
-		h.suiteSpeedup(ctx, MemIntSuite("spec"), "berti", ""),
-		h.suiteSpeedup(ctx, MemIntSuite("gap"), "berti", ""),
-		h.suiteSpeedup(ctx, MemIntSuite("all"), "berti", ""))
+		suiteSpeedup(r, MemIntSuite("spec"), "berti", ""),
+		suiteSpeedup(r, MemIntSuite("gap"), "berti", ""),
+		suiteSpeedup(r, MemIntSuite("all"), "berti", ""))
 	for _, c := range MultiLevelCombos {
 		label := c.L1 + "+" + c.L2
 		t.AddRow(label,
-			h.suiteSpeedup(ctx, MemIntSuite("spec"), c.L1, c.L2),
-			h.suiteSpeedup(ctx, MemIntSuite("gap"), c.L1, c.L2),
-			h.suiteSpeedup(ctx, MemIntSuite("all"), c.L1, c.L2))
+			suiteSpeedup(r, MemIntSuite("spec"), c.L1, c.L2),
+			suiteSpeedup(r, MemIntSuite("gap"), c.L1, c.L2),
+			suiteSpeedup(r, MemIntSuite("all"), c.L1, c.L2))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "shape target: Berti alone >= every combo without Berti; adding an L2")
 	fmt.Fprintln(w, "prefetcher on top of Berti gains little")
 }
 
-func runFig13(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig13(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 13: demand MPKI with multi-level prefetching",
 		"config", "suite", "L2", "LLC")
 	cfgs := [][2]string{{"mlop", ""}, {"berti", ""}}
@@ -91,10 +42,10 @@ func runFig13(ctx context.Context, h *Harness, w io.Writer) {
 		for _, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var l2, llc float64
-			for _, r := range h.runAll(ctx, specsFor(names, c[0], c[1])) {
-				instr := r.Config.SimInstructions
-				l2 += r.Cores[0].L2.MPKI(instr)
-				llc += r.LLC.MPKI(instr)
+			for _, res := range r.All(specsFor(names, c[0], c[1])) {
+				instr := res.Config.SimInstructions
+				l2 += res.Cores[0].L2.MPKI(instr)
+				llc += res.LLC.MPKI(instr)
 			}
 			n := float64(len(names))
 			t.AddRow(label, suite, l2/n, llc/n)
@@ -104,9 +55,9 @@ func runFig13(ctx context.Context, h *Harness, w io.Writer) {
 }
 
 // trafficRatios returns (L2, LLC, DRAM) traffic normalized to no-prefetch.
-func (h *Harness) trafficRatios(ctx context.Context, names []string, l1, l2 string) (rl2, rllc, rdram float64) {
+func trafficRatios(r *Runs, names []string, l1, l2 string) (rl2, rllc, rdram float64) {
 	var tl2, tllc, tdram, bl2, bllc, bdram float64
-	out := h.runAll(ctx, append(specsFor(names, l1, l2), specsFor(names, "", "")...))
+	out := r.All(append(specsFor(names, l1, l2), specsFor(names, "", "")...))
 	results, bases := out[:len(names)], out[len(names):]
 	for i := range results {
 		ta := results[i].Traffic()
@@ -132,7 +83,7 @@ func (h *Harness) trafficRatios(ctx context.Context, names []string, l1, l2 stri
 	return
 }
 
-func runFig14(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig14(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 14: traffic normalized to no prefetching",
 		"config", "suite", "L1D<->L2", "L2<->LLC", "LLC<->DRAM")
 	cfgs := [][2]string{
@@ -145,7 +96,7 @@ func runFig14(ctx context.Context, h *Harness, w io.Writer) {
 			label += "+" + c[1]
 		}
 		for _, suite := range []string{"spec", "gap"} {
-			a, b, d := h.trafficRatios(ctx, MemIntSuite(suite), c[0], c[1])
+			a, b, d := trafficRatios(r, MemIntSuite(suite), c[0], c[1])
 			t.AddRow(label, suite, a, b, d)
 		}
 	}
@@ -154,7 +105,7 @@ func runFig14(ctx context.Context, h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "L2 prefetchers (Bingo) add large off-chip traffic, especially on GAP")
 }
 
-func runFig15(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig15(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 15: dynamic energy normalized to no prefetching",
 		"config", "SPEC", "GAP")
 	cfgs := [][2]string{
@@ -167,8 +118,8 @@ func runFig15(ctx context.Context, h *Harness, w io.Writer) {
 			label += "+" + c[1]
 		}
 		t.AddRow(label,
-			h.energyRatio(ctx, MemIntSuite("spec"), c[0], c[1]),
-			h.energyRatio(ctx, MemIntSuite("gap"), c[0], c[1]))
+			energyRatio(r, MemIntSuite("spec"), c[0], c[1]),
+			energyRatio(r, MemIntSuite("gap"), c[0], c[1]))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "shape target: Berti consumes the least extra energy among L1D prefetchers;")
@@ -176,7 +127,7 @@ func runFig15(ctx context.Context, h *Harness, w io.Writer) {
 	_ = energy.Default22nm() // model documented in internal/energy
 }
 
-func bandwidthRows(ctx context.Context, h *Harness, w io.Writer, title string, cfgs [][2]string) {
+func bandwidthRows(r *Runs, w io.Writer, title string, cfgs [][2]string) {
 	t := metrics.NewTable(title, "config", "MTPS", "SPEC", "GAP")
 	for _, c := range cfgs {
 		label := c[0]
@@ -187,14 +138,14 @@ func bandwidthRows(ctx context.Context, h *Harness, w io.Writer, title string, c
 			name string
 			mtps string
 		}{{"", "6400"}, {"ddr4-3200", "3200"}, {"ddr3-1600", "1600"}} {
-			spec := h.GeomeanSpeedup(ctx, MemIntSuite("spec"),
+			spec := GeomeanSpeedup(r, MemIntSuite("spec"),
 				func(wl string) RunSpec {
 					return RunSpec{Workload: wl, L1DPf: c[0], L2Pf: c[1], DRAMCfg: d.name}
 				},
 				func(wl string) RunSpec {
 					return RunSpec{Workload: wl, L1DPf: "ip-stride", DRAMCfg: d.name}
 				})
-			gap := h.GeomeanSpeedup(ctx, MemIntSuite("gap"),
+			gap := GeomeanSpeedup(r, MemIntSuite("gap"),
 				func(wl string) RunSpec {
 					return RunSpec{Workload: wl, L1DPf: c[0], L2Pf: c[1], DRAMCfg: d.name}
 				},
@@ -207,18 +158,18 @@ func bandwidthRows(ctx context.Context, h *Harness, w io.Writer, title string, c
 	fmt.Fprintln(w, t)
 }
 
-func runFig16(ctx context.Context, h *Harness, w io.Writer) {
-	bandwidthRows(ctx, h, w, "Figure 16: L1D prefetchers under constrained DRAM bandwidth",
+func renderFig16(r *Runs, w io.Writer) {
+	bandwidthRows(r, w, "Figure 16: L1D prefetchers under constrained DRAM bandwidth",
 		[][2]string{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}})
 	fmt.Fprintln(w, "shape target: GAP insensitive to bandwidth; SPEC loses a few percent at 1600 MTPS")
 }
 
-func runFig17(ctx context.Context, h *Harness, w io.Writer) {
-	bandwidthRows(ctx, h, w, "Figure 17: multi-level prefetching under constrained DRAM bandwidth",
+func renderFig17(r *Runs, w io.Writer) {
+	bandwidthRows(r, w, "Figure 17: multi-level prefetching under constrained DRAM bandwidth",
 		[][2]string{{"berti", "spp-ppf"}, {"mlop", "bingo"}})
 }
 
-func runFig18(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig18(r *Runs, w io.Writer) {
 	names := CloudSuiteNames()
 	t := metrics.NewTable("Figure 18: CloudSuite-like speedup over IP-stride",
 		"workload", "mlop", "ipcp", "berti", "berti+spp-ppf")
@@ -227,10 +178,10 @@ func runFig18(ctx context.Context, h *Harness, w io.Writer) {
 		for _, c := range [][2]string{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}, {"berti", "spp-ppf"}} {
 			specs = append(specs, RunSpec{Workload: n, L1DPf: c[0], L2Pf: c[1]})
 		}
-		out := h.runAll(ctx, specs)
+		out := r.All(specs)
 		row := []interface{}{n}
-		for _, r := range out[1:] {
-			row = append(row, SpeedupOver(r, out[0]))
+		for _, res := range out[1:] {
+			row = append(row, SpeedupOver(res, out[0]))
 		}
 		t.AddRow(row...)
 	}
@@ -239,7 +190,7 @@ func runFig18(ctx context.Context, h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "classification_like favours the accurate prefetcher (Berti)")
 }
 
-func runFig19(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig19(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 19: MISB at L2 under each L1D prefetcher",
 		"config", "CLOUD", "SPEC", "GAP")
 	for _, l1 := range L1DPrefetchers {
@@ -248,12 +199,12 @@ func runFig19(ctx context.Context, h *Harness, w io.Writer) {
 			if l2 != "" {
 				label += "+misb"
 			}
-			cloud := h.GeomeanSpeedup(ctx, CloudSuiteNames(),
+			cloud := GeomeanSpeedup(r, CloudSuiteNames(),
 				func(wl string) RunSpec { return RunSpec{Workload: wl, L1DPf: l1, L2Pf: l2} },
 				baseSpec)
 			t.AddRow(label, cloud,
-				h.suiteSpeedup(ctx, MemIntSuite("spec"), l1, l2),
-				h.suiteSpeedup(ctx, MemIntSuite("gap"), l1, l2))
+				suiteSpeedup(r, MemIntSuite("spec"), l1, l2),
+				suiteSpeedup(r, MemIntSuite("gap"), l1, l2))
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -293,8 +244,8 @@ func mixSpeedup(r, base []float64) float64 {
 	return metrics.Geomean(ratios)
 }
 
-func runFig20(ctx context.Context, h *Harness, w io.Writer) {
-	mixes := Mixes(h.Scale.Mixes)
+func renderFig20(r *Runs, w io.Writer) {
+	mixes := Mixes(r.Scale.Mixes)
 	t := metrics.NewTable(
 		fmt.Sprintf("Figure 20: 4-core mixes (%d), speedup over IP-stride", len(mixes)),
 		"config", "geomean-speedup")
@@ -313,13 +264,13 @@ func runFig20(ctx context.Context, h *Harness, w io.Writer) {
 				RunSpec{Mix: mix, L1DPf: c[0], L2Pf: c[1], Seed: int64(mi) * 16},
 				RunSpec{Mix: mix, L1DPf: "ip-stride", Seed: int64(mi) * 16})
 		}
-		out := h.runAll(ctx, specs)
+		out := r.All(specs)
 		var sps []float64
 		for mi := range mixes {
-			r, b := out[2*mi], out[2*mi+1]
+			res, b := out[2*mi], out[2*mi+1]
 			var ripc, bipc []float64
-			for ci := range r.Cores {
-				ripc = append(ripc, r.Cores[ci].IPC)
+			for ci := range res.Cores {
+				ripc = append(ripc, res.Cores[ci].IPC)
 				bipc = append(bipc, b.Cores[ci].IPC)
 			}
 			sps = append(sps, mixSpeedup(ripc, bipc))

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -15,53 +14,10 @@ import (
 	"github.com/bertisim/berti/internal/trace"
 )
 
-func init() {
-	registerExperiment(Experiment{
-		ID: "Fig1Accuracy", Paper: "Figure 1(a)",
-		Desc: "prefetch accuracy of state-of-the-art prefetchers, SPEC vs GAP",
-		Run:  runFig1Accuracy,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig1Energy", Paper: "Figure 1(b)",
-		Desc: "dynamic memory-hierarchy energy normalized to no prefetching",
-		Run:  runFig1Energy,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig3LocalVsGlobal", Paper: "Figure 3",
-		Desc: "per-IP local deltas (Berti) vs one global delta (BOP) on mcf",
-		Run:  runFig3,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig7SpeedupVsStorage", Paper: "Figure 7",
-		Desc: "geomean speedup vs storage for L1D, L2, and multi-level prefetchers",
-		Run:  runFig7,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig8L1DSpeedup", Paper: "Figure 8",
-		Desc: "L1D prefetcher speedup over IP-stride, per suite",
-		Run:  runFig8,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig9PerTrace", Paper: "Figure 9",
-		Desc: "per-workload speedups of the L1D prefetchers",
-		Run:  runFig9,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig10AccuracyTimeliness", Paper: "Figure 10",
-		Desc: "L1D prefetch accuracy split into timely and late",
-		Run:  runFig10,
-	})
-	registerExperiment(Experiment{
-		ID: "Fig11MPKI", Paper: "Figure 11",
-		Desc: "demand MPKI at L1D/L2/LLC with each L1D prefetcher",
-		Run:  runFig11,
-	})
-}
-
 // accuracyOf returns the artifact-formula accuracy for one run.
 func accuracyOf(r *sim.Result) float64 { return r.Cores[0].L1D.Accuracy() }
 
-func runFig1Accuracy(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig1Accuracy(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 1(a): prefetch accuracy (useful fraction of prefetch fills)",
 		"prefetcher", "level", "SPEC", "GAP")
 	type cfgT struct {
@@ -79,11 +35,11 @@ func runFig1Accuracy(ctx context.Context, h *Harness, w io.Writer) {
 		for si, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var num, den float64
-			results := h.runAll(ctx, specsFor(names, c.l1, c.l2))
-			for _, r := range results {
-				st := r.Cores[0].L1D
+			results := r.All(specsFor(names, c.l1, c.l2))
+			for _, res := range results {
+				st := res.Cores[0].L1D
 				if c.level == "L2" {
-					st = r.Cores[0].L2
+					st = res.Cores[0].L2
 				}
 				num += float64(st.PrefUseful + st.PrefLate)
 				den += float64(st.PrefFills)
@@ -108,12 +64,12 @@ func specsFor(names []string, l1, l2 string) []RunSpec {
 
 // energyRatio returns total dynamic energy normalized to the no-prefetch
 // run, averaged (arithmetic mean of ratios) across the names.
-func (h *Harness) energyRatio(ctx context.Context, names []string, l1, l2 string) float64 {
+func energyRatio(r *Runs, names []string, l1, l2 string) float64 {
 	specs := make([]RunSpec, 0, 2*len(names))
 	for _, name := range names {
 		specs = append(specs, RunSpec{Workload: name, L1DPf: l1, L2Pf: l2}, RunSpec{Workload: name})
 	}
-	out := h.runAll(ctx, specs)
+	out := r.All(specs)
 	model := energy.Default22nm()
 	var sum float64
 	var n int
@@ -131,7 +87,7 @@ func (h *Harness) energyRatio(ctx context.Context, names []string, l1, l2 string
 	return sum / float64(n)
 }
 
-func runFig1Energy(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig1Energy(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 1(b)/15: dynamic energy normalized to no prefetching",
 		"prefetcher", "SPEC", "GAP")
 	cfgs := []struct{ name, l1, l2 string }{
@@ -143,26 +99,32 @@ func runFig1Energy(ctx context.Context, h *Harness, w io.Writer) {
 		{"Berti", "berti", ""},
 	}
 	for _, c := range cfgs {
-		spec := h.energyRatio(ctx, MemIntSuite("spec"), c.l1, c.l2)
-		gap := h.energyRatio(ctx, MemIntSuite("gap"), c.l1, c.l2)
+		spec := energyRatio(r, MemIntSuite("spec"), c.l1, c.l2)
+		gap := energyRatio(r, MemIntSuite("gap"), c.l1, c.l2)
 		t.AddRow(c.name, spec, gap)
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "shape target: Berti's overhead smallest among the prefetchers")
 }
 
-// runFig3 inspects learned state directly: it replays mcf-like accesses
+// renderFig3 inspects learned state directly: it replays mcf-like accesses
 // into a Berti and a BOP instance inside full simulations and dumps the
-// per-IP deltas vs. the single global offset.
-func runFig3(ctx context.Context, h *Harness, w io.Writer) {
-	tr, err := h.Trace("mcf_like_1554", 0)
+// per-IP deltas vs. the single global offset. It is the one renderer that
+// reads no sim.Result, so it asks Plan for nothing and instead drives its
+// two machines itself, under the batch's context; while planning it does
+// nothing.
+func renderFig3(r *Runs, w io.Writer) {
+	if r.h == nil {
+		return
+	}
+	tr, err := r.h.Trace("mcf_like_1554", 0)
 	if err != nil {
 		fmt.Fprintf(w, "Figure 3 failed: %v\n", err)
 		return
 	}
 	cfg := sim.DefaultConfig()
-	cfg.WarmupInstructions = h.Scale.WarmupInstr
-	cfg.SimInstructions = h.Scale.SimInstr
+	cfg.WarmupInstructions = r.Scale.WarmupInstr
+	cfg.SimInstructions = r.Scale.SimInstr
 
 	var berti *core.Berti
 	var bopPf *bop.Prefetcher
@@ -170,7 +132,7 @@ func runFig3(ctx context.Context, h *Harness, w io.Writer) {
 		berti = core.New(core.DefaultConfig())
 		return berti
 	}, nil)
-	m.SetContext(ctx)
+	m.SetContext(r.ctx)
 	if _, err := m.Run(); err != nil {
 		fmt.Fprintf(w, "Figure 3 failed (berti run): %v\n", err)
 		return
@@ -179,7 +141,7 @@ func runFig3(ctx context.Context, h *Harness, w io.Writer) {
 		bopPf = bop.New(bop.DefaultConfig())
 		return bopPf
 	}, nil)
-	m2.SetContext(ctx)
+	m2.SetContext(r.ctx)
 	res2, err := m2.Run()
 	if err != nil {
 		fmt.Fprintf(w, "Figure 3 failed (bop run): %v\n", err)
@@ -210,7 +172,7 @@ func runFig3(ctx context.Context, h *Harness, w io.Writer) {
 // not needed, but keeps the harness decoupled from generator internals).
 func ipOf(loc int) uint64 { return 0x400000 + uint64(loc)*21 }
 
-func runFig7(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig7(r *Runs, w io.Writer) {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Figure 7: geomean speedup (SPEC+GAP) vs storage",
 		"config", "storage-KB", "speedup-vs-ipstride")
@@ -231,7 +193,7 @@ func runFig7(ctx context.Context, h *Harness, w io.Writer) {
 		{"Berti+SPP-PPF", "berti", "spp-ppf"},
 	}
 	for _, c := range cfgs {
-		sp := h.suiteSpeedup(ctx, names, c.l1, c.l2)
+		sp := suiteSpeedup(r, names, c.l1, c.l2)
 		t.AddRow(c.label, storageKB(c.l1, c.l2), sp)
 	}
 	fmt.Fprintln(w, t)
@@ -253,20 +215,20 @@ func storageKB(names ...string) float64 {
 	return float64(bits) / 8 / 1024
 }
 
-func runFig8(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig8(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 8: L1D prefetcher speedup over IP-stride",
 		"prefetcher", "SPEC", "GAP", "ALL")
 	for _, pf := range L1DPrefetchers {
 		t.AddRow(pf,
-			h.suiteSpeedup(ctx, MemIntSuite("spec"), pf, ""),
-			h.suiteSpeedup(ctx, MemIntSuite("gap"), pf, ""),
-			h.suiteSpeedup(ctx, MemIntSuite("all"), pf, ""))
+			suiteSpeedup(r, MemIntSuite("spec"), pf, ""),
+			suiteSpeedup(r, MemIntSuite("gap"), pf, ""),
+			suiteSpeedup(r, MemIntSuite("all"), pf, ""))
 	}
 	fmt.Fprintln(w, t)
 	fmt.Fprintln(w, "shape target: Berti highest on both suites; only Berti >= 1.0 on GAP")
 }
 
-func runFig9(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig9(r *Runs, w io.Writer) {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Figure 9: per-workload speedup over IP-stride",
 		"workload", "mlop", "ipcp", "berti")
@@ -275,10 +237,10 @@ func runFig9(ctx context.Context, h *Harness, w io.Writer) {
 		for _, pf := range L1DPrefetchers {
 			specs = append(specs, RunSpec{Workload: n, L1DPf: pf})
 		}
-		out := h.runAll(ctx, specs)
+		out := r.All(specs)
 		row := []interface{}{n}
-		for _, r := range out[1:] {
-			row = append(row, SpeedupOver(r, out[0]))
+		for _, res := range out[1:] {
+			row = append(row, SpeedupOver(res, out[0]))
 		}
 		t.AddRow(row...)
 	}
@@ -287,15 +249,15 @@ func runFig9(ctx context.Context, h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "where global-pattern prefetchers (MLOP) win")
 }
 
-func runFig10(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig10(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 10: L1D accuracy, split timely vs late",
 		"prefetcher", "suite", "accuracy", "timely-frac")
 	for _, pf := range L1DPrefetchers {
 		for _, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var useful, late, fills float64
-			for _, r := range h.runAll(ctx, specsFor(names, pf, "")) {
-				st := r.Cores[0].L1D
+			for _, res := range r.All(specsFor(names, pf, "")) {
+				st := res.Cores[0].L1D
 				useful += float64(st.PrefUseful)
 				late += float64(st.PrefLate)
 				fills += float64(st.PrefFills)
@@ -314,7 +276,7 @@ func runFig10(ctx context.Context, h *Harness, w io.Writer) {
 	fmt.Fprintln(w, "shape target: Berti ~0.9 accuracy and mostly timely; MLOP/IPCP lower with more late")
 }
 
-func runFig11(ctx context.Context, h *Harness, w io.Writer) {
+func renderFig11(r *Runs, w io.Writer) {
 	t := metrics.NewTable("Figure 11: demand MPKI with L1D prefetchers",
 		"config", "suite", "L1D", "L2", "LLC")
 	cfgs := append([]string{"ip-stride"}, L1DPrefetchers...)
@@ -322,11 +284,11 @@ func runFig11(ctx context.Context, h *Harness, w io.Writer) {
 		for _, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var l1, l2, llc float64
-			for _, r := range h.runAll(ctx, specsFor(names, pf, "")) {
-				instr := r.Config.SimInstructions
-				l1 += r.Cores[0].L1D.MPKI(instr)
-				l2 += r.Cores[0].L2.MPKI(instr)
-				llc += r.LLC.MPKI(instr)
+			for _, res := range r.All(specsFor(names, pf, "")) {
+				instr := res.Config.SimInstructions
+				l1 += res.Cores[0].L1D.MPKI(instr)
+				l2 += res.Cores[0].L2.MPKI(instr)
+				llc += res.LLC.MPKI(instr)
 			}
 			n := float64(len(names))
 			t.AddRow(pf, suite, l1/n, l2/n, llc/n)

@@ -20,7 +20,6 @@ import (
 	"github.com/bertisim/berti/internal/core"
 	"github.com/bertisim/berti/internal/dram"
 	"github.com/bertisim/berti/internal/fault"
-	"github.com/bertisim/berti/internal/metrics"
 	"github.com/bertisim/berti/internal/obs/provenance"
 	"github.com/bertisim/berti/internal/prefetch"
 	"github.com/bertisim/berti/internal/prefetch/oracle"
@@ -381,14 +380,6 @@ type Harness struct {
 	// error — further prefetches go untracked and the report's overflow
 	// counter says how many.
 	ProvenanceCap int
-	// Remote, when set, replaces local simulation with a call to a campaign
-	// server (the cmd/experiments -server thin-client mode): the leader of
-	// each memo key sends the spec and memoizes whatever comes back.
-	// Memoization, single-flight dedup, and OnResult behave exactly as for
-	// local execution, so journals and live metrics keep working in client
-	// mode. The local retry policy is not applied — the transport owns its
-	// own polling and retries.
-	Remote func(ctx context.Context, spec RunSpec) (*sim.Result, error)
 
 	mu         sync.Mutex
 	traces     map[string]*trace.Slice
@@ -435,18 +426,10 @@ func (h *Harness) SuppressedFailures() int {
 	return h.suppressed
 }
 
-// ResetFailures clears the recorded failures and the suppressed counter so
-// callers can scope failure reports per experiment (or per campaign stage)
-// instead of slicing an ever-growing list by index. Memoized error results
-// are untouched: a previously-failed spec still fails without re-running.
-func (h *Harness) ResetFailures() {
-	h.mu.Lock()
-	h.failures = nil
-	h.suppressed = 0
-	h.mu.Unlock()
-}
-
-func (h *Harness) recordFailure(e *RunError) {
+// RecordFailure records a run failure as a local run's would be: counted
+// toward Failures up to MaxFailures, then toward SuppressedFailures. The
+// thin client records the failures a campaign daemon reports this way.
+func (h *Harness) RecordFailure(e *RunError) {
 	h.mu.Lock()
 	limit := h.MaxFailures
 	if limit == 0 {
@@ -659,8 +642,8 @@ func (h *Harness) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, er
 }
 
 // lead executes spec as the single in-flight owner of key: it runs the
-// simulation (or the Remote call in client mode), memoizes the outcome,
-// fires OnResult for a fresh success, and finally wakes every waiter.
+// simulation, memoizes the outcome, fires OnResult for a fresh success,
+// and finally wakes every waiter.
 func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, done chan struct{}) (*sim.Result, error) {
 	defer func() {
 		h.mu.Lock()
@@ -671,20 +654,14 @@ func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, done chan 
 	release := h.acquire()
 	defer release()
 
-	var r *sim.Result
-	var err error
-	if h.Remote != nil {
-		r, err = h.runRemote(ctx, spec)
-	} else {
-		var opts sim.Options
-		if h.EnableChecks {
-			opts.Checker = check.New()
-		}
-		if h.EnableProvenance {
-			opts.Provenance = provenance.NewTracker(h.ProvenanceCap)
-		}
-		r, err = h.runProtected(ctx, spec, opts)
+	var opts sim.Options
+	if h.EnableChecks {
+		opts.Checker = check.New()
 	}
+	if h.EnableProvenance {
+		opts.Provenance = provenance.NewTracker(h.ProvenanceCap)
+	}
+	r, err := h.runProtected(ctx, spec, opts)
 	if err != nil {
 		if !sim.IsCancel(err) {
 			h.mu.Lock()
@@ -703,29 +680,10 @@ func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, done chan 
 	return r, nil
 }
 
-// runRemote delegates one run to the configured Remote transport. A
-// cancelled context surfaces as the usual typed cancel (unmemoized); any
-// other failure is recorded like a local run failure.
-func (h *Harness) runRemote(ctx context.Context, spec RunSpec) (*sim.Result, error) {
-	r, err := h.Remote(ctx, spec)
-	if err == nil {
-		return r, nil
-	}
-	if sim.IsCancel(err) {
-		return nil, err
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, &sim.CancelError{Cause: ctx.Err()}
-	}
-	re := &RunError{Spec: spec, Attempts: 1, Err: err}
-	h.recordFailure(re)
-	return nil, re
-}
-
 // SeedResult pre-loads the memo cache with a completed result (the resume
 // path: journal entries become memo hits, so a re-invoked campaign skips
-// finished work). Seeded results do not fire OnResult — they are already
-// journaled.
+// finished work). Seeded results do not fire OnResult; a caller landing
+// results computed elsewhere fires it itself.
 func (h *Harness) SeedResult(key string, r *sim.Result) {
 	if r == nil {
 		return
@@ -735,21 +693,14 @@ func (h *Harness) SeedResult(key string, r *sim.Result) {
 	h.mu.Unlock()
 }
 
-// ResultFor returns the memoized result for one run key — the campaign
-// server's poll path, which must not copy the whole result map per request.
+// ResultFor returns the memoized result for one run key — the lookup
+// behind rendering and the campaign server, which must not copy the whole
+// result map per call.
 func (h *Harness) ResultFor(key string) (*sim.Result, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	r, ok := h.results[key]
 	return r, ok
-}
-
-// ErrFor returns the memoized failure for one run key, if any.
-func (h *Harness) ErrFor(key string) (error, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	err, ok := h.errs[key]
-	return err, ok
 }
 
 // Results returns a snapshot of every memoized completed run, keyed by
@@ -801,7 +752,7 @@ func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Optio
 			continue
 		}
 		re := &RunError{Spec: spec, Attempts: attempts, Err: err}
-		h.recordFailure(re)
+		h.RecordFailure(re)
 		// Checked runs keep their partial result next to the violation
 		// error so callers can inspect what the damaged run produced.
 		return res, re
@@ -1042,19 +993,6 @@ func (h *Harness) RunManyContext(ctx context.Context, specs []RunSpec) ([]*sim.R
 	return out, nil
 }
 
-// runAll is RunManyContext for rendering call sites: failed slots hold
-// zero-stats placeholders instead of nil, so sibling rows of a table still
-// render and the failures stay queryable through Failures.
-func (h *Harness) runAll(ctx context.Context, specs []RunSpec) []*sim.Result {
-	out, _ := h.RunManyContext(ctx, specs)
-	for i, r := range out {
-		if r == nil {
-			out[i] = placeholderResult(specs[i])
-		}
-	}
-	return out
-}
-
 // MemIntSuite returns the memory-intensive workloads of a suite ("spec",
 // "gap") or of both when suite is "all".
 func MemIntSuite(suite string) []string {
@@ -1089,20 +1027,4 @@ func SpeedupOver(r, base *sim.Result) float64 {
 		return 0
 	}
 	return r.IPC() / base.IPC()
-}
-
-// GeomeanSpeedup runs pf and the baseline over every workload and returns
-// the geometric-mean speedup (the paper's headline metric: speedup over an
-// L1D with IP-stride).
-func (h *Harness) GeomeanSpeedup(ctx context.Context, names []string, spec func(w string) RunSpec, base func(w string) RunSpec) float64 {
-	specs := make([]RunSpec, 0, 2*len(names))
-	for _, w := range names {
-		specs = append(specs, spec(w), base(w))
-	}
-	out := h.runAll(ctx, specs)
-	ratios := make([]float64, len(names))
-	for i := range ratios {
-		ratios[i] = SpeedupOver(out[2*i], out[2*i+1])
-	}
-	return metrics.Geomean(ratios)
 }

@@ -74,16 +74,17 @@ func TestMemIntSuiteSplitsCorrectly(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	if len(Experiments()) != len(paperOrder) {
-		t.Fatalf("registered %d experiments, paperOrder lists %d",
-			len(Experiments()), len(paperOrder))
+	if len(Experiments()) != 28 {
+		t.Fatalf("registered %d experiments, want the paper's 28", len(Experiments()))
 	}
-	for i, e := range Experiments() {
-		if e.ID != paperOrder[i] {
-			t.Fatalf("experiment %d out of order: %s != %s", i, e.ID, paperOrder[i])
+	seen := map[string]bool{}
+	for _, e := range Experiments() {
+		if seen[e.ID] {
+			t.Fatalf("experiment %s registered twice", e.ID)
 		}
-		if e.Run == nil || e.Desc == "" || e.Paper == "" {
-			t.Fatalf("experiment %s incomplete", e.ID)
+		seen[e.ID] = true
+		if e.ID == "" || e.Render == nil || e.Desc == "" || e.Paper == "" {
+			t.Fatalf("experiment %q incomplete", e.ID)
 		}
 	}
 	if _, ok := ExperimentByID("Fig8L1DSpeedup"); !ok {
@@ -114,7 +115,7 @@ func TestTableExperimentsRunFast(t *testing.T) {
 	for _, id := range []string{"Tab1Storage", "Tab2Config", "Tab3PrefConfig"} {
 		e, _ := ExperimentByID(id)
 		var buf bytes.Buffer
-		e.Run(context.Background(), h, &buf)
+		e.Render(h.Runs(context.Background()), &buf)
 		if buf.Len() == 0 {
 			t.Fatalf("%s produced no output", id)
 		}
@@ -125,7 +126,7 @@ func TestTab1Reports255KB(t *testing.T) {
 	h := New(tinyScale)
 	e, _ := ExperimentByID("Tab1Storage")
 	var buf bytes.Buffer
-	e.Run(context.Background(), h, &buf)
+	e.Render(h.Runs(context.Background()), &buf)
 	if !strings.Contains(buf.String(), "2.55") {
 		t.Fatalf("Table I must total 2.55 KB:\n%s", buf.String())
 	}

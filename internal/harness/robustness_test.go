@@ -186,10 +186,10 @@ func TestRunManyPartialResults(t *testing.T) {
 	if len(h.Failures()) != 1 {
 		t.Fatalf("harness must record exactly the one failure, got %v", h.Failures())
 	}
-	// runAll renders placeholders for the failed slot.
-	safe := h.runAll(context.Background(), specs)
+	// Renderers read a placeholder for the failed slot.
+	safe := h.Runs(context.Background()).All(specs)
 	if safe[1] == nil || safe[1].IPC() != 0 {
-		t.Fatal("runAll must substitute a zero-stats placeholder")
+		t.Fatal("Runs.All must substitute a zero-stats placeholder")
 	}
 }
 

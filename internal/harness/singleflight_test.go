@@ -105,66 +105,6 @@ func TestSingleFlightWaiterObservesCancel(t *testing.T) {
 	}
 }
 
-// TestRemoteHook: with Remote set, the harness delegates execution,
-// memoizes the response, and fires OnResult once; remote failures are
-// recorded like local run failures.
-func TestRemoteHook(t *testing.T) {
-	h := New(tinyScale)
-	canned := &sim.Result{Config: sim.DefaultConfig(), Cores: make([]sim.CoreResult, 1)}
-	var calls atomic.Int64
-	h.Remote = func(_ context.Context, spec RunSpec) (*sim.Result, error) {
-		calls.Add(1)
-		if spec.Workload == "nope" {
-			return nil, errors.New("server rejected the spec")
-		}
-		return canned, nil
-	}
-	var fired atomic.Int64
-	h.OnResult = func(string, RunSpec, *sim.Result) { fired.Add(1) }
-
-	spec := RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}
-	r1, err := h.RunContext(context.Background(), spec)
-	if err != nil || r1 != canned {
-		t.Fatalf("remote run = (%v, %v), want the canned result", r1, err)
-	}
-	if r2, err := h.RunContext(context.Background(), spec); err != nil || r2 != canned {
-		t.Fatalf("second run must be a memo hit: (%v, %v)", r2, err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("remote transport called %d times, want 1 (memoized)", calls.Load())
-	}
-	if fired.Load() != 1 {
-		t.Fatalf("OnResult fired %d times, want 1", fired.Load())
-	}
-
-	bad := RunSpec{Workload: "nope"}
-	if _, err := h.RunContext(context.Background(), bad); err == nil {
-		t.Fatal("remote failure must surface")
-	} else {
-		var re *RunError
-		if !errors.As(err, &re) {
-			t.Fatalf("remote failure must be a *RunError, got %v", err)
-		}
-	}
-	if len(h.Failures()) != 1 {
-		t.Fatalf("remote failure must be recorded, got %v", h.Failures())
-	}
-	// Cancelled remote calls are not memoized and not recorded.
-	h2 := New(tinyScale)
-	h2.Remote = func(ctx context.Context, _ RunSpec) (*sim.Result, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := h2.RunContext(ctx, spec); !sim.IsCancel(err) {
-		t.Fatalf("cancelled remote run must yield a cancel error, got %v", err)
-	}
-	if len(h2.Failures()) != 0 || len(h2.Results()) != 0 {
-		t.Fatal("cancelled remote run must not be recorded or memoized")
-	}
-}
-
 // TestValidateSpec: admission-time validation resolves exactly what a run
 // would, with the offending field named.
 func TestValidateSpec(t *testing.T) {

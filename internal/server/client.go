@@ -22,12 +22,11 @@ import (
 // computed may still be pushed — the coordinator dedupes).
 var ErrLeaseLost = errors.New("server: lease expired or reassigned")
 
-// Client is the thin-client transport: it satisfies the Harness.Remote
-// hook, so a local harness keeps its memoization, journaling, and metrics
-// while every actual simulation happens on a bertid daemon. The submit
-// call is idempotent (the memo key is the identity), so polling is just
-// re-POSTing the same spec. The same client carries the worker protocol
-// (AcquireLease / Heartbeat / PushResults).
+// Client speaks a bertid daemon's HTTP API. The thin client runs a whole
+// batch as one campaign (Batch: Submit, WaitCampaign, Report), so a local
+// harness keeps its memoization, journaling, and metrics while every
+// actual simulation happens on the daemon. The same client carries the
+// worker protocol (AcquireLease / Heartbeat / PushResults).
 //
 // Every request runs under Retry: transport errors and transient HTTP
 // statuses (5xx except where noted, 408, 429) are retried with the
@@ -37,7 +36,7 @@ var ErrLeaseLost = errors.New("server: lease expired or reassigned")
 type Client struct {
 	base string
 	hc   *http.Client
-	// PollInterval is the initial result-poll delay (default 250ms; each
+	// PollInterval is the initial campaign-poll delay (default 250ms; each
 	// poll backs off 1.5x up to PollMax).
 	PollInterval time.Duration
 	// PollMax caps the poll backoff (default 5s).
@@ -142,66 +141,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	return resp.StatusCode, data, nil
 }
 
-// Run submits spec to the daemon and blocks until it completes, polling
-// the idempotent run endpoint. Install as Harness.Remote. Context
-// cancellation surfaces as *sim.CancelError so the harness treats it as a
-// resumable cancellation, not a failure.
-func (c *Client) Run(ctx context.Context, spec harness.RunSpec) (*sim.Result, error) {
-	delay := c.PollInterval
-	if delay <= 0 {
-		delay = 250 * time.Millisecond
-	}
-	max := c.PollMax
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	for {
-		st, err := c.postRun(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		switch st.State {
-		case "done":
-			if st.Result == nil {
-				return nil, fmt.Errorf("server: daemon reported %q done without a result", st.Key)
-			}
-			return st.Result, nil
-		case "failed":
-			return nil, fmt.Errorf("server: daemon run %q failed: %s", st.Key, st.Error)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, &sim.CancelError{Cause: ctx.Err()}
-		case <-time.After(delay):
-		}
-		if delay = delay * 3 / 2; delay > max {
-			delay = max
-		}
-	}
-}
-
-// postRun performs one idempotent submit/poll round-trip.
-func (c *Client) postRun(ctx context.Context, spec harness.RunSpec) (*RunStatus, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("server: encoding spec: %w", err)
-	}
-	code, data, err := c.do(ctx, http.MethodPost, "/api/v1/runs", body)
-	if err != nil {
-		return nil, err
-	}
-	switch code {
-	case http.StatusOK, http.StatusAccepted:
-		var st RunStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return nil, fmt.Errorf("server: decoding daemon response: %w", err)
-		}
-		return &st, nil
-	default:
-		return nil, decodeAPIError(code, data)
-	}
-}
-
 // Submit posts a full campaign spec set, returning the acknowledgement.
 func (c *Client) Submit(ctx context.Context, name string, specs []harness.RunSpec) (*SubmitResponse, error) {
 	body, err := json.Marshal(SubmitRequest{Name: name, Specs: specs})
@@ -264,6 +203,66 @@ func (c *Client) WaitCampaign(ctx context.Context, id string) (*CampaignStatus, 
 			delay = max
 		}
 	}
+}
+
+// ScaleMismatchError reports a daemon that ran a campaign at another scale
+// than the client's: its results must not be reported under the client's
+// scale.
+type ScaleMismatchError struct {
+	Client, Daemon string
+}
+
+// Error implements error.
+func (e *ScaleMismatchError) Error() string {
+	return fmt.Sprintf("server: daemon runs at scale %q but this client is at scale %q", e.Daemon, e.Client)
+}
+
+// Batch runs specs on the daemon as one campaign (Submit, WaitCampaign,
+// Report) and lands every reported run in h as a local run would land:
+// SeedResult memoizes it and OnResult fires, so journals, live metrics
+// and provenance roll-ups see it. Each failed run is recorded with
+// h.RecordFailure. Specs h already holds are not sent. A daemon at
+// another scale yields a *ScaleMismatchError and lands nothing.
+func (c *Client) Batch(ctx context.Context, h *harness.Harness, specs []harness.RunSpec) error {
+	todo := map[string]harness.RunSpec{}
+	var submit []harness.RunSpec
+	for _, s := range specs {
+		if _, ok := h.ResultFor(s.Key()); !ok {
+			todo[s.Key()] = s
+			submit = append(submit, s)
+		}
+	}
+	if len(submit) == 0 {
+		return nil
+	}
+	ack, err := c.Submit(ctx, "", submit)
+	if err != nil {
+		return err
+	}
+	if _, err := c.WaitCampaign(ctx, ack.ID); err != nil {
+		return err
+	}
+	body, err := c.Report(ctx, ack.ID)
+	if err != nil {
+		return err
+	}
+	var rep Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		return fmt.Errorf("server: decoding campaign report: %w", err)
+	}
+	if rep.Scale != h.Scale {
+		return &ScaleMismatchError{Client: h.Scale.Name, Daemon: rep.Scale.Name}
+	}
+	for _, e := range rep.Runs {
+		h.SeedResult(e.Key, e.Result)
+		if h.OnResult != nil {
+			h.OnResult(e.Key, todo[e.Key], e.Result)
+		}
+	}
+	for _, f := range rep.Failed {
+		h.RecordFailure(&harness.RunError{Spec: todo[f.Key], Attempts: 1, Err: fmt.Errorf("server: daemon run failed: %s", f.Error)})
+	}
+	return nil
 }
 
 // AcquireLease asks the coordinator for a batch of up to maxSpecs run

@@ -411,40 +411,6 @@ func TestLeaseProtocolEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdhocRunLeaseMode covers the thin-client path through a lease-only
-// coordinator: POST /api/v1/runs parks the spec in the pool, a Worker
-// executes it, and the poll returns the result.
-func TestAdhocRunLeaseMode(t *testing.T) {
-	ctx := testCtx(t)
-	_, ts := newLeaseTestServer(t, t.TempDir(), time.Minute)
-	cl := NewClient(ts.URL)
-
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	w := &Worker{
-		ID:           "adhoc-worker",
-		Client:       NewClient(ts.URL),
-		Harness:      harness.New(srvScale),
-		PollInterval: 20 * time.Millisecond,
-		Logf:         t.Logf,
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.Run(wctx) }()
-
-	spec := harness.RunSpec{Workload: "mcf_like_1554", L1DPf: "next-line"}
-	r, err := cl.Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r == nil {
-		t.Fatal("ad-hoc lease-mode run returned no result")
-	}
-	wcancel()
-	if err := <-done; err != nil {
-		t.Fatalf("worker exit: %v", err)
-	}
-}
-
 // TestClientRetriesTransient pins the retry discipline: 5xx and transport
 // errors retry with the deterministic backoff; 4xx (including 410 for a
 // dead lease) surface immediately.

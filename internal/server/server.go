@@ -264,7 +264,6 @@ func (s *Server) Close() error {
 //	GET  /api/v1/campaigns/{id}      — one campaign's status
 //	GET  /api/v1/campaigns/{id}/report — deterministic JSON report (done only)
 //	GET  /api/v1/campaigns/{id}/stream — SSE progress stream
-//	POST /api/v1/runs                — submit/poll one spec (idempotent)
 //	POST /api/v1/leases              — worker acquires a batch of specs
 //	POST /api/v1/leases/{id}/heartbeat — worker extends its lease
 //	POST /api/v1/leases/{id}/results — worker pushes results (idempotent)
@@ -284,7 +283,6 @@ func (s *Server) buildMux() {
 	mux.HandleFunc("GET /api/v1/campaigns/{id}", s.handleStatus)
 	mux.HandleFunc("GET /api/v1/campaigns/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /api/v1/campaigns/{id}/stream", s.handleStream)
-	mux.HandleFunc("POST /api/v1/runs", s.handleRun)
 	mux.HandleFunc("POST /api/v1/leases", s.handleLeaseAcquire)
 	mux.HandleFunc("POST /api/v1/leases/{id}/heartbeat", s.handleLeaseHeartbeat)
 	mux.HandleFunc("POST /api/v1/leases/{id}/results", s.handleLeaseResults)
@@ -337,16 +335,6 @@ type Report struct {
 	Scale         harness.Scale    `json:"scale"`
 	Runs          []campaign.Entry `json:"runs"`
 	Failed        []failedRun      `json:"failed,omitempty"`
-}
-
-// RunStatus is the POST /api/v1/runs response: the submit call doubles as
-// the poll (idempotent — the memo key is the identity).
-type RunStatus struct {
-	SchemaVersion int         `json:"schema_version"`
-	Key           string      `json:"key"`
-	State         string      `json:"state"` // "running", "done", or "failed"
-	Result        *sim.Result `json:"result,omitempty"`
-	Error         string      `json:"error,omitempty"`
 }
 
 // apiError is every non-2xx JSON body. Field/Name carry the typed
@@ -603,49 +591,4 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleRun is the single-spec endpoint behind the cmd/experiments
-// -server thin-client mode. The POST is idempotent: submitting an
-// already-known spec reports its current state (and result, once done), so
-// the same call is both "submit" and "poll".
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var spec harness.RunSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
-		return
-	}
-	if err := harness.ValidateSpec(spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	key := spec.Key()
-	if res, ok := s.h.ResultFor(key); ok {
-		writeJSON(w, http.StatusOK, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "done", Result: res})
-		return
-	}
-	if err, ok := s.h.ErrFor(key); ok {
-		writeJSON(w, http.StatusOK, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "failed", Error: err.Error()})
-		return
-	}
-	if res, ok := s.store.Get(key); ok {
-		s.h.SeedResult(key, res)
-		writeJSON(w, http.StatusOK, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "done", Result: res})
-		return
-	}
-	s.mu.Lock()
-	msg, failed := s.failed[key]
-	draining := s.draining
-	s.mu.Unlock()
-	if failed {
-		writeJSON(w, http.StatusOK, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "failed", Error: msg})
-		return
-	}
-	if draining {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("daemon is draining; not admitting new runs"))
-		return
-	}
-	// A key already pending or leased is shared, so re-adding is the poll.
-	s.pool.add([]harness.RunSpec{spec})
-	writeJSON(w, http.StatusAccepted, &RunStatus{SchemaVersion: APISchemaVersion, Key: key, State: "running"})
 }

@@ -264,8 +264,8 @@ func TestLocalLeasesNeverExpire(t *testing.T) {
 }
 
 // TestFailedSpecFailsEveryCampaign: a spec that failed this daemon life
-// fails again, with the same text, in a later campaign and an ad-hoc poll
-// that name it — it neither hangs nor counts as complete.
+// fails again, with the same text, in a later campaign that names it — it
+// neither hangs nor counts as complete.
 func TestFailedSpecFailsEveryCampaign(t *testing.T) {
 	h := harness.New(srvScale)
 	h.RunTimeout = time.Nanosecond
@@ -318,13 +318,6 @@ func TestFailedSpecFailsEveryCampaign(t *testing.T) {
 	}
 	if len(again) != 1 || again[0].Error != first[0].Error {
 		t.Fatalf("later campaign reports %+v for %q, want the first failure %q", again, key, first[0].Error)
-	}
-	st, err := cl.postRun(ctx, specs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "failed" || st.Error != first[0].Error {
-		t.Fatalf("ad-hoc poll: %+v, want failed with %q", st, first[0].Error)
 	}
 }
 
@@ -429,43 +422,90 @@ func cl1WaitlessStatus(s *Server, id string) (*CampaignStatus, error) {
 	return c.status(), nil
 }
 
-// TestRemoteHarnessThinClient wires a second, client-side harness to the
-// daemon through Harness.Remote: runs execute on the daemon, memoize on
-// the client, and concurrent duplicate client calls still collapse.
-func TestRemoteHarnessThinClient(t *testing.T) {
+// TestClientBatchLandsEveryRun: Client.Batch runs a spec set as one
+// campaign and lands each reported run in the client harness as a local
+// run would land (memoized, OnResult once per key); a daemon-side failure
+// is recorded as a client run failure, and specs the client already holds
+// are not sent again.
+func TestClientBatchLandsEveryRun(t *testing.T) {
 	s, _ := newTestServer(t, t.TempDir())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	cl.PollInterval = 20 * time.Millisecond
+	ctx := testCtx(t)
+
+	local := harness.New(srvScale)
+	var fired atomic.Int32
+	local.OnResult = func(string, harness.RunSpec, *sim.Result) { fired.Add(1) }
+	specs := srvSpecs()
+	if err := cl.Batch(ctx, local, specs); err != nil {
+		t.Fatal(err)
+	}
+	if n := fired.Load(); n != int32(len(specs)) {
+		t.Fatalf("client-side OnResult fired %d times, want %d", n, len(specs))
+	}
+	for _, spec := range specs {
+		r, ok := local.ResultFor(spec.Key())
+		if !ok || r.IPC() <= 0 {
+			t.Fatalf("%s not landed in the client harness (ok=%v)", spec.Key(), ok)
+		}
+	}
+	if err := cl.Batch(ctx, local, specs); err != nil || fired.Load() != int32(len(specs)) {
+		t.Fatalf("a batch the client already holds must send nothing: err=%v fired=%d", err, fired.Load())
+	}
+
+	// A run that fails on the daemon fails on the client.
+	fh := harness.New(srvScale)
+	fh.RunTimeout = time.Nanosecond
+	fh.Retry = harness.RetryPolicy{MaxAttempts: 1}
+	fs, err := New(Options{Harness: fh, DataDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fs.Drain)
+	fts := httptest.NewServer(fs.Handler())
+	defer fts.Close()
+	failing := harness.New(srvScale)
+	if err := NewClient(fts.URL).Batch(ctx, failing, specs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if f := failing.Failures(); len(f) != 1 || f[0].Spec.Key() != specs[0].Key() {
+		t.Fatalf("daemon failure must be recorded against its spec, got %v", f)
+	}
+	if _, ok := failing.ResultFor(specs[0].Key()); ok {
+		t.Fatal("a failed run must not be memoized as a result")
+	}
+}
+
+// TestClientBatchScaleMismatch: a client whose scale differs from the
+// daemon's gets both scale names back and lands nothing, so its report can
+// never label the daemon's results with the client's scale.
+func TestClientBatchScaleMismatch(t *testing.T) {
+	micro := harness.Scale{Name: "micro", MemRecords: 8_000, WarmupInstr: 6_000, SimInstr: 15_000, Mixes: 1}
+	s, err := New(Options{Harness: harness.New(micro), DataDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	cl := NewClient(ts.URL)
 	cl.PollInterval = 20 * time.Millisecond
 
 	local := harness.New(srvScale)
-	local.Remote = cl.Run
 	var fired atomic.Int32
 	local.OnResult = func(string, harness.RunSpec, *sim.Result) { fired.Add(1) }
-
-	spec := harness.RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}
-	out, err := local.RunManyContext(context.Background(), []harness.RunSpec{spec, spec, spec})
-	if err != nil {
-		t.Fatal(err)
+	err = cl.Batch(testCtx(t), local, srvSpecs()[:1])
+	var sm *ScaleMismatchError
+	if !errors.As(err, &sm) || sm.Client != srvScale.Name || sm.Daemon != micro.Name {
+		t.Fatalf("want a scale mismatch naming %q and %q, got %v", srvScale.Name, micro.Name, err)
 	}
-	if len(out) != 3 || out[0] == nil || out[0] != out[1] || out[1] != out[2] {
-		t.Fatalf("thin-client duplicates did not share one result: %v", out)
+	if !strings.Contains(err.Error(), srvScale.Name) || !strings.Contains(err.Error(), micro.Name) {
+		t.Fatalf("mismatch error must name both scales: %v", err)
 	}
-	if n := fired.Load(); n != 1 {
-		t.Fatalf("client-side OnResult fired %d times, want 1", n)
-	}
-	if out[0].IPC() <= 0 {
-		t.Fatalf("remote result has non-positive IPC: %v", out[0].IPC())
-	}
-	// The daemon now owns the result; a fresh client harness gets it from
-	// the store without a re-run (state "done" on first poll).
-	st, err := cl.postRun(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "done" {
-		t.Fatalf("daemon state for completed spec = %q, want done", st.State)
+	if len(local.Results()) != 0 || fired.Load() != 0 {
+		t.Fatal("a mismatched report must land nothing")
 	}
 }
 
