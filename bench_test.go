@@ -22,6 +22,7 @@ import (
 	"github.com/bertisim/berti/internal/harness"
 	"github.com/bertisim/berti/internal/sim"
 	"github.com/bertisim/berti/internal/trace"
+	"github.com/bertisim/berti/internal/tracestore"
 	"github.com/bertisim/berti/internal/workloads"
 )
 
@@ -155,7 +156,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceEncode measures the binary codec.
+// BenchmarkTraceEncode measures the v2 container encoder.
 func BenchmarkTraceEncode(b *testing.B) {
 	w, _ := workloads.ByName("bfs-kron")
 	tr := w.Gen(workloads.GenConfig{MemRecords: 100_000, Seed: 1})
@@ -163,7 +164,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := trace.Encode(&buf, tr); err != nil {
+		if err := tracestore.Write(&buf, tr, tracestore.Meta{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,9 +13,8 @@
 //
 // Windows: -warmup and -simulate override the scale's ChampSim-style
 // warmup/measurement instruction windows. -skip N fast-forwards a -trace
-// run N instructions before the windows begin; v2 containers (tracegen's
-// default output) seek through the chunk index without decompressing the
-// skipped region, v1 flat streams are scanned linearly.
+// run N instructions before the windows begin, seeking through the v2
+// container's chunk index without decompressing the skipped region.
 //
 // Observability: -interval N samples all counters every N retired
 // instructions into a per-interval time series (written to
@@ -29,7 +28,9 @@
 // Robustness: -check runs the invariant checker (MSHR leaks, queue bounds,
 // duplicate tags, ROB/TLB consistency) alongside the simulation;
 // -fault-plan kind[:key=value,...] injects deterministic faults (see
-// internal/fault) to exercise the checker and the error paths.
+// internal/fault) to exercise the checker and the error paths; the
+// trace-level kinds (corrupt-record, truncate) damage a -trace file's
+// container bytes and fail the run with a *tracestore.FormatError.
 //
 // Exit codes: 0 success; 1 runtime failure (I/O, stall, corrupt trace);
 // 2 usage error (unknown workload/prefetcher, bad flags, bad fault plan);
@@ -38,13 +39,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -239,9 +238,31 @@ func main() {
 	var runErr, baseErr error
 	var elapsed time.Duration
 	if *traceFile != "" {
-		// runMachine wires one reader through the engine with this run's
-		// hooks; both the v1 and v2 paths share it.
-		runMachine := func(rd trace.Reader, l1, l2 string, opts sim.Options) (*sim.Result, error) {
+		var tf *tracestore.File
+		if faultPlan != nil && faultPlan.TraceFault() {
+			// Damage a private copy of the container bytes; the format's
+			// structure checks and checksums locate the damage.
+			var data []byte
+			if data, err = os.ReadFile(*traceFile); err == nil {
+				tf, err = tracestore.OpenBytes(faultPlan.MutateTrace(data, tracestore.HeadMagicLen))
+			}
+		} else {
+			tf, err = tracestore.Open(*traceFile)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bertisim:", err)
+			os.Exit(exitRunFailed)
+		}
+		defer tf.Close()
+		if *skip > 0 && *skip >= tf.Meta().Instructions {
+			fmt.Fprintf(os.Stderr, "bertisim: -skip %d is beyond the trace's %d instructions\n",
+				*skip, tf.Meta().Instructions)
+			os.Exit(exitUsage)
+		}
+		// run wires a fresh window reader through the engine with this
+		// run's hooks: the main and baseline runs each stream the file
+		// independently.
+		run := func(l1, l2 string, opts sim.Options) (*sim.Result, error) {
 			cfg := sim.DefaultConfig()
 			cfg.WarmupInstructions = scale.WarmupInstr
 			cfg.SimInstructions = scale.SimInstr
@@ -262,6 +283,11 @@ func main() {
 				}
 				l2f = func() cache.Prefetcher { return e.New() }
 			}
+			rd, err := tf.NewWindowReader(*skip, tracestore.ReaderOptions{Loop: true})
+			if err != nil {
+				return nil, err
+			}
+			defer rd.Close()
 			m, err := sim.New(cfg, []trace.Reader{rd}, l1f, l2f)
 			if err != nil {
 				return nil, err
@@ -270,61 +296,6 @@ func main() {
 			m.SetContext(ctx)
 			m.Attach(opts)
 			return m.Run()
-		}
-		var run func(l1, l2 string, opts sim.Options) (*sim.Result, error)
-		if sniffV2(*traceFile) {
-			if faultPlan != nil && faultPlan.TraceFault() {
-				fmt.Fprintln(os.Stderr, "bertisim: trace-level fault plans need a v1 trace (v2 chunks are CRC-checked; use tracegen -format v1)")
-				os.Exit(exitUsage)
-			}
-			tf, err := tracestore.Open(*traceFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bertisim:", err)
-				os.Exit(exitRunFailed)
-			}
-			defer tf.Close()
-			if *skip > 0 && *skip >= tf.Meta().Instructions {
-				fmt.Fprintf(os.Stderr, "bertisim: -skip %d is beyond the trace's %d instructions\n",
-					*skip, tf.Meta().Instructions)
-				os.Exit(exitUsage)
-			}
-			run = func(l1, l2 string, opts sim.Options) (*sim.Result, error) {
-				// Fresh window reader per run: the main and baseline runs each
-				// stream the file independently.
-				rd, err := tf.NewWindowReader(*skip, tracestore.ReaderOptions{Loop: true})
-				if err != nil {
-					return nil, err
-				}
-				defer rd.Close()
-				return runMachine(rd, l1, l2, opts)
-			}
-		} else {
-			data, err := os.ReadFile(*traceFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(exitRunFailed)
-			}
-			if faultPlan != nil && faultPlan.TraceFault() {
-				data = faultPlan.MutateTrace(data, trace.MagicLen)
-			}
-			tr, err := trace.Decode(bytes.NewReader(data))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "decoding trace:", err)
-				os.Exit(exitRunFailed)
-			}
-			if *skip > 0 {
-				if *skip >= tr.Instructions() {
-					fmt.Fprintf(os.Stderr, "bertisim: -skip %d is beyond the trace's %d instructions\n",
-						*skip, tr.Instructions())
-					os.Exit(exitUsage)
-				}
-				// No chunk index in a v1 stream: scan to the same boundary
-				// FastForward lands on for v2.
-				tr.Records = tr.Records[skipIndex(tr, *skip):]
-			}
-			run = func(l1, l2 string, opts sim.Options) (*sim.Result, error) {
-				return runMachine(trace.NewLoopReader(tr), l1, l2, opts)
-			}
 		}
 		start := time.Now()
 		res, runErr = run(*l1d, *l2, opts)
@@ -484,34 +455,6 @@ func writeProvenance(p *provenance.Report, path string) {
 	}
 	fmt.Fprintf(os.Stderr, "provenance: wrote attribution (%d PCs, %d deltas) to %s\n",
 		len(p.PCs), len(p.Deltas), path)
-}
-
-// sniffV2 reports whether path starts with the v2 container magic. Errors
-// fall through to the v1 decoder, which reports them properly.
-func sniffV2(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	buf := make([]byte, tracestore.HeadMagicLen)
-	n, _ := io.ReadFull(f, buf)
-	return tracestore.IsV2Header(buf[:n])
-}
-
-// skipIndex returns the index of the first record whose retirement pushes
-// the cumulative instruction count past target — the same boundary
-// tracestore.(*File).FastForward seeks to, computed by linear scan.
-func skipIndex(tr *trace.Slice, target uint64) int {
-	var cum uint64
-	for i := range tr.Records {
-		cost := uint64(tr.Records[i].NonMemBefore) + 1
-		if cum+cost > target {
-			return i
-		}
-		cum += cost
-	}
-	return len(tr.Records)
 }
 
 // exitForError reports a failed run and exits with the code matching the

@@ -1,13 +1,10 @@
 // Command tracegen generates workload traces to disk and inspects existing
-// trace files. New traces are written in the seekable chunk-compressed v2
-// container (internal/tracestore) by default; -format v1 emits the legacy
-// flat stream for older tooling. -inspect sniffs the magic and summarizes
-// either format.
+// trace files. Traces are written in the seekable chunk-compressed v2
+// container (internal/tracestore); -inspect summarizes one.
 //
 // Usage:
 //
 //	tracegen -workload bfs-kron -records 500000 -o bfs.btr2
-//	tracegen -workload bfs-kron -format v1 -o bfs.trace
 //	tracegen -inspect bfs.btr2
 package main
 
@@ -31,7 +28,6 @@ func main() {
 	records := flag.Int("records", 300_000, "memory records to emit")
 	seed := flag.Int64("seed", 42, "generation seed")
 	out := flag.String("o", "", "output trace file")
-	format := flag.String("format", "v2", "output format: v2 (chunked, compressed, seekable) or v1 (flat stream)")
 	chunk := flag.Uint("chunk", 0, "v2 records per chunk (0 = default)")
 	inspect := flag.String("inspect", "", "trace file to summarize")
 	flag.Parse()
@@ -44,19 +40,16 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("unknown workload %q", *workload))
 		}
-		if *format != "v1" && *format != "v2" {
-			fatal(fmt.Errorf("unknown format %q (want v1 or v2)", *format))
-		}
 		tr := w.Gen(workloads.GenConfig{MemRecords: *records, Seed: *seed})
-		n, err := writeTrace(*out, *format, uint32(*chunk), *workload, tr)
+		n, err := writeTrace(*out, uint32(*chunk), *workload, tr)
 		if err != nil {
 			// Leave no truncated container behind: a partial trace file
 			// decodes as corrupt at best and silently short at worst.
 			os.Remove(*out)
 			fatal(err)
 		}
-		fmt.Printf("wrote %d records (%d instructions) to %s (%s, %d bytes)\n",
-			tr.Len(), tr.Instructions(), *out, *format, n)
+		fmt.Printf("wrote %d records (%d instructions) to %s (v2, %d bytes)\n",
+			tr.Len(), tr.Instructions(), *out, n)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -79,11 +72,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeTrace encodes tr to path in the requested format through a fully
+// writeTrace encodes tr to path as a v2 container through a fully
 // error-checked write path: every byte goes through a buffered writer whose
 // Flush, the file's Sync, and Close are all checked, and short writes
 // surface as errors with the byte count written so far.
-func writeTrace(path, format string, chunkRecords uint32, workload string, tr *trace.Slice) (written int64, err error) {
+func writeTrace(path string, chunkRecords uint32, workload string, tr *trace.Slice) (written int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -100,13 +93,7 @@ func writeTrace(path, format string, chunkRecords uint32, workload string, tr *t
 		}
 	}()
 
-	switch format {
-	case "v1":
-		err = trace.Encode(bw, tr)
-	default:
-		err = tracestore.Write(bw, tr, tracestore.Meta{Workload: workload, ChunkRecords: chunkRecords})
-	}
-	if err != nil {
+	if err = tracestore.Write(bw, tr, tracestore.Meta{Workload: workload, ChunkRecords: chunkRecords}); err != nil {
 		return cw.n, err
 	}
 	if err = bw.Flush(); err != nil {
@@ -118,51 +105,30 @@ func writeTrace(path, format string, chunkRecords uint32, workload string, tr *t
 	return cw.n, nil
 }
 
-// inspectFile sniffs the container format and prints a summary.
+// inspectFile opens a v2 container and prints a summary.
 func inspectFile(path string) {
-	f, err := os.Open(path)
+	tf, err := tracestore.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	var magic [tracestore.HeadMagicLen]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		fatal(fmt.Errorf("reading %s: %w", path, err))
+	defer tf.Close()
+	m := tf.Meta()
+	fmt.Printf("format:        v2 container (%d chunks of <=%d records)\n",
+		tf.Chunks(), m.ChunkRecords)
+	if m.Workload != "" {
+		fmt.Printf("workload:      %s\n", m.Workload)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		fatal(err)
-	}
-	if tracestore.IsV2Header(magic[:]) {
-		tf, err := tracestore.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer tf.Close()
-		m := tf.Meta()
-		fmt.Printf("format:        v2 container (%d chunks of <=%d records)\n",
-			tf.Chunks(), m.ChunkRecords)
-		if m.Workload != "" {
-			fmt.Printf("workload:      %s\n", m.Workload)
-		}
-		fmt.Printf("line footprint: %d lines (%.1f MB)\n",
-			m.LineFootprint, float64(m.LineFootprint)*64/1e6)
-		tr, err := tf.ReadAll()
-		if err != nil {
-			fatal(err)
-		}
-		summarize(tr)
-		if raw := tr.Len(); raw > 0 {
-			fmt.Printf("compressed:    %d bytes (%.2f bytes/record)\n",
-				tf.CompressedSize(), float64(tf.CompressedSize())/float64(raw))
-		}
-		return
-	}
-	tr, err := trace.Decode(f)
+	fmt.Printf("line footprint: %d lines (%.1f MB)\n",
+		m.LineFootprint, float64(m.LineFootprint)*64/1e6)
+	tr, err := tf.ReadAll()
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println("format:        v1 flat stream")
 	summarize(tr)
+	if raw := tr.Len(); raw > 0 {
+		fmt.Printf("compressed:    %d bytes (%.2f bytes/record)\n",
+			tf.CompressedSize(), float64(tf.CompressedSize())/float64(raw))
+	}
 }
 
 func summarize(tr *trace.Slice) {

@@ -23,8 +23,8 @@ type Kind string
 
 // Fault kinds and the detection each one proves out:
 //
-//	corrupt-record  flip trace bytes      -> trace.DecodeError
-//	truncate        cut the trace short   -> trace.DecodeError (offset)
+//	corrupt-record  flip trace bytes      -> tracestore.FormatError
+//	truncate        cut the trace short   -> tracestore.FormatError (offset)
 //	drop-fill       swallow prefetch fill -> check mshr-stuck (leaked MSHR)
 //	delay-fill      postpone fills        -> check mshr-stuck, or the
 //	                                         engine watchdog when extreme

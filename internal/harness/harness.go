@@ -229,12 +229,11 @@ func splitmix64(x uint64) uint64 {
 
 // transient reports whether a failure class is worth retrying on attempt
 // number attempt (1-based). Deterministic classes — invalid specs/configs,
-// decode failures of in-memory bytes, invariant violations, simulated
-// hangs, cancellations — are never retried: re-executing reproduces them
-// exactly. Environmental classes are: corpus/trace I/O (a flaky disk, a
-// corrupt on-disk entry the corpus regenerates on the next attempt),
-// wall-clock deadline overruns (machine load), and panics on their first
-// occurrence only.
+// invariant violations, simulated hangs, cancellations — are never
+// retried: re-executing reproduces them exactly. Environmental classes
+// are: corpus/trace I/O (a flaky disk, a corrupt on-disk entry the corpus
+// regenerates on the next attempt), wall-clock deadline overruns (machine
+// load), and panics on their first occurrence only.
 func transient(err error, attempt int) bool {
 	if sim.IsCancel(err) {
 		return false
@@ -245,10 +244,9 @@ func transient(err error, attempt int) bool {
 	}
 	var specErr *SpecError
 	var cfgErr *sim.ConfigError
-	var decErr *trace.DecodeError
 	var vioErr *check.ViolationError
 	var stallErr *sim.StallError
-	if errors.As(err, &specErr) || errors.As(err, &cfgErr) || errors.As(err, &decErr) ||
+	if errors.As(err, &specErr) || errors.As(err, &cfgErr) ||
 		errors.As(err, &vioErr) || errors.As(err, &stallErr) {
 		return false
 	}
@@ -729,10 +727,14 @@ func placeholderResult(spec RunSpec) *sim.Result {
 
 // runProtected executes one run with panic recovery, the wall-clock
 // deadline, and the retry policy applied to transient failure classes
-// (bounded attempts, exponential backoff with deterministic jitter). Every
-// final failure is recorded on the harness; cancellations are returned
-// unrecorded so the campaign layer can re-run them after a resume.
+// (bounded attempts, exponential backoff with deterministic jitter). A run
+// whose fault plan damages the trace bytes is never retried: its
+// *tracestore.FormatError looks like a corrupt corpus entry, but the
+// damage is seeded and reproduces exactly. Every final failure is recorded
+// on the harness; cancellations are returned unrecorded so the campaign
+// layer can re-run them after a resume.
 func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
+	retry := opts.Fault == nil || !opts.Fault.TraceFault()
 	attempts := 0
 	for {
 		attempts++
@@ -745,7 +747,7 @@ func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Optio
 			// never recorded, and RunContext skips memoization.
 			return res, err
 		}
-		if attempts < h.Retry.maxAttempts() && transient(err, attempts) {
+		if retry && attempts < h.Retry.maxAttempts() && transient(err, attempts) {
 			if !h.Retry.backoff(ctx, spec.key(), attempts) {
 				return nil, &sim.CancelError{Cause: ctx.Err()}
 			}
@@ -821,7 +823,7 @@ func (h *Harness) RunWithContext(ctx context.Context, spec RunSpec, opts sim.Opt
 // pipeline; the returned cleanup releases the streaming readers and file
 // handles after the run. Oracle prefetchers (which read the trace's
 // future) and trace-level fault plans (which damage a private encoded copy,
-// surfacing decode failures as *trace.DecodeError) keep the in-memory path.
+// surfacing the damage as *tracestore.FormatError) keep the in-memory path.
 func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func(), error) {
 	cfg := sim.DefaultConfig()
 	var err error
@@ -916,16 +918,19 @@ func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func()
 	return m, cleanup, nil
 }
 
-// damageTrace round-trips tr through the binary codec with the fault plan
-// applied to the encoded bytes. The decode error (if the damage lands in
-// structure rather than payload) is returned for the harness to surface.
+// damageTrace round-trips tr through a v2 container with the fault plan
+// applied to the encoded bytes. The container's structure checks and
+// checksums turn the damage into a *tracestore.FormatError locating it.
 func damageTrace(tr *trace.Slice, fp *fault.Plan) (*trace.Slice, error) {
 	var buf bytes.Buffer
-	if err := trace.Encode(&buf, tr); err != nil {
+	if err := tracestore.Write(&buf, tr, tracestore.Meta{}); err != nil {
 		return nil, err
 	}
-	mutated := fp.MutateTrace(buf.Bytes(), trace.MagicLen)
-	return trace.Decode(bytes.NewReader(mutated))
+	f, err := tracestore.OpenBytes(fp.MutateTrace(buf.Bytes(), tracestore.HeadMagicLen))
+	if err != nil {
+		return nil, err
+	}
+	return f.ReadAll()
 }
 
 // RunManyContext executes specs on a bounded worker pool (h.Workers

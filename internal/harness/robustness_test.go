@@ -14,7 +14,6 @@ import (
 	"github.com/bertisim/berti/internal/core"
 	"github.com/bertisim/berti/internal/fault"
 	"github.com/bertisim/berti/internal/sim"
-	"github.com/bertisim/berti/internal/trace"
 	"github.com/bertisim/berti/internal/tracestore"
 )
 
@@ -26,10 +25,10 @@ var faultScale = Scale{Name: "fault", MemRecords: 20_000, WarmupInstr: 10_000, S
 // prefetch fills exist for drop-fill to swallow.
 var faultSpec = RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}
 
-// TestTraceFaultsYieldDecodeError: corrupt-record and truncate damage the
-// encoded trace bytes, so the run must fail before simulation with a
-// *trace.DecodeError locating the damage.
-func TestTraceFaultsYieldDecodeError(t *testing.T) {
+// TestTraceFaultsYieldFormatError: corrupt-record and truncate damage the
+// encoded v2 container bytes, so the run must fail before simulation with a
+// *tracestore.FormatError locating the damage.
+func TestTraceFaultsYieldFormatError(t *testing.T) {
 	for _, kind := range []fault.Kind{fault.CorruptRecord, fault.TruncateTrace} {
 		t.Run(string(kind), func(t *testing.T) {
 			h := New(faultScale)
@@ -38,16 +37,16 @@ func TestTraceFaultsYieldDecodeError(t *testing.T) {
 			if err == nil {
 				t.Fatal("damaged trace must fail the run")
 			}
-			var de *trace.DecodeError
-			if !errors.As(err, &de) {
-				t.Fatalf("expected a *trace.DecodeError in the chain, got %v", err)
+			var fe *tracestore.FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("expected a *tracestore.FormatError in the chain, got %v", err)
 			}
-			if de.Offset <= 0 {
-				t.Fatalf("decode error must locate the damage, offset=%d", de.Offset)
+			if fe.Offset <= 0 {
+				t.Fatalf("format error must locate the damage, offset=%d", fe.Offset)
 			}
 			var re *RunError
 			if !errors.As(err, &re) || re.Attempts != 1 {
-				t.Fatalf("deterministic decode failures must not be retried: %v", err)
+				t.Fatalf("seeded trace damage must not be retried: %v", err)
 			}
 			// The pristine memoized trace must be untouched by the damage.
 			if _, err := h.RunContext(context.Background(), faultSpec); err != nil {
@@ -235,7 +234,6 @@ func TestRetryClassification(t *testing.T) {
 	}
 	deterministic := []error{
 		&sim.ConfigError{Field: "Cores", Reason: "must be >= 1"},
-		&trace.DecodeError{Offset: 12},
 		&check.ViolationError{Total: 1},
 		&sim.StallError{},
 		&sim.CancelError{Cause: context.Canceled},
@@ -246,11 +244,29 @@ func TestRetryClassification(t *testing.T) {
 			t.Errorf("%T (%v) must never be retried", err, err)
 		}
 	}
-	// Classification sees through the RunError/TraceReadError wrappers.
+	// Classification sees through the RunError/TraceReadError wrappers: a
+	// corpus entry damaged mid-stream is regenerated on the next attempt.
 	wrapped := &RunError{Spec: faultSpec, Attempts: 1,
-		Err: &sim.TraceReadError{Core: 0, Err: &trace.DecodeError{Offset: 3}}}
-	if transient(wrapped, 1) {
-		t.Error("a wrapped decode failure must stay deterministic")
+		Err: &sim.TraceReadError{Core: 0, Err: &tracestore.FormatError{Section: "chunk", Offset: 3}}}
+	if !transient(wrapped, 1) {
+		t.Error("a corpus FormatError must stay retryable through the wrappers")
+	}
+
+	// A trace-fault run fails with the same error class, but its damage is
+	// seeded and reproduces exactly, so the harness must not retry it.
+	h := New(faultScale)
+	h.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}
+	plan := &fault.Plan{Kind: fault.TruncateTrace, Seed: 11}
+	_, err := h.RunWithContext(context.Background(), faultSpec, sim.Options{Fault: plan})
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("trace-fault run: want a *RunError, got %v", err)
+	}
+	if !transient(re.Err, 1) {
+		t.Fatalf("trace-fault error %v must be the retryable FormatError class", re.Err)
+	}
+	if re.Attempts != 1 {
+		t.Fatalf("trace-fault run executed %d times, want 1 (seeded damage is not retried)", re.Attempts)
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
 	"github.com/bertisim/berti/internal/check"
 	"github.com/bertisim/berti/internal/fault"
+	"github.com/bertisim/berti/internal/obs"
 	"github.com/bertisim/berti/internal/prefetch"
 	"github.com/bertisim/berti/internal/sim"
 	"github.com/bertisim/berti/internal/workloads"
@@ -106,29 +108,59 @@ func TestSchedulerDifferentialPrefetchers(t *testing.T) {
 // schedulers and requires identical outcomes — including identical failures:
 // a dropped fill must leak the same MSHR, trip the same mshr-stuck sweep at
 // the same cycle, and stall at the same watchdog deadline in both modes.
+// Every run also samples counters, so each of afterCycle's triggers (sampler,
+// fault, checker sweep, watchdog) is compared across schedulers.
 func TestSchedulerDifferentialFaults(t *testing.T) {
 	kinds := fault.Kinds()
 	if testing.Short() {
 		kinds = []fault.Kind{fault.DropFill, fault.DupLine}
 	}
+	type faultCase struct {
+		name string
+		plan *fault.Plan
+	}
+	var cases []faultCase
 	for _, k := range kinds {
-		k := k
-		t.Run(string(k), func(t *testing.T) {
+		cases = append(cases, faultCase{string(k), &fault.Plan{Kind: k, Seed: 7, Rate: 0.05, After: 2_000, Param: 0}})
+	}
+	// This After falls inside a quiescent stretch of the run: the horizon
+	// scheduler would jump over it, so only the fault plan's bound on the
+	// jump keeps the duplicated tag, and the sweep that flags it, at After.
+	cases = append(cases, faultCase{"dup-line-quiescent", &fault.Plan{Kind: fault.DupLine, Seed: 7, After: 17_370}})
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			plan := &fault.Plan{Kind: k, Seed: 7, Rate: 0.05, After: 2_000, Param: 0}
-			run := func(s sim.Scheduler) []byte {
+			run := func(s sim.Scheduler) (out []byte, firstViolation uint64) {
 				h := New(diffScale)
 				h.Scheduler = s
+				sampler := obs.NewSampler(5_000)
 				res, err := h.RunWithContext(context.Background(), RunSpec{Workload: "mcf_like_1554", L1DPf: "berti"}, sim.Options{
 					Checker:  check.New(),
 					Watchdog: 300_000,
-					Fault:    plan,
+					Fault:    tc.plan,
+					Observer: &obs.Observer{Sampler: sampler},
 				})
-				return resultJSON(t, res, err)
+				series, merr := json.Marshal(sampler.Series())
+				if merr != nil {
+					t.Fatalf("marshal time series: %v", merr)
+				}
+				var ve *check.ViolationError
+				if errors.As(err, &ve) && len(ve.Violations) > 0 {
+					firstViolation = ve.Violations[0].Cycle
+				}
+				return append(append(resultJSON(t, res, err), '\n'), series...), firstViolation
 			}
-			a, b := run(sim.SchedTicked), run(sim.SchedHorizon)
+			a, va := run(sim.SchedTicked)
+			b, vb := run(sim.SchedHorizon)
 			if !bytes.Equal(a, b) {
-				t.Fatalf("schedulers diverged under %s:\nticked:  %s\nhorizon: %s", k, a, b)
+				t.Fatalf("schedulers diverged under %s:\nticked:  %s\nhorizon: %s", tc.name, a, b)
+			}
+			if va != vb {
+				t.Fatalf("first violation at cycle %d (ticked) vs %d (horizon)", va, vb)
+			}
+			if tc.name == "dup-line-quiescent" && va == 0 {
+				t.Fatal("the duplicated tag was never flagged")
 			}
 		})
 	}

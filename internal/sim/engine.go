@@ -388,9 +388,10 @@ func (m *Machine) checkAll(cycle uint64) {
 }
 
 // maybeCorrupt applies a one-shot state-corruption fault (dup-line,
-// pq-orphan) once the cycle counter reaches the plan's After.
+// pq-orphan) once the cycle counter reaches the plan's After. afterCycle
+// calls it only while the plan is unapplied.
 func (m *Machine) maybeCorrupt() {
-	if m.corruptApplied || m.faultPlan == nil || m.cycle < m.faultPlan.After {
+	if m.cycle < m.faultPlan.After {
 		return
 	}
 	switch m.faultPlan.Kind {
@@ -620,8 +621,9 @@ type loopState struct {
 // wall-clock deadline, and the periodic invariant sweep. Under SchedTicked
 // every cycle is executed; under SchedHorizon the loop jumps the clock over
 // stretches every component reports as quiescent, re-running the trigger
-// bookkeeping at the jump target (the jump is clamped so every trigger fires
-// at exactly the cycle it would under SchedTicked).
+// bookkeeping at the jump target (the jump stops at afterCycle's next
+// trigger cycle, so every trigger fires at exactly the cycle it would under
+// SchedTicked).
 func (m *Machine) runUntil(cond func() bool) error {
 	st := loopState{lastProgress: m.cycle, watchdog: m.watchdogCycles}
 	if st.watchdog == 0 {
@@ -635,7 +637,8 @@ func (m *Machine) runUntil(cond func() bool) error {
 	}
 	for !cond() {
 		m.tick()
-		if err := m.afterCycle(&st); err != nil {
+		next, err := m.afterCycle(&st)
+		if err != nil {
 			return err
 		}
 		if m.sched != SchedHorizon || cond() {
@@ -643,9 +646,9 @@ func (m *Machine) runUntil(cond func() bool) error {
 			// counter after the tick that satisfies it.
 			continue
 		}
-		if h := m.clampHorizon(m.horizon(), &st); h > m.cycle {
+		if h := min(m.horizon(), next); h > m.cycle {
 			m.skipTo(h)
-			if err := m.afterCycle(&st); err != nil {
+			if _, err := m.afterCycle(&st); err != nil {
 				return err
 			}
 		}
@@ -657,26 +660,40 @@ func (m *Machine) runUntil(cond func() bool) error {
 // sampling, fault triggering, invariant sweeps, the wall-clock deadline, the
 // progress watchdog, and trace-reader failures. It observes m.cycle only, so
 // running it after a horizon jump is identical to running it after the
-// equivalent executed tick.
-func (m *Machine) afterCycle(st *loopState) error {
+// equivalent executed tick. next is the earliest cycle at which one of its
+// cycle-timed triggers must run again; each branch bounds it where it fires
+// its trigger, and the watchdog's bound keeps it finite. The sampler is
+// retirement-driven, and retirement only happens on executed ticks, so it
+// needs no bound.
+func (m *Machine) afterCycle(st *loopState) (next uint64, err error) {
 	if m.sampling {
 		m.maybeSample()
 	}
-	if m.faultPlan != nil {
+	next = Never
+	if m.faultPlan != nil && !m.corruptApplied {
 		m.maybeCorrupt()
-	}
-	if m.checker != nil && m.cycle >= m.nextCheck {
-		m.checkAll(m.cycle)
-		m.nextCheck = m.cycle + m.checkInterval
-	}
-	if (m.ctx != nil || !m.deadline.IsZero()) && m.cycle >= m.nextDeadlineCheck {
-		m.nextDeadlineCheck = (m.cycle/deadlineStride + 1) * deadlineStride
-		if ce := m.cancelled(); ce != nil {
-			return ce
+		if !m.corruptApplied {
+			next = m.faultPlan.After
 		}
-		if !m.deadline.IsZero() && time.Now().After(m.deadline) {
-			return &DeadlineError{Limit: m.deadlineLimit, Snapshot: m.snapshotState()}
+	}
+	if m.checker != nil {
+		if m.cycle >= m.nextCheck {
+			m.checkAll(m.cycle)
+			m.nextCheck = m.cycle + m.checkInterval
 		}
+		next = min(next, m.nextCheck)
+	}
+	if m.ctx != nil || !m.deadline.IsZero() {
+		if m.cycle >= m.nextDeadlineCheck {
+			m.nextDeadlineCheck = (m.cycle/deadlineStride + 1) * deadlineStride
+			if ce := m.cancelled(); ce != nil {
+				return 0, ce
+			}
+			if !m.deadline.IsZero() && time.Now().After(m.deadline) {
+				return 0, &DeadlineError{Limit: m.deadlineLimit, Snapshot: m.snapshotState()}
+			}
+		}
+		next = min(next, m.nextDeadlineCheck)
 	}
 	var retired uint64
 	for _, c := range m.cores {
@@ -686,14 +703,15 @@ func (m *Machine) afterCycle(st *loopState) error {
 		st.lastRetired = retired
 		st.lastProgress = m.cycle
 	} else if m.cycle-st.lastProgress > st.watchdog {
-		return &StallError{StallCycles: st.watchdog, Snapshot: m.snapshotState()}
+		return 0, &StallError{StallCycles: st.watchdog, Snapshot: m.snapshotState()}
 	}
+	next = min(next, st.lastProgress+st.watchdog+1)
 	for i, c := range m.cores {
 		if err := c.Err(); err != nil {
-			return &TraceReadError{Core: i, Err: err}
+			return 0, &TraceReadError{Core: i, Err: err}
 		}
 	}
-	return nil
+	return next, nil
 }
 
 // L2RQRejects exposes core i's L2 read-queue rejections (diagnostics).

@@ -119,7 +119,7 @@ func IsCancel(err error) bool {
 type TraceReadError struct {
 	// Core is the core whose reader failed.
 	Core int
-	// Err is the reader's error (often a *trace.DecodeError).
+	// Err is the reader's error (often a *tracestore.FormatError).
 	Err error
 }
 

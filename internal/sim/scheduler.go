@@ -126,31 +126,6 @@ func (m *Machine) horizon() uint64 {
 	return h
 }
 
-// clampHorizon bounds a horizon jump by every engine-level trigger that must
-// fire at an exact cycle: the invariant-check sweep, an unapplied fault
-// plan's trigger, the wall-clock deadline / cancellation poll stride, and
-// the stall watchdog.
-// The watchdog clamp also guarantees the jump is finite when every component
-// reports Never.
-func (m *Machine) clampHorizon(h uint64, st *loopState) uint64 {
-	if limit := st.lastProgress + st.watchdog + 1; h > limit {
-		h = limit
-	}
-	if m.checker != nil && h > m.nextCheck {
-		h = m.nextCheck
-	}
-	if m.faultPlan != nil && !m.corruptApplied && h > m.faultPlan.After {
-		h = m.faultPlan.After
-	}
-	if (m.ctx != nil || !m.deadline.IsZero()) && h > m.nextDeadlineCheck {
-		h = m.nextDeadlineCheck
-	}
-	if h < m.cycle {
-		h = m.cycle
-	}
-	return h
-}
-
 // skipTo advances the clock to cycle h without executing the intervening
 // ticks, crediting each core's per-cycle stall accounting so the skipped
 // no-op ticks leave the same statistics they would have under SchedTicked.

@@ -1,5 +1,6 @@
-// Package trace defines the memory-access trace format consumed by the
-// simulator and produced by the workload generators.
+// Package trace defines the in-memory memory-access trace consumed by the
+// simulator and produced by the workload generators, and the readers that
+// replay it. The on-disk container is internal/tracestore.
 //
 // A trace is a sequence of Records. Each record describes one memory
 // instruction: its instruction pointer, the virtual address it touches,
@@ -9,9 +10,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -64,18 +62,12 @@ type Reader interface {
 	Next() (Record, error)
 }
 
-// Writer consumes trace records.
-type Writer interface {
-	Append(Record)
-}
-
-// Slice is an in-memory trace. It implements Writer; use NewSliceReader to
-// iterate it.
+// Slice is an in-memory trace; use NewSliceReader to iterate it.
 type Slice struct {
 	Records []Record
 }
 
-// Append implements Writer.
+// Append adds r at the end of the trace.
 func (s *Slice) Append(r Record) { s.Records = append(s.Records, r) }
 
 // Len returns the number of records.
@@ -143,191 +135,4 @@ func (r *LoopReader) Next() (Record, error) {
 	rec := r.records[r.pos]
 	r.pos++
 	return rec, nil
-}
-
-// Binary trace encoding: a small magic header followed by varint-delta
-// encoded records. IPs and addresses are delta-encoded against the previous
-// record to keep files compact.
-
-var magic = [8]byte{'B', 'E', 'R', 'T', 'I', 'T', 'R', '1'}
-
-// MagicLen is the length of the binary-format header (fault injection
-// preserves it so corruption lands in record data).
-const MagicLen = len(magic)
-
-// ErrBadMagic is returned (wrapped in a *DecodeError) when decoding a
-// stream that is not a trace.
-var ErrBadMagic = errors.New("trace: bad magic header")
-
-// DecodeError reports a corrupt or truncated trace, locating the damage by
-// byte offset and record index.
-type DecodeError struct {
-	// Offset is the byte offset into the stream at which decoding failed.
-	Offset int64
-	// Record is the index of the record being decoded (0-based); -1 for
-	// header-level failures.
-	Record int64
-	// Field names the record field being decoded ("ip", "kind", ...).
-	Field string
-	// Err is the underlying cause (io.ErrUnexpectedEOF, ErrBadMagic, a
-	// validation failure).
-	Err error
-}
-
-// Error implements error.
-func (e *DecodeError) Error() string {
-	if e.Record < 0 {
-		return fmt.Sprintf("trace: decode %s at byte %d: %v", e.Field, e.Offset, e.Err)
-	}
-	return fmt.Sprintf("trace: decode record %d %s at byte %d: %v", e.Record, e.Field, e.Offset, e.Err)
-}
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *DecodeError) Unwrap() error { return e.Err }
-
-// countingReader tracks the byte offset consumed so decode errors can
-// pinpoint the damage.
-type countingReader struct {
-	br  *bufio.Reader
-	off int64
-}
-
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.off++
-	}
-	return b, err
-}
-
-func (c *countingReader) readFull(p []byte) error {
-	n, err := io.ReadFull(c.br, p)
-	c.off += int64(n)
-	return err
-}
-
-// Encode writes the trace to w in the binary format.
-func Encode(w io.Writer, s *Slice) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(s.Records))); err != nil {
-		return err
-	}
-	var prevIP, prevAddr uint64
-	for i := range s.Records {
-		r := &s.Records[i]
-		if err := putVarint(int64(r.IP - prevIP)); err != nil {
-			return err
-		}
-		if err := putVarint(int64(r.Addr - prevAddr)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(r.Kind)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(r.NonMemBefore)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(r.DepDist); err != nil {
-			return err
-		}
-		prevIP, prevAddr = r.IP, r.Addr
-	}
-	return bw.Flush()
-}
-
-// MaxRecords bounds the record count a decoded trace may claim.
-const MaxRecords = 1 << 31
-
-// maxInitialAlloc caps the capacity pre-allocated from the (untrusted)
-// record-count field, so a corrupt header cannot force a multi-gigabyte
-// allocation before the first record is even read. Larger traces still
-// decode; the slice grows as records actually arrive.
-const maxInitialAlloc = 1 << 20
-
-// Decode reads a binary trace written by Encode. Corrupt or truncated
-// input yields a *DecodeError locating the damage by byte offset; Decode
-// never panics and bounds its allocations regardless of what the length
-// fields claim.
-func Decode(r io.Reader) (*Slice, error) {
-	cr := &countingReader{br: bufio.NewReader(r)}
-	fail := func(rec int64, field string, err error) (*Slice, error) {
-		if err == io.EOF && (rec >= 0 || field != "magic") {
-			// EOF mid-stream is truncation, not a clean end.
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, &DecodeError{Offset: cr.off, Record: rec, Field: field, Err: err}
-	}
-	var hdr [8]byte
-	if err := cr.readFull(hdr[:]); err != nil {
-		return fail(-1, "magic", err)
-	}
-	if hdr != magic {
-		return fail(-1, "magic", ErrBadMagic)
-	}
-	n, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return fail(-1, "count", err)
-	}
-	if n > MaxRecords {
-		return fail(-1, "count", fmt.Errorf("record count %d exceeds limit %d", n, uint64(MaxRecords)))
-	}
-	capHint := n
-	if capHint > maxInitialAlloc {
-		capHint = maxInitialAlloc
-	}
-	s := &Slice{Records: make([]Record, 0, capHint)}
-	var prevIP, prevAddr uint64
-	for i := uint64(0); i < n; i++ {
-		ri := int64(i)
-		dip, err := binary.ReadVarint(cr)
-		if err != nil {
-			return fail(ri, "ip", err)
-		}
-		daddr, err := binary.ReadVarint(cr)
-		if err != nil {
-			return fail(ri, "addr", err)
-		}
-		kindByte, err := cr.ReadByte()
-		if err != nil {
-			return fail(ri, "kind", err)
-		}
-		if kindByte > uint8(Store) {
-			return fail(ri, "kind", fmt.Errorf("invalid kind %d", kindByte))
-		}
-		nonMem, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return fail(ri, "nonmem", err)
-		}
-		if nonMem > 1<<32-1 {
-			return fail(ri, "nonmem", fmt.Errorf("count %d overflows uint32", nonMem))
-		}
-		depDist, err := cr.ReadByte()
-		if err != nil {
-			return fail(ri, "depdist", err)
-		}
-		prevIP += uint64(dip)
-		prevAddr += uint64(daddr)
-		s.Records = append(s.Records, Record{
-			IP:           prevIP,
-			Addr:         prevAddr,
-			Kind:         Kind(kindByte),
-			NonMemBefore: uint32(nonMem),
-			DepDist:      depDist,
-		})
-	}
-	return s, nil
 }

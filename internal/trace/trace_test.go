@@ -1,13 +1,9 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func sampleTrace(n int, seed int64) *Slice {
@@ -28,81 +24,6 @@ func sampleTrace(n int, seed int64) *Slice {
 		})
 	}
 	return s
-}
-
-func TestEncodeDecodeRoundtrip(t *testing.T) {
-	s := sampleTrace(5000, 1)
-	var buf bytes.Buffer
-	if err := Encode(&buf, s); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(s.Records, got.Records) {
-		t.Fatal("roundtrip mismatch")
-	}
-}
-
-func TestEncodeDecodeEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, &Slice{}); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("expected empty, got %d", got.Len())
-	}
-}
-
-func TestDecodeBadMagic(t *testing.T) {
-	_, err := Decode(bytes.NewReader([]byte("NOTATRACEFILE!!!")))
-	if !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("expected ErrBadMagic, got %v", err)
-	}
-	var de *DecodeError
-	if !errors.As(err, &de) || de.Field != "magic" {
-		t.Fatalf("expected *DecodeError for field magic, got %#v", err)
-	}
-}
-
-func TestDecodeTruncated(t *testing.T) {
-	s := sampleTrace(100, 2)
-	var buf bytes.Buffer
-	if err := Encode(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := Decode(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Fatal("expected error on truncated input")
-	}
-}
-
-// TestRoundtripProperty: any generated record sequence survives a
-// roundtrip (property-based via testing/quick).
-func TestRoundtripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		s := sampleTrace(int(n), seed)
-		var buf bytes.Buffer
-		if err := Encode(&buf, s); err != nil {
-			return false
-		}
-		got, err := Decode(&buf)
-		if err != nil {
-			return false
-		}
-		if len(s.Records) == 0 {
-			return got.Len() == 0
-		}
-		return reflect.DeepEqual(s.Records, got.Records)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSliceReader(t *testing.T) {

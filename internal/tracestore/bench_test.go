@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"github.com/bertisim/berti/internal/trace"
 )
 
 // benchFile lazily builds a >=1M-record container shared by the decode
@@ -60,7 +58,7 @@ func drainBench(b *testing.B, r *Reader) {
 	_ = sum
 }
 
-// BenchmarkDecode compares single-threaded whole-file decode against the
+// BenchmarkDecode compares the single-worker stream against the
 // parallel chunk pipeline on a >=1M-record trace. bytes/op is the
 // compressed container size, so MB/s is decode throughput.
 func BenchmarkDecode(b *testing.B) {
@@ -85,26 +83,6 @@ func BenchmarkDecode(b *testing.B) {
 			r := f.NewReader(ReaderOptions{Workers: workers})
 			drainBench(b, r)
 			r.Close()
-		}
-	})
-	b.Run("v1-whole-file", func(b *testing.B) {
-		// The pre-tentpole baseline: decode an uncompressed v1 stream
-		// wholly into memory.
-		s, err := f.ReadAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var v1 bytes.Buffer
-		if err := trace.Encode(&v1, s); err != nil {
-			b.Fatal(err)
-		}
-		data := v1.Bytes()
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := trace.Decode(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

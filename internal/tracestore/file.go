@@ -27,8 +27,8 @@ type File struct {
 }
 
 // Open opens a v2 container on disk. Corrupt or truncated files yield a
-// *FormatError; v1 traces are rejected with ErrNotV2 (sniff with
-// IsV2Header to pick a decoder).
+// *FormatError; anything without the v2 magic, v1 traces included, is
+// rejected with ErrNotV2.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -117,8 +117,8 @@ func OpenReaderAt(ra io.ReaderAt, size int64) (*File, error) {
 	if f.meta.ChunkRecords == 0 || f.meta.ChunkRecords > MaxChunkRecords {
 		return fail("meta", footerOff+indexLen, fmt.Errorf("chunk size %d outside [1, %d]", f.meta.ChunkRecords, MaxChunkRecords))
 	}
-	if f.meta.Records > trace.MaxRecords {
-		return fail("meta", footerOff+indexLen, fmt.Errorf("record count %d exceeds limit %d", f.meta.Records, int64(trace.MaxRecords)))
+	if f.meta.Records > MaxRecords {
+		return fail("meta", footerOff+indexLen, fmt.Errorf("record count %d exceeds limit %d", f.meta.Records, int64(MaxRecords)))
 	}
 
 	// Parse and validate the index: chunks must tile [len(magic), footerOff)

@@ -20,10 +20,11 @@
 //	           u32 crc32c(footer)  magic "BERTIEN2" (28 bytes)
 //
 // All fixed-width fields are little-endian. Each chunk holds up to
-// ChunkRecords records, varint-delta encoded exactly like the v1 format but
-// with the delta state reset at every chunk boundary, so any chunk decodes
-// independently of the others — that independence is what makes the file
-// seekable and the decode pipeline parallel. The index entry's startInstr
+// ChunkRecords records, each encoded as varint(ip delta), varint(addr
+// delta), kind byte, uvarint(NonMemBefore), depdist byte, with the delta
+// state reset at every chunk boundary, so any chunk decodes independently
+// of the others — that independence is what makes the file seekable and
+// the decode pipeline parallel. The index entry's startInstr
 // is the cumulative instruction count (memory records plus their
 // NonMemBefore runs) retired before the chunk's first record; the window
 // engine binary-searches it to fast-forward without decompressing skipped
@@ -53,6 +54,9 @@ const (
 	// MaxChunkRecords bounds ChunkRecords so a corrupt index cannot force
 	// an unbounded per-chunk allocation.
 	MaxChunkRecords = 1 << 20
+	// MaxRecords bounds the record count an (untrusted) container may
+	// claim.
+	MaxRecords = 1 << 31
 	// maxMetaLen bounds the meta block (the workload name is the only
 	// variable-length field).
 	maxMetaLen = 1 << 12
@@ -76,18 +80,15 @@ var (
 // castagnoli is the CRC32-C polynomial (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// HeadMagicLen is the length of the v2 file magic (format sniffing).
+// HeadMagicLen is the length of the v2 file magic (fault injection
+// preserves it so damage lands past the header).
 const HeadMagicLen = len(headMagic)
-
-// IsV2Header reports whether b begins with the v2 container magic.
-func IsV2Header(b []byte) bool {
-	return len(b) >= HeadMagicLen && bytes.Equal(b[:HeadMagicLen], headMagic[:])
-}
 
 // Sentinel causes wrapped in *FormatError by the decoder.
 var (
-	// ErrNotV2 marks a stream that does not start with the v2 magic.
-	ErrNotV2 = errors.New("tracestore: not a v2 trace container")
+	// ErrNotV2 marks a stream that does not start with the v2 magic,
+	// including the retired v1 flat stream.
+	ErrNotV2 = errors.New("tracestore: not a v2 trace container (v1 flat streams are no longer read; regenerate the trace with tracegen)")
 	// ErrBadTrailer marks a missing or damaged trailer.
 	ErrBadTrailer = errors.New("tracestore: bad trailer")
 	// ErrChecksum marks a CRC mismatch (footer or chunk payload).
@@ -152,11 +153,10 @@ type chunkInfo struct {
 // cache package into the storage layer.
 const lineShift = 6
 
-// Writer streams records into a v2 container. It implements trace.Writer;
-// because that interface cannot return errors, write failures are sticky:
-// check Err (or the Close return) after appending. The output writer
-// receives one Write per chunk plus the footer, so wrapping it in a
-// bufio.Writer is unnecessary.
+// Writer streams records into a v2 container. Append cannot return an
+// error, so write failures are sticky: check Err (or the Close return)
+// after appending. The output writer receives one Write per chunk plus the
+// footer, so wrapping it in a bufio.Writer is unnecessary.
 type Writer struct {
 	w      io.Writer
 	off    int64
@@ -200,8 +200,8 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 // Err returns the first write failure (nil while healthy).
 func (w *Writer) Err() error { return w.err }
 
-// Append implements trace.Writer. After a write failure it becomes a no-op;
-// the error is reported by Err and Close.
+// Append adds one record to the container. After a write failure it
+// becomes a no-op; the error is reported by Err and Close.
 func (w *Writer) Append(r trace.Record) {
 	if w.err != nil || w.closed {
 		return

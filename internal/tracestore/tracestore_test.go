@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"github.com/bertisim/berti/internal/trace"
 	"github.com/bertisim/berti/internal/workloads"
@@ -77,8 +80,8 @@ func sameRecords(t *testing.T, want, got []trace.Record, label string) {
 }
 
 // TestRoundTripAllWorkloads checks encode -> stream-decode identity against
-// the in-memory v1 path on every registered seed workload, through both the
-// synchronous and the parallel pipeline.
+// the generated in-memory trace on every registered seed workload, through
+// both the synchronous and the parallel pipeline.
 func TestRoundTripAllWorkloads(t *testing.T) {
 	all := workloads.All()
 	if len(all) == 0 {
@@ -94,17 +97,6 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 			t.Parallel()
 			s := w.Gen(workloads.GenConfig{MemRecords: records, Seed: 42})
 
-			// v1 reference: the in-memory binary codec must agree.
-			var v1 bytes.Buffer
-			if err := trace.Encode(&v1, s); err != nil {
-				t.Fatalf("v1 encode: %v", err)
-			}
-			v1dec, err := trace.Decode(&v1)
-			if err != nil {
-				t.Fatalf("v1 decode: %v", err)
-			}
-			sameRecords(t, s.Records, v1dec.Records, "v1 round trip")
-
 			f := encodeV2(t, s, 1<<10, w.Name)
 			if m := f.Meta(); m.Records != uint64(len(s.Records)) || m.Instructions != s.Instructions() || m.Workload != w.Name {
 				t.Fatalf("meta = %+v, want %d records / %d instructions / %q",
@@ -119,6 +111,67 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 			}
 			sameRecords(t, s.Records, all.Records, "ReadAll")
 		})
+	}
+}
+
+// propertySlice draws n records whose IP and address deltas are small
+// forward steps, negative steps, and now and then a jump to an arbitrary
+// 64-bit value (a delta of any magnitude and sign).
+func propertySlice(n int, seed int64) *trace.Slice {
+	rng := rand.New(rand.NewSource(seed))
+	s := &trace.Slice{}
+	var ip, addr uint64 = 0x400000, 0x10000000
+	for i := 0; i < n; i++ {
+		if rng.Intn(8) == 0 {
+			ip, addr = rng.Uint64(), rng.Uint64()
+		} else {
+			ip += uint64(rng.Intn(64))
+			addr += uint64(rng.Int63n(1<<20)) - 1<<19
+		}
+		k := trace.Load
+		if rng.Intn(4) == 0 {
+			k = trace.Store
+		}
+		nonMem := uint32(rng.Intn(16))
+		if rng.Intn(16) == 0 {
+			nonMem = rng.Uint32()
+		}
+		s.Append(trace.Record{
+			IP: ip, Addr: addr, Kind: k,
+			NonMemBefore: nonMem,
+			DepDist:      uint8(rng.Intn(256)),
+		})
+	}
+	return s
+}
+
+// TestRoundtripProperty: any generated record sequence, the empty one
+// included, survives Write -> OpenBytes -> ReadAll at every chunk framing
+// (property-based via testing/quick).
+func TestRoundtripProperty(t *testing.T) {
+	for _, chunk := range []uint32{1, 7, 0} {
+		roundTrips := func(seed int64, n uint8) bool {
+			s := propertySlice(int(n), seed)
+			var buf bytes.Buffer
+			if err := Write(&buf, s, Meta{ChunkRecords: chunk}); err != nil {
+				return false
+			}
+			f, err := OpenBytes(buf.Bytes())
+			if err != nil {
+				return false
+			}
+			got, err := f.ReadAll()
+			if err != nil || got.Len() != s.Len() {
+				return false
+			}
+			return s.Len() == 0 || reflect.DeepEqual(s.Records, got.Records)
+		}
+		if !roundTrips(1, 0) {
+			t.Fatalf("chunk %d: empty trace did not round-trip", chunk)
+		}
+		if err := quick.Check(roundTrips, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
+		}
 	}
 }
 
@@ -373,11 +426,9 @@ func TestOpenRejectsDamage(t *testing.T) {
 		d[i] ^= 0xff
 		return d
 	}
-	var v1 bytes.Buffer
-	if err := trace.Encode(&v1, s); err != nil {
-		t.Fatal(err)
-	}
-	check("v1 stream", v1.Bytes(), ErrNotV2)
+	// The retired v1 flat stream: its magic, then record bytes.
+	v1 := append([]byte("BERTITR1"), make([]byte, 64)...)
+	check("v1 stream", v1, ErrNotV2)
 	check("bad head magic", mut(0), ErrNotV2)
 	check("bad tail magic", mut(len(valid)-1), ErrBadTrailer)
 	check("damaged index", mut(len(valid)-trailerLen-50), ErrChecksum)
