@@ -47,5 +47,10 @@ bench-gate:
 experiments:
 	go run ./cmd/experiments -all
 
+# Line counts reported in ROADMAP.md and CHANGES.md: non-test Go outside
+# bench/, all Go in bench/, and test Go outside bench/ (the three add up
+# to the whole tree).
 loc:
-	@find . -name '*.go' | xargs wc -l | tail -1
+	@printf 'non-test Go (outside bench/): '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'bench/ Go:                    '; find ./bench -name '*.go' | xargs cat | wc -l
+	@printf 'test Go (outside bench/):     '; find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l

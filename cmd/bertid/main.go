@@ -11,11 +11,14 @@
 // batch as one campaign); the daemon validates them with
 // the harness's typed config errors, dedupes every spec against the
 // content-addressed result store, and queues fresh work in a lease pool
-// that -workers in-process lease workers drain. Every completion is journaled
-// per campaign (append-only, CRC-protected) the moment it finishes, so a
-// killed daemon — SIGKILL included — resumes every in-flight campaign on
-// restart and finishes with a report byte-identical to an uninterrupted
-// run. Live metrics (/metrics, /debug/vars) share the API listener.
+// that -workers in-process lease workers drain. Each campaign's spec list
+// is written to a manifest when it is submitted, and every completion is
+// written to the result store (one file per run, synced before it is
+// renamed into place) the moment it finishes. The store keeps one
+// directory per BERTI_SCALE. From the manifests and the store, a killed
+// daemon — SIGKILL included — resumes every in-flight campaign on restart
+// and finishes with a report byte-identical to an uninterrupted run. Live
+// metrics (/metrics, /debug/vars) share the API listener.
 //
 // bertiworker processes may join any daemon: they take leased batches
 // over POST /api/v1/leases, heartbeat, and push results back through the
@@ -27,8 +30,8 @@
 //
 // The first SIGINT/SIGTERM drains gracefully: new submissions get 503,
 // in-flight simulations stop cooperatively at the engine's next poll
-// stride, journals are already flushed per append, and the process exits
-// 0. A second signal exits immediately.
+// stride, every completed run is already in the result store, and the
+// process exits 0. A second signal exits immediately.
 //
 // Exit codes: 0 clean shutdown; 1 runtime failure; 2 usage error; 130
 // forced exit by a second signal.
@@ -54,7 +57,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address for the API and metrics")
-	dataDir := flag.String("data", "bertid-data", "state root: per-campaign journals + manifests and the content-addressed result store")
+	dataDir := flag.String("data", "bertid-data", "state root: campaign manifests and the content-addressed result store (one directory per scale)")
 	workers := flag.Int("workers", 0, "in-process lease workers, i.e. concurrent simulations (0 = NumCPU)")
 	flag.IntVar(workers, "j", 0, "alias for -workers")
 	corpusDir := flag.String("corpus-dir", "", "cache generated traces here (v2 containers) and stream them from disk")
@@ -90,15 +93,15 @@ func main() {
 	h.Scheduler = sched
 
 	// Bind before recovering: if another daemon already owns the address
-	// (and very likely the data dir), fail fast instead of scanning
-	// journals and re-enqueueing work a live process is mid-way through.
+	// (and very likely the data dir), fail fast instead of reading its
+	// manifests and re-enqueueing work a live process is mid-way through.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bertid:", err)
 		os.Exit(1)
 	}
-	// The roll-up owns OnResult (the server journals through the lease
-	// pool, not the hook). Attach it before server.New starts the
+	// The roll-up owns OnResult (the server stores results through the
+	// lease pool, not the hook). Attach it before server.New starts the
 	// in-process workers, so no run escapes it.
 	var rollup *harness.ProvenanceRollup
 	if h.EnableProvenance {
@@ -153,7 +156,7 @@ func main() {
 		if err := httpServer.Shutdown(ctx); err != nil {
 			log.Printf("http shutdown: %v", err)
 		}
-		log.Print("drained; journals are consistent, campaigns resume on restart")
+		log.Print("drained; completed runs are stored, campaigns resume on restart")
 	case err := <-serveErr:
 		if !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "bertid:", err)

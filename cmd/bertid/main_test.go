@@ -60,7 +60,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	stopRef(os.Interrupt)
 
 	// Life 1: single worker so the campaign takes a while; SIGKILL the
-	// moment the first completion hits the journal.
+	// moment the first completion lands in the result store.
 	data := filepath.Join(dir, "data")
 	cl, stop1 := bootDaemon(t, ctx, bin, env, data, func(cmd *exec.Cmd) {
 		cmd.Args = append(cmd.Args, "-workers", "1")
@@ -72,14 +72,15 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if ack.ID != refAck.ID {
 		t.Fatalf("same sweep, different campaign IDs: %q vs %q", ack.ID, refAck.ID)
 	}
-	journal := filepath.Join(data, "campaigns", ack.ID+".journal")
+	stored := filepath.Join(data, "results", "*", "*.json")
 	for {
-		// Header is line 1, so two newlines mean one journaled completion.
-		if raw, err := os.ReadFile(journal); err == nil && bytes.Count(raw, []byte{'\n'}) >= 2 {
+		// Store.Put renames a finished file into place, so any match is a
+		// complete, durable result.
+		if m, _ := filepath.Glob(stored); len(m) > 0 {
 			break
 		}
 		if ctx.Err() != nil {
-			t.Fatal("no run was journaled before the deadline")
+			t.Fatal("no run was stored before the deadline")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -61,18 +60,6 @@ import (
 	"github.com/bertisim/berti/internal/server"
 	"github.com/bertisim/berti/internal/sim"
 )
-
-// ReportSchemaVersion governs the -json-out shape.
-const ReportSchemaVersion = 1
-
-// campaignReport is the -json-out payload: every completed run, keyed and
-// sorted by the harness memo key so the bytes are deterministic.
-type campaignReport struct {
-	SchemaVersion int              `json:"schema_version"`
-	Scale         harness.Scale    `json:"scale"`
-	Partial       bool             `json:"partial,omitempty"`
-	Runs          []campaign.Entry `json:"runs"`
-}
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
@@ -333,25 +320,21 @@ func noteFailures(h *harness.Harness, metrics *live.Server) int {
 	return failed
 }
 
-// writeReport emits the deterministic campaign report: every memoized
-// completed run sorted by key. An interrupted campaign is marked partial;
-// a completed one (resumed or not) produces byte-identical output for the
-// same scale and run set.
+// writeReport emits the deterministic campaign report (a server.Report
+// with no ID): every memoized completed run sorted by key. An interrupted
+// campaign is marked partial; a completed one (resumed or not) produces
+// byte-identical output for the same scale and run set.
 func writeReport(path string, h *harness.Harness, partial bool) error {
 	results := h.Results()
 	keys := make([]string, 0, len(results))
 	for k := range results {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	rep := campaignReport{
-		SchemaVersion: ReportSchemaVersion,
+	rep := server.Report{
+		SchemaVersion: server.ReportSchemaVersion,
 		Scale:         h.Scale,
 		Partial:       partial,
-		Runs:          make([]campaign.Entry, 0, len(keys)),
-	}
-	for _, k := range keys {
-		rep.Runs = append(rep.Runs, campaign.Entry{Key: k, Result: results[k]})
+		Runs:          server.SortedRuns(h, keys),
 	}
 	f, err := os.Create(path)
 	if err != nil {

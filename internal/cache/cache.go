@@ -76,14 +76,9 @@ type Req struct {
 	IsPrefetch bool
 	// FillLevel is the closest-to-core level this request fills.
 	FillLevel Level
-	// OnDone is invoked once with the cycle at which data is available
-	// to the requester. Nil for writes and fire-and-forget prefetches.
-	OnDone func(cycle uint64)
-	// Sink is the allocation-free alternative to OnDone: when OnDone is
-	// nil and Sink is set, completion is delivered as
-	// Sink.ReqDone(Token, cycle). The engine's hot path uses sinks
-	// exclusively — a closure per request is exactly the allocation this
-	// avoids.
+	// Sink receives the completion as Sink.ReqDone(Token, cycle), with the
+	// cycle at which data is available to the requester. Nil for writes
+	// and fire-and-forget prefetches.
 	Sink DoneSink
 	// Token identifies the request to its Sink (opaque to the cache).
 	Token uint64
@@ -104,8 +99,8 @@ type Req struct {
 	whead, wtail int32
 }
 
-// hasDone reports whether the request carries any completion callback.
-func (r *Req) hasDone() bool { return r.OnDone != nil || r.Sink != nil }
+// hasDone reports whether the request carries a completion sink.
+func (r *Req) hasDone() bool { return r.Sink != nil }
 
 // Lower is the downstream interface of a cache: the next cache level or
 // the DRAM adaptor.
@@ -776,9 +771,9 @@ func (c *Cache) AcceptDemand(r *Req, notBefore uint64) bool {
 		if q.LineAddr == r.LineAddr && !q.IsPrefetch {
 			if r.hasDone() {
 				if !q.hasDone() && q.whead == 0 {
-					q.OnDone, q.Sink, q.Token = r.OnDone, r.Sink, r.Token
+					q.Sink, q.Token = r.Sink, r.Token
 				} else {
-					c.chainWaiter(&q.whead, &q.wtail, r.Sink, r.Token, r.OnDone)
+					c.chainWaiter(&q.whead, &q.wtail, r.Sink, r.Token)
 				}
 			}
 			q.Store = q.Store || r.Store
@@ -808,9 +803,7 @@ func (c *Cache) RQCap() int { return c.cfg.RQSize }
 // completeReq fires the request's own callback and every waiter combined
 // onto it, in arrival order, then releases the chain.
 func (c *Cache) completeReq(r *Req, cycle uint64) {
-	if r.OnDone != nil {
-		r.OnDone(cycle)
-	} else if r.Sink != nil {
+	if r.Sink != nil {
 		r.Sink.ReqDone(r.Token, cycle)
 	}
 	c.fireChain(r.whead, cycle)
@@ -821,7 +814,7 @@ func (c *Cache) completeReq(r *Req, cycle uint64) {
 // onto the MSHR's waiter chain (arrival order preserved).
 func (c *Cache) adoptWaiters(m *mshr, r *Req) {
 	if r.hasDone() {
-		c.chainWaiter(&m.whead, &m.wtail, r.Sink, r.Token, r.OnDone)
+		c.chainWaiter(&m.whead, &m.wtail, r.Sink, r.Token)
 	}
 	c.spliceChain(&m.whead, &m.wtail, r.whead, r.wtail)
 	r.whead, r.wtail = 0, 0

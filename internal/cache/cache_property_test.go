@@ -30,7 +30,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 					if c.AcceptDemand(&Req{
 						LineAddr: line,
 						Store:    rng.Intn(4) == 0,
-						OnDone:   func(uint64) { outstanding-- },
+						Sink:     doneFunc(func(uint64) { outstanding-- }),
 					}, cyc) {
 						outstanding++
 						issued++
@@ -72,7 +72,7 @@ func TestFillInstallsAtMostOneCopy(t *testing.T) {
 		f.tick(cyc)
 		c.Tick(cyc)
 		if cyc%3 == 0 {
-			c.AcceptDemand(&Req{LineAddr: uint64(rng.Intn(64)), OnDone: func(uint64) {}}, cyc)
+			c.AcceptDemand(&Req{LineAddr: uint64(rng.Intn(64)), Sink: doneFunc(func(uint64) {})}, cyc)
 		}
 		if cyc%5 == 0 {
 			c.EnqueuePrefetches([]PrefetchReq{{LineAddr: uint64(rng.Intn(64)), FillLevel: L1D}}, cyc, 0)

@@ -6,6 +6,11 @@ import (
 	"github.com/bertisim/berti/internal/check"
 )
 
+// doneFunc adapts a plain function to DoneSink, ignoring the token.
+type doneFunc func(cycle uint64)
+
+func (f doneFunc) ReqDone(_, cycle uint64) { f(cycle) }
+
 // fakeLower is a scriptable backing store: it responds to reads after a
 // fixed delay and records what it saw.
 type fakeLower struct {
@@ -30,9 +35,7 @@ func (f *fakeLower) AcceptRead(r *Req, cycle uint64) bool {
 	}
 	cp := *r // r points into the sender's ring; copy before retaining
 	f.reads = append(f.reads, &cp)
-	if r.OnDone != nil {
-		f.pending = append(f.pending, pendingResp{at: cycle + f.delay, cb: r.OnDone})
-	} else if r.Sink != nil {
+	if r.Sink != nil {
 		sink, tok := r.Sink, r.Token
 		f.pending = append(f.pending, pendingResp{at: cycle + f.delay, cb: func(cyc uint64) { sink.ReqDone(tok, cyc) }})
 	}
@@ -84,7 +87,7 @@ func TestMissThenHit(t *testing.T) {
 	f := &fakeLower{delay: 10}
 	c := MustNew(testConfig(), f)
 	var done uint64
-	c.AcceptDemand(&Req{LineAddr: 100, OnDone: func(cyc uint64) { done = cyc }}, 0)
+	c.AcceptDemand(&Req{LineAddr: 100, Sink: doneFunc(func(cyc uint64) { done = cyc })}, 0)
 	runCache(c, f, 0, 30)
 	if done == 0 {
 		t.Fatal("miss never completed")
@@ -98,7 +101,7 @@ func TestMissThenHit(t *testing.T) {
 	// Second access: hit at the cache latency.
 	var hitDone uint64
 	start := uint64(40)
-	c.AcceptDemand(&Req{LineAddr: 100, OnDone: func(cyc uint64) { hitDone = cyc }}, start)
+	c.AcceptDemand(&Req{LineAddr: 100, Sink: doneFunc(func(cyc uint64) { hitDone = cyc })}, start)
 	runCache(c, f, 40, 10)
 	if hitDone == 0 || hitDone-start > 5 {
 		t.Fatalf("hit latency wrong: done=%d", hitDone)
@@ -113,7 +116,7 @@ func TestRQLoadCombining(t *testing.T) {
 	c := MustNew(testConfig(), f)
 	calls := 0
 	for i := 0; i < 4; i++ {
-		c.AcceptDemand(&Req{LineAddr: 7, OnDone: func(uint64) { calls++ }}, 0)
+		c.AcceptDemand(&Req{LineAddr: 7, Sink: doneFunc(func(uint64) { calls++ })}, 0)
 	}
 	runCache(c, f, 0, 40)
 	if calls != 4 {
@@ -131,9 +134,9 @@ func TestRQLoadCombining(t *testing.T) {
 func TestMSHRMergeCountsOnce(t *testing.T) {
 	f := &fakeLower{delay: 30}
 	c := MustNew(testConfig(), f)
-	c.AcceptDemand(&Req{LineAddr: 9, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 9, Sink: doneFunc(func(uint64) {})}, 0)
 	runCache(c, f, 0, 3) // primary miss issued, in MSHR now
-	c.AcceptDemand(&Req{LineAddr: 9, OnDone: func(uint64) {}}, 3)
+	c.AcceptDemand(&Req{LineAddr: 9, Sink: doneFunc(func(uint64) {})}, 3)
 	runCache(c, f, 3, 50)
 	if c.Stats.DemandMisses != 1 {
 		t.Fatalf("merged miss counted twice: %d", c.Stats.DemandMisses)
@@ -149,7 +152,7 @@ func TestMSHRFullStalls(t *testing.T) {
 	cfg.MSHRs = 2
 	c := MustNew(cfg, f)
 	for i := uint64(0); i < 4; i++ {
-		c.AcceptDemand(&Req{LineAddr: 100 + i, OnDone: func(uint64) {}}, 0)
+		c.AcceptDemand(&Req{LineAddr: 100 + i, Sink: doneFunc(func(uint64) {})}, 0)
 	}
 	runCache(c, f, 0, 20)
 	if c.MSHROccupancy() != 2 {
@@ -166,14 +169,14 @@ func TestStoreDirtiesAndWritesBack(t *testing.T) {
 	cfg.SizeBytes = 4 * LineSize // tiny: 1 set x 4 ways
 	cfg.Ways = 4
 	c := MustNew(cfg, f)
-	c.AcceptDemand(&Req{LineAddr: 1, Store: true, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 1, Store: true, Sink: doneFunc(func(uint64) {})}, 0)
 	runCache(c, f, 0, 20)
 	if !c.Contains(1) {
 		t.Fatal("store-allocate failed")
 	}
 	// Evict line 1 by filling the set with 4 more lines.
 	for i := uint64(2); i <= 5; i++ {
-		c.AcceptDemand(&Req{LineAddr: i, OnDone: func(uint64) {}}, 20)
+		c.AcceptDemand(&Req{LineAddr: i, Sink: doneFunc(func(uint64) {})}, 20)
 	}
 	runCache(c, f, 20, 60)
 	if c.Contains(1) {
@@ -226,7 +229,7 @@ func TestPrefetchFillAndUsefulHit(t *testing.T) {
 	pf := &fixedPf{target: 200, level: L1D}
 	c.SetPrefetcher(pf)
 	// A demand miss triggers the prefetch of line 200.
-	c.AcceptDemand(&Req{LineAddr: 100, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 100, Sink: doneFunc(func(uint64) {})}, 0)
 	runCache(c, f, 0, 50)
 	if !c.Contains(200) {
 		t.Fatal("prefetched line not installed")
@@ -236,7 +239,7 @@ func TestPrefetchFillAndUsefulHit(t *testing.T) {
 	}
 	// Demand hit on the prefetched line: useful + PrefetchHit event.
 	pf.target = 0
-	c.AcceptDemand(&Req{LineAddr: 200, OnDone: func(uint64) {}}, 60)
+	c.AcceptDemand(&Req{LineAddr: 200, Sink: doneFunc(func(uint64) {})}, 60)
 	runCache(c, f, 60, 10)
 	if c.Stats.PrefUseful != 1 {
 		t.Fatalf("PrefUseful = %d", c.Stats.PrefUseful)
@@ -252,11 +255,11 @@ func TestLatePrefetchMergesAndPromotes(t *testing.T) {
 	c := MustNew(testConfig(), f)
 	pf := &fixedPf{target: 300, level: L1D}
 	c.SetPrefetcher(pf)
-	c.AcceptDemand(&Req{LineAddr: 100, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 100, Sink: doneFunc(func(uint64) {})}, 0)
 	runCache(c, f, 0, 10) // prefetch of 300 in flight
 	pf.target = 0
 	var done uint64
-	c.AcceptDemand(&Req{LineAddr: 300, OnDone: func(cyc uint64) { done = cyc }}, 10)
+	c.AcceptDemand(&Req{LineAddr: 300, Sink: doneFunc(func(cyc uint64) { done = cyc })}, 10)
 	runCache(c, f, 10, 100)
 	if done == 0 {
 		t.Fatal("merged demand never completed")
@@ -280,7 +283,7 @@ func TestPrefetchFillBelowDoesNotInstall(t *testing.T) {
 	c := MustNew(testConfig(), f) // level L1D
 	pf := &fixedPf{target: 400, level: L2}
 	c.SetPrefetcher(pf)
-	c.AcceptDemand(&Req{LineAddr: 100, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 100, Sink: doneFunc(func(uint64) {})}, 0)
 	runCache(c, f, 0, 40)
 	if c.Contains(400) {
 		t.Fatal("fill-L2 prefetch must not install at L1D")
@@ -340,8 +343,8 @@ func TestDemandPriorityInRQ(t *testing.T) {
 	var pfDone, demDone uint64
 	// Prefetch read (with response) enqueued first, demand second.
 	c.AcceptRead(&Req{LineAddr: 1, IsPrefetch: true, FillLevel: L1D,
-		OnDone: func(cyc uint64) { pfDone = cyc }}, 0)
-	c.AcceptRead(&Req{LineAddr: 2, OnDone: func(cyc uint64) { demDone = cyc }}, 0)
+		Sink: doneFunc(func(cyc uint64) { pfDone = cyc })}, 0)
+	c.AcceptRead(&Req{LineAddr: 2, Sink: doneFunc(func(cyc uint64) { demDone = cyc })}, 0)
 	runCache(c, f, 1, 40)
 	if demDone == 0 || pfDone == 0 {
 		t.Fatal("requests incomplete")
@@ -359,15 +362,15 @@ func TestSRRIPVictimSelection(t *testing.T) {
 	f := &fakeLower{delay: 1}
 	c := MustNew(cfg, f)
 	for i := uint64(1); i <= 4; i++ {
-		c.AcceptDemand(&Req{LineAddr: i, OnDone: func(uint64) {}}, 0)
+		c.AcceptDemand(&Req{LineAddr: i, Sink: doneFunc(func(uint64) {})}, 0)
 	}
 	runCache(c, f, 0, 30)
 	// Re-touch lines 1 and 2 (rrpv -> 0).
-	c.AcceptDemand(&Req{LineAddr: 1, OnDone: func(uint64) {}}, 30)
-	c.AcceptDemand(&Req{LineAddr: 2, OnDone: func(uint64) {}}, 30)
+	c.AcceptDemand(&Req{LineAddr: 1, Sink: doneFunc(func(uint64) {})}, 30)
+	c.AcceptDemand(&Req{LineAddr: 2, Sink: doneFunc(func(uint64) {})}, 30)
 	runCache(c, f, 30, 10)
 	// A new line should evict 3 or 4, not the recently-touched ones.
-	c.AcceptDemand(&Req{LineAddr: 9, OnDone: func(uint64) {}}, 45)
+	c.AcceptDemand(&Req{LineAddr: 9, Sink: doneFunc(func(uint64) {})}, 45)
 	runCache(c, f, 45, 30)
 	if !c.Contains(1) || !c.Contains(2) {
 		t.Fatal("SRRIP evicted a recently re-referenced line")
@@ -377,7 +380,7 @@ func TestSRRIPVictimSelection(t *testing.T) {
 func TestResetStatsKeepsContents(t *testing.T) {
 	f := &fakeLower{delay: 5}
 	c := MustNew(testConfig(), f)
-	c.AcceptDemand(&Req{LineAddr: 77, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 77, Sink: doneFunc(func(uint64) {})}, 0)
 	runCache(c, f, 0, 20)
 	c.ResetStats()
 	if c.Stats.DemandMisses != 0 {
@@ -394,7 +397,7 @@ func TestDrained(t *testing.T) {
 	if !c.Drained() {
 		t.Fatal("fresh cache should be drained")
 	}
-	c.AcceptDemand(&Req{LineAddr: 1, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 1, Sink: doneFunc(func(uint64) {})}, 0)
 	if c.Drained() {
 		t.Fatal("pending request should block Drained")
 	}
@@ -484,7 +487,7 @@ func TestCheckInvariantsCleanAndCorrupt(t *testing.T) {
 func TestFillDoesNotDuplicateResidentLine(t *testing.T) {
 	f := &fakeLower{delay: 30}
 	c := MustNew(testConfig(), f)
-	c.AcceptDemand(&Req{LineAddr: 500, OnDone: func(uint64) {}}, 0)
+	c.AcceptDemand(&Req{LineAddr: 500, Sink: doneFunc(func(uint64) {})}, 0)
 	runCache(c, f, 0, 5) // miss issued; the MSHR is in flight
 	if !c.AcceptWrite(&Req{LineAddr: 500, Store: true}, 5) {
 		t.Fatal("writeback refused")
@@ -512,7 +515,7 @@ func TestCheckInvariantsMSHRIndex(t *testing.T) {
 		f := &fakeLower{delay: 1_000}
 		c := MustNew(testConfig(), f)
 		for i := uint64(0); i < 3; i++ {
-			c.AcceptDemand(&Req{LineAddr: 100 + i, OnDone: func(uint64) {}}, 0)
+			c.AcceptDemand(&Req{LineAddr: 100 + i, Sink: doneFunc(func(uint64) {})}, 0)
 		}
 		runCache(c, f, 0, 5)
 		c.ReqDone(101, 900) // data arrives far ahead: ready, not yet filled

@@ -9,9 +9,8 @@ package cache
 // requester registers itself once (an interface header, no allocation) and
 // demultiplexes completions by token. Tokens are opaque to the cache — the
 // core encodes ROB slots and store record indices, a cache level encodes
-// the missing line address. Closure-style completion (Req.OnDone) remains
-// supported for tests and ad-hoc callers; the simulation engine uses sinks
-// exclusively so issuing a request allocates nothing.
+// the missing line address. Issuing a request therefore allocates
+// nothing.
 type DoneSink interface {
 	// ReqDone delivers the completion for the request identified by token;
 	// cycle is when the data is available to the requester.
@@ -25,7 +24,6 @@ type DoneSink interface {
 type waiterNode struct {
 	sink  DoneSink
 	token uint64
-	fn    func(cycle uint64)
 	next  int32 // index+1 of the next node; 0 terminates
 }
 
@@ -44,26 +42,23 @@ func (c *Cache) allocWaiter() int32 {
 // freeWaiter returns one node to the free list.
 func (c *Cache) freeWaiter(id int32) {
 	w := &c.wpool[id-1]
-	w.sink, w.fn = nil, nil
+	w.sink = nil
 	w.next = c.wfree
 	c.wfree = id
 }
 
 // notifyWaiter fires one node's completion.
 func (c *Cache) notifyWaiter(id int32, cycle uint64) {
-	w := &c.wpool[id-1]
-	if w.fn != nil {
-		w.fn(cycle)
-	} else if w.sink != nil {
+	if w := &c.wpool[id-1]; w.sink != nil {
 		w.sink.ReqDone(w.token, cycle)
 	}
 }
 
-// chainWaiter appends a callback to the chain rooted at (*head, *tail).
-func (c *Cache) chainWaiter(head, tail *int32, sink DoneSink, token uint64, fn func(uint64)) {
+// chainWaiter appends a completion to the chain rooted at (*head, *tail).
+func (c *Cache) chainWaiter(head, tail *int32, sink DoneSink, token uint64) {
 	id := c.allocWaiter()
 	w := &c.wpool[id-1]
-	w.sink, w.token, w.fn, w.next = sink, token, fn, 0
+	w.sink, w.token, w.next = sink, token, 0
 	if *tail != 0 {
 		c.wpool[*tail-1].next = id
 	} else {

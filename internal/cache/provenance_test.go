@@ -57,12 +57,12 @@ func TestProvenanceLateFillRacesDemandAtL2(t *testing.T) {
 
 	pf := &fixedPf{target: 300, level: L2}
 	c1.SetPrefetcher(pf)
-	c1.AcceptDemand(&Req{LineAddr: 100, OnDone: func(uint64) {}}, 0)
+	c1.AcceptDemand(&Req{LineAddr: 100, Sink: doneFunc(func(uint64) {})}, 0)
 	tickChain(c1, c2, f, 0, 10) // prefetch of 300 now in flight below L2
 	pf.target = 0
 
 	var done uint64
-	c1.AcceptDemand(&Req{LineAddr: 300, OnDone: func(cyc uint64) { done = cyc }}, 10)
+	c1.AcceptDemand(&Req{LineAddr: 300, Sink: doneFunc(func(cyc uint64) { done = cyc })}, 10)
 	tickChain(c1, c2, f, 10, 200)
 	if done == 0 {
 		t.Fatal("demand racing the prefetch never completed")
@@ -159,7 +159,7 @@ func TestProvenanceUselessDemandEvictionMultiLevel(t *testing.T) {
 
 	pf := &fixedPf{target: 300, level: L1D}
 	c1.SetPrefetcher(pf)
-	c1.AcceptDemand(&Req{LineAddr: 100, OnDone: func(uint64) {}}, 0)
+	c1.AcceptDemand(&Req{LineAddr: 100, Sink: doneFunc(func(uint64) {})}, 0)
 	tickChain(c1, c2, f, 0, 40)
 	pf.target = 0
 	if !c1.Contains(300) || !c2.Contains(300) {
@@ -169,7 +169,7 @@ func TestProvenanceUselessDemandEvictionMultiLevel(t *testing.T) {
 	// Fill the single L1D set with younger demand lines until the
 	// prefetched line is the LRU victim.
 	for i := uint64(1); i <= 4; i++ {
-		c1.AcceptDemand(&Req{LineAddr: 400 + i, OnDone: func(uint64) {}}, 40)
+		c1.AcceptDemand(&Req{LineAddr: 400 + i, Sink: doneFunc(func(uint64) {})}, 40)
 	}
 	tickChain(c1, c2, f, 40, 80)
 	if c1.Contains(300) {

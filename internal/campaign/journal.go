@@ -38,6 +38,9 @@ const Magic = "berti-campaign"
 // Version is the journal format version this package writes.
 const Version = 1
 
+// JournalExt is the conventional file extension for a journal.
+const JournalExt = ".journal"
+
 // crcTable is the Castagnoli polynomial, shared with the tracestore.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -270,9 +273,6 @@ func (j *Journal) Err() error {
 	defer j.mu.Unlock()
 	return j.err
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Scale returns the scale the journal was recorded at.
 func (j *Journal) Scale() harness.Scale { return j.scale }

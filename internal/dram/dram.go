@@ -77,12 +77,8 @@ type Request struct {
 	// IsPrefetch demotes the request below all demand reads in the
 	// scheduler (real controllers prioritize demand traffic).
 	IsPrefetch bool
-	// OnComplete is invoked with the cycle at which the data transfer
-	// finishes (nil for writes, which are posted).
-	OnComplete func(doneCycle uint64)
-	// Sink/Token are the allocation-free completion path used when
-	// OnComplete is nil: the transfer finishing calls
-	// Sink.ReqDone(Token, doneCycle).
+	// Sink/Token receive the completion: the transfer finishing calls
+	// Sink.ReqDone(Token, doneCycle). Nil for writes, which are posted.
 	Sink         DoneSink
 	Token        uint64
 	enqueueCycle uint64
@@ -104,7 +100,6 @@ type transfer struct {
 	eligible uint64 // cycle the bank has the data ready
 	write    bool
 	prefetch bool
-	onDone   func(uint64)
 	sink     DoneSink
 	token    uint64
 }
@@ -146,11 +141,9 @@ func (c *Channel) decode(lineAddr uint64) (bankIdx int, row uint64) {
 	return bankIdx, row
 }
 
-// complete fires a read's completion callback (closure or sink).
-func complete(onDone func(uint64), sink DoneSink, token, cycle uint64) {
-	if onDone != nil {
-		onDone(cycle)
-	} else if sink != nil {
+// complete fires a read's completion, if it has a sink.
+func complete(sink DoneSink, token, cycle uint64) {
+	if sink != nil {
 		sink.ReqDone(token, cycle)
 	}
 }
@@ -162,7 +155,7 @@ func (c *Channel) EnqueueRead(r *Request, cycle uint64) bool {
 	// is serviced immediately from the WQ data.
 	for i, n := 0, c.wq.Len(); i < n; i++ {
 		if c.wq.At(i).LineAddr == r.LineAddr {
-			complete(r.OnComplete, r.Sink, r.Token, cycle+1)
+			complete(r.Sink, r.Token, cycle+1)
 			return true
 		}
 	}
@@ -256,7 +249,7 @@ func (c *Channel) serveBus(cycle uint64) {
 		done := start + c.cfg.BurstCycles
 		c.busFree = done
 		c.Stats.BusyCycles += c.cfg.BurstCycles
-		complete(t.onDone, t.sink, t.token, done)
+		complete(t.sink, t.token, done)
 	}
 }
 
@@ -328,7 +321,6 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 		lineAddr: r.LineAddr,
 		eligible: ready,
 		prefetch: r.IsPrefetch,
-		onDone:   r.OnComplete,
 		sink:     r.Sink,
 		token:    r.Token,
 	})

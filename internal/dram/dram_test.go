@@ -4,6 +4,11 @@ import (
 	"testing"
 )
 
+// doneFunc adapts a plain function to DoneSink, ignoring the token.
+type doneFunc func(doneCycle uint64)
+
+func (f doneFunc) ReqDone(_, doneCycle uint64) { f(doneCycle) }
+
 // collect runs the channel until the request completes, returning the
 // completion cycle.
 func collect(t *testing.T, c *Channel, start uint64, line uint64, pf bool) uint64 {
@@ -12,7 +17,7 @@ func collect(t *testing.T, c *Channel, start uint64, line uint64, pf bool) uint6
 	ok := c.EnqueueRead(&Request{
 		LineAddr:   line,
 		IsPrefetch: pf,
-		OnComplete: func(cyc uint64) { done = cyc },
+		Sink:       doneFunc(func(cyc uint64) { done = cyc }),
 	}, start)
 	if !ok {
 		t.Fatal("enqueue refused")
@@ -77,7 +82,7 @@ func TestWriteForwarding(t *testing.T) {
 		t.Fatal("write refused")
 	}
 	var done uint64
-	c.EnqueueRead(&Request{LineAddr: 42, OnComplete: func(cyc uint64) { done = cyc }}, 5)
+	c.EnqueueRead(&Request{LineAddr: 42, Sink: doneFunc(func(cyc uint64) { done = cyc })}, 5)
 	if done != 6 {
 		t.Fatalf("read matching queued write should forward immediately, done=%d", done)
 	}
@@ -113,16 +118,16 @@ func TestDemandPriorityOverPrefetch(t *testing.T) {
 		c.EnqueueRead(&Request{
 			LineAddr:   i,
 			IsPrefetch: true,
-			OnComplete: func(cyc uint64) {
+			Sink: doneFunc(func(cyc uint64) {
 				if last {
 					pfDone = cyc
 				}
-			},
+			}),
 		}, 0)
 	}
 	c.EnqueueRead(&Request{
-		LineAddr:   uint64(cfg.Banks) * linesPerRow * 7,
-		OnComplete: func(cyc uint64) { demDone = cyc },
+		LineAddr: uint64(cfg.Banks) * linesPerRow * 7,
+		Sink:     doneFunc(func(cyc uint64) { demDone = cyc }),
 	}, 0)
 	for cyc := uint64(0); cyc < 100000 && (pfDone == 0 || demDone == 0); cyc++ {
 		c.Tick(cyc)

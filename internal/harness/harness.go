@@ -184,14 +184,9 @@ func (p RetryPolicy) delay(key string, attempt int) time.Duration {
 	return d
 }
 
-// Delay exposes the deterministic backoff schedule: the sleep before
-// retry number attempt (1-based) for the given identity key. The
-// distributed transport layer shares this discipline so an HTTP client's
-// retries are as reproducible as the harness's own.
-func (p RetryPolicy) Delay(key string, attempt int) time.Duration { return p.delay(key, attempt) }
-
-// Sleep blocks for Delay(key, attempt), aborting early when ctx fires, and
-// reports whether the retry should proceed (false = ctx cancelled).
+// Sleep blocks for the backoff before retry number attempt (1-based) of
+// the given identity key, aborting early when ctx fires, and reports
+// whether the retry should proceed (false = ctx cancelled).
 func (p RetryPolicy) Sleep(ctx context.Context, key string, attempt int) bool {
 	return p.backoff(ctx, key, attempt)
 }

@@ -4,27 +4,25 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
 
-	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/harness"
 )
 
 // ManifestSchemaVersion governs the on-disk manifest shape.
 const ManifestSchemaVersion = 1
 
-// ManifestExt is the manifest file suffix, next to each ".journal".
+// ManifestExt is the manifest file suffix in DataDir/campaigns.
 const ManifestExt = ".manifest.json"
 
-// Manifest records what a campaign IS — its full spec list — next to the
-// journal, which records what has FINISHED. The journal alone cannot
-// resume a campaign after a daemon restart: results computed for another
-// campaign (and deduped via the store) never hit this journal, and pending
-// specs appear nowhere. Manifest + journal + store together reconstruct
-// exact progress.
+// Manifest records what a campaign IS — its full spec list. What has
+// FINISHED lives in the result store, shared by every campaign at the same
+// scale, so a restarted daemon reconstructs exact progress from the two:
+// each manifest spec the store holds is done, the rest re-enter the queue.
 type Manifest struct {
 	SchemaVersion int               `json:"schema_version"`
 	ID            string            `json:"id"`
@@ -45,12 +43,27 @@ func CampaignID(scale harness.Scale, specs []harness.RunSpec) string {
 	}
 	sort.Strings(keys)
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%d|%d|%d\x00", scale.Name, scale.MemRecords, scale.WarmupInstr, scale.SimInstr)
+	h.Write([]byte(scaleIdentity(scale)))
+	h.Write([]byte{0})
 	for _, k := range keys {
 		h.Write([]byte(k))
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// scaleIdentity is the part of a scale that decides a run's result: memo
+// keys do not encode it, so campaign IDs and store directories do.
+func scaleIdentity(scale harness.Scale) string {
+	return fmt.Sprintf("%s|%d|%d|%d", scale.Name, scale.MemRecords, scale.WarmupInstr, scale.SimInstr)
+}
+
+// scaleDir names the result store directory for one scale: 16 hex
+// characters of the SHA-256 of scaleIdentity. Results at different scales
+// never share a directory, so a daemon cannot report another scale's run.
+func scaleDir(scale harness.Scale) string {
+	sum := sha256.Sum256([]byte(scaleIdentity(scale)))
+	return hex.EncodeToString(sum[:])[:16]
 }
 
 // dedupeSpecs drops repeated keys, keeping first occurrence order.
@@ -90,10 +103,10 @@ func readManifest(path string) (*Manifest, error) {
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("server: manifest %s: %w", path, err)
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	if m.SchemaVersion != ManifestSchemaVersion || m.ID == "" || len(m.Specs) == 0 {
-		return nil, fmt.Errorf("server: manifest %s: missing or unsupported fields", path)
+		return nil, errors.New("missing or unsupported fields")
 	}
 	return &m, nil
 }
@@ -108,17 +121,17 @@ type failedRun struct {
 // counters move per key (noteKeyDone, noteKeyFailed), fed by enqueue and
 // by the pool's completion paths, acceptEntry and acceptFailure.
 type campaignState struct {
-	id      string
-	name    string
-	specs   []harness.RunSpec
-	keys    map[string]bool // memo keys of every spec (OnResult fan-out filter)
-	journal *campaign.Journal
+	id    string
+	name  string
+	specs []harness.RunSpec
+	keys  map[string]bool // memo keys of every spec (completion fan-out filter)
 
 	mu        sync.Mutex
 	remaining int // specs not yet completed or failed (cancelled stay remaining)
 	completed int
 	doneK     map[string]bool // keys already counted via noteKeyDone/noteKeyFailed
 	failed    []failedRun
+	storeErr  string // first result-store write failure for one of keys
 	finished  bool
 	done      chan struct{}          // closed when remaining hits zero
 	subs      map[chan struct{}]bool // stream subscribers poked on every change
@@ -129,7 +142,7 @@ type campaignState struct {
 // registration, and a pessimistic start means a completion arriving
 // before enqueue runs simply decrements early instead of corrupting
 // counters that have not been assigned yet.
-func newCampaignState(id, name string, specs []harness.RunSpec, j *campaign.Journal) *campaignState {
+func newCampaignState(id, name string, specs []harness.RunSpec) *campaignState {
 	keys := make(map[string]bool, len(specs))
 	for _, s := range specs {
 		keys[s.Key()] = true
@@ -139,7 +152,6 @@ func newCampaignState(id, name string, specs []harness.RunSpec, j *campaign.Jour
 		name:      name,
 		specs:     specs,
 		keys:      keys,
-		journal:   j,
 		remaining: len(keys),
 		doneK:     map[string]bool{},
 		done:      make(chan struct{}),
@@ -176,6 +188,17 @@ func (c *campaignState) noteKeyFailed(key, msg string) {
 	c.remaining--
 	c.maybeFinishLocked()
 	c.notifyLocked()
+	c.mu.Unlock()
+}
+
+// noteStoreErr keeps the first result-store write failure for the status
+// document. Callers note it before the key's noteKeyDone, so the terminal
+// status already carries it.
+func (c *campaignState) noteStoreErr(err error) {
+	c.mu.Lock()
+	if c.storeErr == "" {
+		c.storeErr = err.Error()
+	}
 	c.mu.Unlock()
 }
 
@@ -230,6 +253,7 @@ func (c *campaignState) status() *CampaignStatus {
 		Total:         len(c.specs),
 		Completed:     c.completed,
 		Failed:        len(c.failed),
+		StoreError:    c.storeErr,
 	}
 	if c.finished {
 		st.State = StateDone

@@ -24,8 +24,9 @@ var ErrLeaseLost = errors.New("server: lease expired or reassigned")
 
 // Client speaks a bertid daemon's HTTP API. The thin client runs a whole
 // batch as one campaign (Batch: Submit, WaitCampaign, Report), so a local
-// harness keeps its memoization, journaling, and metrics while every
-// actual simulation happens on the daemon. The same client carries the
+// harness keeps its memoization, its OnResult hooks (a local journal,
+// metrics), and its reports while every actual simulation happens on the
+// daemon. The same client carries the
 // worker protocol (AcquireLease / Heartbeat / PushResults).
 //
 // Every request runs under Retry: transport errors and transient HTTP
@@ -176,7 +177,9 @@ func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
 	return data, nil
 }
 
-// WaitCampaign polls a campaign until it leaves the running state.
+// WaitCampaign polls a campaign until it leaves the running state. The
+// returned status carries StoreError when the daemon failed to persist
+// one of the campaign's results.
 func (c *Client) WaitCampaign(ctx context.Context, id string) (*CampaignStatus, error) {
 	delay := c.PollInterval
 	if delay <= 0 {
@@ -219,8 +222,8 @@ func (e *ScaleMismatchError) Error() string {
 
 // Batch runs specs on the daemon as one campaign (Submit, WaitCampaign,
 // Report) and lands every reported run in h as a local run would land:
-// SeedResult memoizes it and OnResult fires, so journals, live metrics
-// and provenance roll-ups see it. Each failed run is recorded with
+// SeedResult memoizes it and OnResult fires, so a local journal, live
+// metrics and provenance roll-ups see it. Each failed run is recorded with
 // h.RecordFailure. Specs h already holds are not sent. A daemon at
 // another scale yields a *ScaleMismatchError and lands nothing.
 func (c *Client) Batch(ctx context.Context, h *harness.Harness, specs []harness.RunSpec) error {

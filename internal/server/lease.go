@@ -348,13 +348,15 @@ func (p *leasePool) workerStatuses() []WorkerStatus {
 // acceptEntry lands one result, pushed by a remote worker or produced by
 // an in-process one: the pool decides its fate (the single authority on
 // first-vs-duplicate), and only a first completion touches the store, the
-// memo cache, the journals, and the campaign counters. Returns
-// "accepted", "duplicate", or "unknown".
+// memo cache, and the campaign counters. A store write failure is logged
+// and noted on every interested campaign's status. Returns "accepted",
+// "duplicate", or "unknown".
 func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 	fresh, known := s.pool.finish(worker, key)
 	if fresh {
-		if err := s.store.Put(key, r); err != nil {
-			s.logf("server: result store: %v", err)
+		putErr := s.store.Put(key, r)
+		if putErr != nil {
+			s.logf("%v", putErr)
 		}
 		s.h.SeedResult(key, r)
 		s.live.RunCompleted()
@@ -367,7 +369,9 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 		}
 		s.mu.Unlock()
 		for _, c := range interested {
-			_ = c.journal.Append(key, r)
+			if putErr != nil {
+				c.noteStoreErr(putErr)
+			}
 			c.noteKeyDone(key)
 		}
 		return "accepted"
@@ -509,8 +513,8 @@ func (s *Server) handleLeaseHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // handleLeaseResults lands a worker's push. Deliberately lenient: results
 // are accepted even for an expired or unknown lease (the computation is
-// real regardless of the lease's fate) and during a drain (write-through
-// journals make every landed result crash-safe) — the per-entry
+// real regardless of the lease's fate) and during a drain (the result
+// store makes every landed result crash-safe) — the per-entry
 // accounting in the response says what actually happened.
 func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

@@ -72,7 +72,7 @@ type RunFailure struct {
 }
 
 // ResultsRequest is the POST /api/v1/leases/{id}/results body. Entries
-// reuse the journal's {key, result} shape. The push is idempotent: every
+// reuse the result store's {key, result} shape. The push is idempotent: every
 // entry is accepted no matter the lease's fate, and re-completions are
 // deduped, never double-counted.
 type ResultsRequest struct {

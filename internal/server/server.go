@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,9 +23,8 @@ import (
 // APISchemaVersion governs every JSON document the HTTP API serves.
 const APISchemaVersion = 1
 
-// ReportSchemaVersion governs the campaign report document. It matches the
-// cmd/experiments -json-out shape (schema, scale, runs sorted by key) with
-// the campaign identity added.
+// ReportSchemaVersion governs the campaign report document, which the
+// daemon serves and cmd/experiments -json-out writes.
 const ReportSchemaVersion = 1
 
 // Options configures a Server.
@@ -34,9 +34,9 @@ type Options struct {
 	// installs no OnResult hook; set one of your own before New starts
 	// the workers.
 	Harness *harness.Harness
-	// DataDir is the daemon's state root (required): per-campaign journals
-	// and manifests live in DataDir/campaigns, the content-addressed result
-	// store in DataDir/results.
+	// DataDir is the daemon's state root (required): campaign manifests
+	// live in DataDir/campaigns, the content-addressed result store in
+	// DataDir/results/<scale dir>, one directory per harness scale.
 	DataDir string
 	// Live receives run counters and serves /metrics; a listener-less one
 	// is created when nil.
@@ -59,8 +59,8 @@ type Options struct {
 // Server is the campaign service: it admits experiment specs over HTTP,
 // dedupes them against everything ever computed (memo cache, result store,
 // lease pool), hands fresh work to in-process and remote lease workers,
-// and journals every completion so a killed daemon resumes every
-// in-flight campaign on restart.
+// and stores every completion durably so a killed daemon resumes every
+// in-flight campaign on restart from its manifest and the result store.
 type Server struct {
 	h       *harness.Harness
 	live    *live.Server
@@ -81,9 +81,10 @@ type Server struct {
 	draining  bool
 }
 
-// New builds the server: opens the result store, recovers every on-disk
-// campaign (journals seeded, unfinished specs re-enqueued), and starts the
-// in-process lease workers. Mount Handler on an HTTP listener to serve it.
+// New builds the server: opens the result store for the harness's scale,
+// recovers every on-disk campaign (unfinished specs re-enqueued), and
+// starts the in-process lease workers. Mount Handler on an HTTP listener
+// to serve it.
 func New(opts Options) (*Server, error) {
 	if opts.Harness == nil {
 		return nil, errors.New("server: Options.Harness is required")
@@ -91,7 +92,7 @@ func New(opts Options) (*Server, error) {
 	if opts.DataDir == "" {
 		return nil, errors.New("server: Options.DataDir is required")
 	}
-	store, err := NewStore(filepath.Join(opts.DataDir, "results"))
+	store, err := NewStore(filepath.Join(opts.DataDir, "results", scaleDir(opts.Harness.Scale)))
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +138,8 @@ func New(opts Options) (*Server, error) {
 // acceptEntry or acceptFailure, the same finish-gated path a remote push
 // takes. Idle, it blocks on the pool's wake channel, taken before acquire
 // so a spec added in between still wakes it. A drain cancels the run and
-// leaves its spec leased; the manifest and journal resume it next life.
+// leaves its spec leased; the manifest and result store resume it next
+// life.
 func (s *Server) localWorker(id string) {
 	defer s.workerWG.Done()
 	for s.runCtx.Err() == nil {
@@ -167,34 +169,29 @@ func (s *Server) localWorker(id string) {
 	}
 }
 
-// recover rebuilds every on-disk campaign after a restart: journals are
-// scanned (torn tails repaired), their entries and the result store seed
-// the memo cache, and whatever is still unfinished re-enters the queue.
+// recover rebuilds every on-disk campaign after a restart. Each manifest
+// names a campaign's specs; enqueue counts the ones the result store
+// already holds and re-queues the rest. A manifest that does not load, or
+// was written at another scale, is skipped with a log line.
 func (s *Server) recover() error {
-	scanned, err := campaign.ScanDir(s.campDir)
+	entries, err := os.ReadDir(s.campDir)
 	if err != nil {
-		return fmt.Errorf("server: scanning %s: %w", s.campDir, err)
+		return fmt.Errorf("server: %w", err)
 	}
-	for _, e := range scanned {
-		if e.Err != nil {
-			s.logf("server: skipping campaign %s: %v", e.ID, e.Err)
+	for _, de := range entries {
+		if !strings.HasSuffix(de.Name(), ManifestExt) {
 			continue
 		}
-		m, err := readManifest(filepath.Join(s.campDir, e.ID+ManifestExt))
+		m, err := readManifest(filepath.Join(s.campDir, de.Name()))
 		if err != nil {
-			s.logf("server: skipping campaign %s: no usable manifest: %v", e.ID, err)
+			s.logf("server: skipping campaign manifest %s: %v", de.Name(), err)
 			continue
 		}
-		if e.Journal.Scale() != s.h.Scale {
-			s.logf("server: skipping campaign %s: journal scale %q, daemon runs %q",
-				e.ID, e.Journal.Scale().Name, s.h.Scale.Name)
+		if m.Scale != s.h.Scale {
+			s.logf("server: skipping campaign %s: manifest scale %+v, daemon runs %+v", m.ID, m.Scale, s.h.Scale)
 			continue
 		}
-		if d := e.Journal.Dropped(); d > 0 {
-			s.logf("server: campaign %s: truncated %d damaged tail record(s); those runs re-execute", e.ID, d)
-		}
-		c := newCampaignState(m.ID, m.Name, m.Specs, e.Journal)
-		e.Journal.Seed(s.h)
+		c := newCampaignState(m.ID, m.Name, m.Specs)
 		s.mu.Lock()
 		s.campaigns[c.id] = c
 		s.mu.Unlock()
@@ -238,8 +235,8 @@ func (s *Server) enqueue(c *campaignState) {
 
 // Drain stops the service gracefully: new submissions get 503, the run
 // context is cancelled so in-flight simulations stop cooperatively at the
-// engine's next poll stride, every completed run is already journaled and
-// flushed (Journal.Append is write-through), and the in-process workers
+// engine's next poll stride, every completed run is already in the result
+// store (Store.Put syncs before it renames), and the in-process workers
 // exit. Idempotent; returns once every worker has stopped.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
@@ -322,19 +319,40 @@ type CampaignStatus struct {
 	Total         int    `json:"total"`
 	Completed     int    `json:"completed"`
 	Failed        int    `json:"failed"`
+	// StoreError is the first result-store write failure for any of the
+	// campaign's keys. Those results are served this daemon life but
+	// re-execute after a restart.
+	StoreError string `json:"store_error,omitempty"`
 }
 
 // Report is the final campaign document: every completed run sorted by
 // memo key. For one campaign it is byte-identical whether the campaign ran
 // uninterrupted or across any number of daemon restarts — the CI
-// campaign-server job enforces exactly that.
+// campaign-server job enforces exactly that. cmd/experiments -json-out
+// writes the same document with no ID, marking an interrupted batch
+// Partial.
 type Report struct {
 	SchemaVersion int              `json:"schema_version"`
-	ID            string           `json:"id"`
+	ID            string           `json:"id,omitempty"`
 	Name          string           `json:"name,omitempty"`
 	Scale         harness.Scale    `json:"scale"`
+	Partial       bool             `json:"partial,omitempty"`
 	Runs          []campaign.Entry `json:"runs"`
 	Failed        []failedRun      `json:"failed,omitempty"`
+}
+
+// SortedRuns sorts keys in place and resolves each through h's memo
+// cache; keys without a memoized result are left out. Every Report lists
+// its runs this way.
+func SortedRuns(h *harness.Harness, keys []string) []campaign.Entry {
+	sort.Strings(keys)
+	runs := make([]campaign.Entry, 0, len(keys))
+	for _, k := range keys {
+		if r, ok := h.ResultFor(k); ok {
+			runs = append(runs, campaign.Entry{Key: k, Result: r})
+		}
+	}
+	return runs
 }
 
 // apiError is every non-2xx JSON body. Field/Name carry the typed
@@ -420,15 +438,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("daemon is draining; not admitting new campaigns"))
 		return
 	}
-	// Register under the lock so a concurrent identical submission attaches
-	// to this campaign instead of racing the on-disk artifacts.
-	j, err := s.createCampaignArtifacts(id, req.Name, specs)
-	if err != nil {
+	// Write the manifest and register under the lock, so a concurrent
+	// identical submission attaches to this campaign instead of racing the
+	// file, and the campaign is never visible without its manifest.
+	m := &Manifest{SchemaVersion: ManifestSchemaVersion, ID: id, Name: req.Name, Scale: s.h.Scale, Specs: specs}
+	if err := writeManifest(filepath.Join(s.campDir, id+ManifestExt), m); err != nil {
 		s.mu.Unlock()
-		writeErr(w, http.StatusInternalServerError, err)
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("writing manifest: %w", err))
 		return
 	}
-	c := newCampaignState(id, req.Name, specs, j)
+	c := newCampaignState(id, req.Name, specs)
 	s.campaigns[id] = c
 	s.mu.Unlock()
 
@@ -439,21 +458,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Total:         len(specs),
 		StatusURL:     "/api/v1/campaigns/" + id,
 	})
-}
-
-// createCampaignArtifacts writes the manifest and creates the journal.
-// Caller holds s.mu (submission admission is serialized by design — disk
-// artifacts must exist before the campaign is visible).
-func (s *Server) createCampaignArtifacts(id, name string, specs []harness.RunSpec) (*campaign.Journal, error) {
-	m := &Manifest{SchemaVersion: ManifestSchemaVersion, ID: id, Name: name, Scale: s.h.Scale, Specs: specs}
-	if err := writeManifest(filepath.Join(s.campDir, id+ManifestExt), m); err != nil {
-		return nil, fmt.Errorf("writing manifest: %w", err)
-	}
-	j, err := campaign.Create(filepath.Join(s.campDir, id+campaign.JournalExt), s.h.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("creating journal: %w", err)
-	}
-	return j, nil
 }
 
 func (s *Server) campaignByID(id string) (*campaignState, bool) {
@@ -487,18 +491,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("unknown campaign"))
 		return
 	}
-	st := c.status()
-	if err := c.journal.Err(); err != nil {
-		// Journal writes failing means the campaign is not crash-resumable;
-		// surface it on every status rather than only in daemon logs.
-		writeJSON(w, http.StatusOK, map[string]any{
-			"schema_version": APISchemaVersion,
-			"status":         st,
-			"journal_error":  err.Error(),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, c.status())
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -516,26 +509,20 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.buildReport(c))
 }
 
-// buildReport assembles the deterministic report: the campaign's keys
-// sorted, each resolved through the memo cache (which the journals and the
-// result store seeded after any restart).
+// buildReport assembles the deterministic report: the campaign's runs
+// through SortedRuns (the result store seeded the memo cache after any
+// restart) and its failures sorted by key.
 func (s *Server) buildReport(c *campaignState) *Report {
 	keys := make([]string, 0, len(c.keys))
 	for k := range c.keys {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
 	rep := &Report{
 		SchemaVersion: ReportSchemaVersion,
 		ID:            c.id,
 		Name:          c.name,
 		Scale:         s.h.Scale,
-		Runs:          make([]campaign.Entry, 0, len(keys)),
-	}
-	for _, k := range keys {
-		if r, ok := s.h.ResultFor(k); ok {
-			rep.Runs = append(rep.Runs, campaign.Entry{Key: k, Result: r})
-		}
+		Runs:          SortedRuns(s.h, keys),
 	}
 	c.mu.Lock()
 	failed := append([]failedRun(nil), c.failed...)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -322,9 +324,9 @@ func TestFailedSpecFailsEveryCampaign(t *testing.T) {
 }
 
 // TestRestartResumesCampaign is the crash-resume contract in-process: a
-// campaign interrupted by a drain (standing in for SIGKILL — the journals
-// are write-through, so the drain adds nothing they need) must resume on a
-// fresh daemon over the same data dir and finish with a report
+// campaign interrupted by a drain (standing in for SIGKILL — every store
+// write is synced, so the drain adds nothing the store needs) must resume
+// on a fresh daemon over the same data dir and finish with a report
 // byte-identical to an uninterrupted run of the same sweep.
 func TestRestartResumesCampaign(t *testing.T) {
 	dataDir := t.TempDir()
@@ -348,7 +350,7 @@ func TestRestartResumesCampaign(t *testing.T) {
 	}
 
 	// Life 1: serialize the pool so the campaign cannot finish instantly,
-	// submit, wait for the first journaled completion, then tear down with
+	// submit, wait for the first stored completion, then tear down with
 	// work still pending.
 	h1 := harness.New(srvScale)
 	h1.Workers = 1
@@ -365,7 +367,7 @@ func TestRestartResumesCampaign(t *testing.T) {
 	if ack.ID != refAck.ID {
 		t.Fatalf("same sweep produced different campaign IDs: %q vs %q", ack.ID, refAck.ID)
 	}
-	// The campaign counts a key complete only after its journal append.
+	// The campaign counts a key complete only after its store write.
 	for {
 		st, err := cl1WaitlessStatus(s1, ack.ID)
 		if err != nil {
@@ -386,7 +388,7 @@ func TestRestartResumesCampaign(t *testing.T) {
 	}
 
 	// Life 2: a fresh daemon over the same data dir must recover the
-	// campaign from manifest+journal+store and finish it.
+	// campaign from manifest+store and finish it.
 	h2 := harness.New(srvScale)
 	s2, err := New(Options{Harness: h2, DataDir: dataDir, Logf: t.Logf})
 	if err != nil {
@@ -617,4 +619,228 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func writeGarbage(path string) error {
 	return os.WriteFile(path, []byte("{ damaged"), 0o644)
+}
+
+// runReport runs specs as one campaign on a daemon at scale over dataDir,
+// drains it, and returns the served report bytes.
+func runReport(t *testing.T, ctx context.Context, scale harness.Scale, dataDir, name string, specs []harness.RunSpec) []byte {
+	t.Helper()
+	s, err := New(Options{Harness: harness.New(scale), DataDir: dataDir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	cl.PollInterval = 20 * time.Millisecond
+	ack, err := cl.Submit(ctx, name, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.WaitCampaign(ctx, ack.ID); err != nil {
+		t.Fatal(err)
+	}
+	body, err := cl.Report(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestRecoverSkipsBadManifests: a data dir holding a healthy campaign (one
+// of its results already stored), a truncated manifest, a manifest at
+// another scale and stray files still boots. The healthy campaign resumes,
+// runs only what the store lacks, and finishes with a report
+// byte-identical to a fresh run; each bad manifest is skipped with a log
+// line and stray files are ignored.
+func TestRecoverSkipsBadManifests(t *testing.T) {
+	ctx := testCtx(t)
+	specs := srvSpecs()
+	want := runReport(t, ctx, srvScale, t.TempDir(), "healthy", specs)
+	var ref Report
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+
+	dataDir := t.TempDir()
+	campDir := filepath.Join(dataDir, "campaigns")
+	if err := os.MkdirAll(campDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := func(scale harness.Scale, specs []harness.RunSpec) (string, *Manifest) {
+		id := CampaignID(scale, specs)
+		return filepath.Join(campDir, id+ManifestExt), &Manifest{SchemaVersion: ManifestSchemaVersion, ID: id, Name: "healthy", Scale: scale, Specs: specs}
+	}
+	healthyPath, healthy := manifest(srvScale, specs)
+	if err := writeManifest(healthyPath, healthy); err != nil {
+		t.Fatal(err)
+	}
+	tornPath, torn := manifest(srvScale, specs[:1])
+	body, err := json.Marshal(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tornPath, body[:len(body)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other := srvScale
+	other.SimInstr = 100_000
+	otherPath, otherM := manifest(other, specs[:2])
+	if err := writeManifest(otherPath, otherM); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		"notes.txt":                       "not a campaign",
+		healthy.ID + ".journal":           "left by an older daemon",
+		healthy.ID + ManifestExt + ".tmp": "{ torn",
+	} {
+		if err := os.WriteFile(filepath.Join(campDir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := NewStore(filepath.Join(dataDir, "results", scaleDir(srvScale)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(ref.Runs[0].Key, ref.Runs[0].Result); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	var ran int
+	h := harness.New(srvScale)
+	h.OnResult = func(string, harness.RunSpec, *sim.Result) {
+		mu.Lock()
+		ran++
+		mu.Unlock()
+	}
+	s, err := New(Options{Harness: h, DataDir: dataDir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatalf("boot over a damaged data dir: %v", err)
+	}
+	t.Cleanup(s.Drain)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	cl.PollInterval = 20 * time.Millisecond
+	st, err := cl.WaitCampaign(ctx, healthy.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Completed != len(specs) {
+		t.Fatalf("resumed campaign finished as %+v, want done %d/%d", st, len(specs), len(specs))
+	}
+	got, err := cl.Report(ctx, healthy.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed report differs from a fresh run:\nresumed:\n%s\nfresh:\n%s", got, want)
+	}
+	for _, id := range []string{torn.ID, otherM.ID} {
+		if _, err := cl.Status(ctx, id); err == nil {
+			t.Fatalf("campaign %s was recovered from a bad manifest", id)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if ran != len(specs)-1 {
+		t.Fatalf("resume executed %d runs, want %d (one result was already stored)", ran, len(specs)-1)
+	}
+	all := strings.Join(logs, "\n")
+	for _, want := range []string{
+		"skipping campaign manifest " + filepath.Base(tornPath),
+		"skipping campaign " + otherM.ID + ": manifest scale",
+	} {
+		if !strings.Contains(all, want) {
+			t.Fatalf("no log line containing %q in:\n%s", want, all)
+		}
+	}
+	if strings.Contains(all, "notes.txt") || strings.Contains(all, ".journal") || strings.Contains(all, ".tmp") {
+		t.Fatalf("stray files must be ignored silently:\n%s", all)
+	}
+}
+
+// TestStoreKeepsScalesApart: memo keys do not encode the scale, so a
+// daemon at one scale must never report a result another scale's daemon
+// stored in the same data dir. A spec completed at SimInstr 50000, then
+// submitted to a SimInstr 100000 daemon over the same data dir, must run
+// again: the report is byte-identical to a fresh daemon's at that scale.
+func TestStoreKeepsScalesApart(t *testing.T) {
+	ctx := testCtx(t)
+	specs := srvSpecs()[:1]
+	other := srvScale
+	other.SimInstr = 100_000
+	dataDir := t.TempDir()
+	runReport(t, ctx, srvScale, dataDir, "scales", specs)
+	got := runReport(t, ctx, other, dataDir, "scales", specs)
+	want := runReport(t, ctx, other, t.TempDir(), "scales", specs)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a daemon at SimInstr %d reported another scale's stored result:\ngot:\n%s\nwant:\n%s", other.SimInstr, got, want)
+	}
+}
+
+// TestStoreErrorOnStatus: a result the store cannot write is still served
+// this daemon life, and the failure shows on the campaign's status. The
+// status stays a plain CampaignStatus, so WaitCampaign still waits for the
+// terminal state, and that state carries store_error.
+func TestStoreErrorOnStatus(t *testing.T) {
+	dataDir := t.TempDir()
+	s, _ := newTestServer(t, dataDir)
+	storeDir := filepath.Join(dataDir, "results", scaleDir(srvScale))
+	if err := os.RemoveAll(storeDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(storeDir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	cl.PollInterval = 20 * time.Millisecond
+	ctx := testCtx(t)
+
+	specs := srvSpecs()[:1]
+	ack, err := cl.Submit(ctx, "store-error", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.WaitCampaign(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Completed != len(specs) || st.StoreError == "" {
+		t.Fatalf("campaign finished as %+v, want done %d/%d with a store error", st, len(specs), len(specs))
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/campaigns/" + ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc["state"] != StateDone || doc["store_error"] == nil || doc["store_error"] == "" {
+		t.Fatalf("status document %v, want state done with store_error", doc)
+	}
+	body, err := cl.Report(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != len(specs) {
+		t.Fatalf("report holds %d runs, want %d served from memory", len(rep.Runs), len(specs))
+	}
 }

@@ -1,10 +1,10 @@
 // Package server turns the simulator's campaign machinery into a
 // long-running multi-user service: an HTTP/JSON API to submit experiment
-// specs, a lease pool feeding in-process and remote workers,
-// per-campaign append-only journals for crash-safe resume,
-// and content-addressed result storage keyed by the harness memo key so
+// specs, a lease pool feeding in-process and remote workers, and
+// content-addressed result storage keyed by the harness memo key so
 // identical specs dedupe across campaigns, across clients, and across
-// daemon restarts. See DESIGN.md §14.
+// daemon restarts. A campaign's manifest plus the result store is all a
+// restarted daemon needs to resume it. See DESIGN.md §14.
 package server
 
 import (
@@ -22,10 +22,12 @@ import (
 // Store is the content-addressed result store: one JSON file per completed
 // run, named by the SHA-256 of the harness memo key (keys contain
 // filesystem-hostile characters; the hash is the address, the stored key
-// is the proof). Writes are atomic (temp file + rename) and idempotent —
-// concurrent Puts of the same key write identical bytes, so whichever
-// rename lands last changes nothing. All methods are safe for concurrent
-// use from harness workers.
+// is the proof). Writes are durable and atomic (temp file, fsync, rename)
+// and idempotent — concurrent Puts of the same key write identical bytes,
+// so whichever rename lands last changes nothing. The daemon keeps one
+// store per scale (memo keys do not encode the scale), and it is the
+// daemon's only durable copy of each result. All methods are safe for
+// concurrent use from harness workers.
 type Store struct {
 	dir string
 }
@@ -37,9 +39,6 @@ func NewStore(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // path maps a memo key to its content address.
 func (s *Store) path(key string) string {
@@ -84,8 +83,8 @@ func (s *Store) Put(key string, r *sim.Result) error {
 }
 
 // Get loads the stored result for key. A missing, unreadable, or damaged
-// entry (including a hash collision's mismatched key) reports !ok — the
-// run simply re-executes, the store is a cache, not a ledger.
+// entry (including a hash collision's mismatched key) reports !ok and the
+// run re-executes: losing an entry costs a re-run, never a wrong result.
 func (s *Store) Get(key string) (*sim.Result, bool) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {

@@ -29,7 +29,6 @@ func (d *dramAdaptor) AcceptRead(r *cache.Req, cycle uint64) bool {
 	req := dram.Request{
 		LineAddr:   r.LineAddr,
 		IsPrefetch: r.IsPrefetch,
-		OnComplete: r.OnDone,
 		Sink:       r.Sink,
 		Token:      r.Token,
 	}
@@ -713,9 +712,3 @@ func (m *Machine) afterCycle(st *loopState) (next uint64, err error) {
 	}
 	return next, nil
 }
-
-// L2RQRejects exposes core i's L2 read-queue rejections (diagnostics).
-func (m *Machine) L2RQRejects(i int) uint64 { return m.l2s[i].RQRejects }
-
-// LLCRQRejects exposes the LLC's read-queue rejections (diagnostics).
-func (m *Machine) LLCRQRejects() uint64 { return m.llc.RQRejects }
