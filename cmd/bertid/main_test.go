@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -18,6 +20,36 @@ import (
 	"github.com/bertisim/berti/internal/server"
 )
 
+// binDir holds the bertid binary, built once by TestMain for every test
+// that runs it.
+var binDir string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	os.Exit(runTests(m))
+}
+
+// runTests builds the binaries into a shared temporary directory (skipped
+// under -short, where every test here skips) and runs the tests.
+func runTests(m *testing.M) int {
+	if testing.Short() {
+		return m.Run()
+	}
+	dir, err := os.MkdirTemp("", "berti-test-bin")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
+	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building test binaries: %v\n%s", err, out)
+		return 1
+	}
+	binDir = dir
+	return m.Run()
+}
+
 // TestKillResumeByteIdentical is the daemon's crash-safety acceptance
 // test, run against the real binary over real HTTP: a campaign whose
 // daemon is SIGKILLed mid-flight — no drain, no flush, the hard case —
@@ -25,13 +57,10 @@ import (
 // same sweep run uninterrupted on a pristine daemon.
 func TestKillResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and boots the bertid binary three times")
+		t.Skip("boots the bertid binary three times")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "bertid")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building bertid binary: %v\n%s", err, out)
-	}
+	bin := filepath.Join(binDir, "bertid")
 	env := append(os.Environ(), "BERTI_SCALE=quick")
 	specs := []harness.RunSpec{
 		{Workload: "mcf_like_1554", L1DPf: "berti"},
@@ -166,13 +195,10 @@ func freeAddr(t *testing.T) string {
 // errors over the wire), and the metrics mount sharing the API listener.
 func TestHealthAndValidationOverHTTP(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and boots the bertid binary")
+		t.Skip("boots the bertid binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "bertid")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building bertid binary: %v\n%s", err, out)
-	}
+	bin := filepath.Join(binDir, "bertid")
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	env := append(os.Environ(), "BERTI_SCALE=quick")

@@ -11,6 +11,10 @@
 //	    -timeseries-out ts.csv -trace-out trace.json
 //	bertisim -list
 //
+// Both sources run as one harness.RunSpec through the same machine builder:
+// a -trace file takes -dram, -check, -fault-plan, -provenance and the
+// windows exactly as a generated -workload does.
+//
 // Windows: -warmup and -simulate override the scale's ChampSim-style
 // warmup/measurement instruction windows. -skip N fast-forwards a -trace
 // run N instructions before the windows begin, seeking through the v2
@@ -33,7 +37,8 @@
 // container bytes and fail the run with a *tracestore.FormatError.
 //
 // Exit codes: 0 success; 1 runtime failure (I/O, stall, corrupt trace);
-// 2 usage error (unknown workload/prefetcher, bad flags, bad fault plan);
+// 2 usage error (unknown workload/prefetcher, bad flags, bad fault plan,
+// a -skip without -trace or past the trace's end, the oracle on a -trace);
 // 3 invariant violations detected; 130 interrupted by SIGINT/SIGTERM (the
 // first signal cancels the run cooperatively, a second exits immediately).
 package main
@@ -44,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -52,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/bertisim/berti/internal/cache"
 	"github.com/bertisim/berti/internal/check"
 	"github.com/bertisim/berti/internal/energy"
 	"github.com/bertisim/berti/internal/fault"
@@ -62,8 +67,6 @@ import (
 	"github.com/bertisim/berti/internal/obs/provenance"
 	"github.com/bertisim/berti/internal/prefetch"
 	"github.com/bertisim/berti/internal/sim"
-	"github.com/bertisim/berti/internal/trace"
-	"github.com/bertisim/berti/internal/tracestore"
 	"github.com/bertisim/berti/internal/workloads"
 )
 
@@ -76,44 +79,57 @@ const (
 	exitInterrupted = 130
 )
 
-func main() {
-	workload := flag.String("workload", "mcf_like_1554", "workload name")
-	traceFile := flag.String("trace", "", "run a trace file (from tracegen) instead of a generated workload")
-	l1d := flag.String("l1d", "berti", "L1D prefetcher (empty = none)")
-	l2 := flag.String("l2", "", "L2 prefetcher (empty = none)")
-	dramCfg := flag.String("dram", "", "DRAM config: ddr5-6400 (default), ddr4-3200, ddr3-1600")
-	records := flag.Int("records", 0, "memory records to generate (0 = scale default)")
-	warmup := flag.Int64("warmup", -1, "warmup instructions before measurement (-1 = scale default)")
-	simulate := flag.Int64("simulate", -1, "measured instructions after warmup (-1 = scale default)")
-	skip := flag.Uint64("skip", 0, "instructions to fast-forward a -trace run before the windows start")
-	list := flag.Bool("list", false, "list workloads and prefetchers, then exit")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON (machine-readable)")
-	interval := flag.Uint64("interval", 0, "sample counters every N retired instructions (0 = sampling off)")
-	tsOut := flag.String("timeseries-out", "", "write the sampled time series to this file (.json = JSON, else CSV)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of structured events to this file")
-	traceBuf := flag.Int("trace-buf", 1<<16, "event-trace ring-buffer capacity (oldest events overwritten)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	provOut := flag.String("provenance-out", "", "write the per-prefetch provenance attribution report to this file (.json = JSON, else CSV); implies -provenance")
-	provFlag := flag.Bool("provenance", false, "track per-prefetch lifecycle provenance (attribution embedded in the -json report)")
-	provCap := flag.Int("provenance-cap", 0, "provenance record-pool capacity (0 = default 65536); overflowing prefetches go untracked and are counted")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics (JSON snapshot + expvar) on this address, e.g. localhost:8090")
-	checkFlag := flag.Bool("check", false, "run the invariant checker alongside the simulation")
-	faultSpec := flag.String("fault-plan", "", "inject deterministic faults: kind[:key=value,...] (kinds: corrupt-record, truncate, drop-fill, delay-fill, dup-line, pq-orphan)")
-	schedFlag := flag.String("sched", "horizon", "engine scheduler: horizon (event-horizon skipping) or ticked (exhaustive per-cycle reference)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the spec and its IP-stride
+// baseline, writes the report to stdout and diagnostics to stderr, and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bertisim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "mcf_like_1554", "workload name")
+	traceFile := fs.String("trace", "", "run a trace file (from tracegen) instead of a generated workload")
+	l1d := fs.String("l1d", "berti", "L1D prefetcher (empty = none)")
+	l2 := fs.String("l2", "", "L2 prefetcher (empty = none)")
+	dramCfg := fs.String("dram", "", "DRAM config: ddr5-6400 (default), ddr4-3200, ddr3-1600")
+	records := fs.Int("records", 0, "memory records to generate (0 = scale default)")
+	warmup := fs.Int64("warmup", -1, "warmup instructions before measurement (-1 = scale default)")
+	simulate := fs.Int64("simulate", -1, "measured instructions after warmup (-1 = scale default)")
+	skip := fs.Uint64("skip", 0, "instructions to fast-forward a -trace run before the windows start")
+	list := fs.Bool("list", false, "list workloads and prefetchers, then exit")
+	jsonOut := fs.Bool("json", false, "emit the report as JSON (machine-readable)")
+	interval := fs.Uint64("interval", 0, "sample counters every N retired instructions (0 = sampling off)")
+	tsOut := fs.String("timeseries-out", "", "write the sampled time series to this file (.json = JSON, else CSV)")
+	traceOut := fs.String("trace-out", "", "write a Chrome trace_event JSON of structured events to this file")
+	traceBuf := fs.Int("trace-buf", 1<<16, "event-trace ring-buffer capacity (oldest events overwritten)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	provOut := fs.String("provenance-out", "", "write the per-prefetch provenance attribution report to this file (.json = JSON, else CSV); implies -provenance")
+	provFlag := fs.Bool("provenance", false, "track per-prefetch lifecycle provenance (attribution embedded in the -json report)")
+	provCap := fs.Int("provenance-cap", 0, "provenance record-pool capacity (0 = default 65536); overflowing prefetches go untracked and are counted")
+	metricsAddr := fs.String("metrics-addr", "", "serve live metrics (JSON snapshot + expvar) on this address, e.g. localhost:8090")
+	checkFlag := fs.Bool("check", false, "run the invariant checker alongside the simulation")
+	faultSpec := fs.String("fault-plan", "", "inject deterministic faults: kind[:key=value,...] (kinds: corrupt-record, truncate, drop-fill, delay-fill, dup-line, pq-orphan)")
+	schedFlag := fs.String("sched", "horizon", "engine scheduler: horizon (event-horizon skipping) or ticked (exhaustive per-cycle reference)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitOK
+		}
+		return exitUsage
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "bertisim:", err)
+		return code
+	}
 	sched, err := sim.ParseScheduler(*schedFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bertisim:", err)
-		os.Exit(exitUsage)
+		return fail(exitUsage, err)
 	}
 
 	var faultPlan *fault.Plan
 	if *faultSpec != "" {
-		var err error
 		faultPlan, err = fault.Parse(*faultSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bertisim:", err)
-			os.Exit(exitUsage)
+			return fail(exitUsage, err)
 		}
 	}
 	// A fault plan without -check would inject damage nothing looks for;
@@ -121,32 +137,17 @@ func main() {
 	runChecked := *checkFlag || faultPlan != nil
 
 	if *list {
-		fmt.Println("workloads:")
-		for _, w := range workloads.All() {
-			memInt := ""
-			if w.MemIntensive {
-				memInt = " [MemInt]"
-			}
-			fmt.Printf("  %-24s %s%s\n", w.Name, w.Suite, memInt)
-		}
-		fmt.Println("prefetchers:")
-		for _, e := range prefetch.All() {
-			level := "L1D"
-			if e.Level == prefetch.AtL2 {
-				level = "L2 "
-			}
-			fmt.Printf("  %-12s %s  %s\n", e.Name, level, e.Comment)
-		}
-		return
+		printList(stdout)
+		return exitOK
 	}
 
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof server:", err)
+				fmt.Fprintln(stderr, "pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Fprintf(stderr, "pprof: http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	// A live metrics endpoint needs sampler rows to serve; sampling and
@@ -155,13 +156,17 @@ func main() {
 		*interval = 100_000
 	}
 	if *traceOut != "" && *traceBuf <= 0 {
-		fmt.Fprintln(os.Stderr, "bertisim: -trace-buf must be > 0")
-		os.Exit(2)
+		return fail(exitUsage, errors.New("-trace-buf must be > 0"))
 	}
 	// Fail on unwritable output paths now, not after a long simulation.
-	ensureWritable(*tsOut)
-	ensureWritable(*traceOut)
-	ensureWritable(*provOut)
+	for _, path := range []string{*tsOut, *traceOut, *provOut} {
+		if path == "" {
+			continue
+		}
+		if err := writeFile(path, func(io.Writer) error { return nil }); err != nil {
+			return fail(exitRunFailed, err)
+		}
+	}
 	var observer *obs.Observer
 	if *interval > 0 || *traceOut != "" {
 		observer = &obs.Observer{}
@@ -179,14 +184,12 @@ func main() {
 	}
 	var metrics *live.Server
 	if *metricsAddr != "" {
-		var err error
 		metrics, err = live.New(*metricsAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bertisim:", err)
-			os.Exit(exitUsage)
+			return fail(exitUsage, err)
 		}
 		defer metrics.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", metrics.Addr())
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics\n", metrics.Addr())
 		if observer != nil && observer.Sampler != nil {
 			observer.Sampler.OnRow = metrics.RecordRow
 		}
@@ -200,15 +203,10 @@ func main() {
 		scale.WarmupInstr = uint64(*warmup)
 	}
 	if *simulate == 0 {
-		fmt.Fprintln(os.Stderr, "bertisim: -simulate must be > 0")
-		os.Exit(exitUsage)
+		return fail(exitUsage, errors.New("-simulate must be > 0"))
 	}
 	if *simulate > 0 {
 		scale.SimInstr = uint64(*simulate)
-	}
-	if *skip > 0 && *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "bertisim: -skip only applies with -trace (generated workloads start at instruction 0)")
-		os.Exit(exitUsage)
 	}
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the run at the
 	// engine's next poll stride; a second signal exits immediately.
@@ -216,12 +214,17 @@ func main() {
 	defer cancel()
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	go func() {
-		s := <-sigc
-		fmt.Fprintf(os.Stderr, "\nbertisim: %v: cancelling run (send again to exit immediately)\n", s)
-		cancel()
+		select {
+		case s := <-sigc:
+			fmt.Fprintf(stderr, "\nbertisim: %v: cancelling run (send again to exit immediately)\n", s)
+			cancel()
+		case <-ctx.Done():
+			return
+		}
 		<-sigc
-		fmt.Fprintln(os.Stderr, "bertisim: second signal: exiting immediately")
+		fmt.Fprintln(stderr, "bertisim: second signal: exiting immediately")
 		os.Exit(exitInterrupted)
 	}()
 
@@ -233,100 +236,29 @@ func main() {
 		checker = check.New()
 	}
 
-	opts := sim.Options{Observer: observer, Checker: checker, Fault: faultPlan, Provenance: tracker}
-	var res, base *sim.Result
-	var runErr, baseErr error
-	var elapsed time.Duration
+	spec := harness.RunSpec{Workload: *workload, L1DPf: *l1d, L2Pf: *l2, DRAMCfg: *dramCfg, Skip: *skip}
 	if *traceFile != "" {
-		var tf *tracestore.File
-		if faultPlan != nil && faultPlan.TraceFault() {
-			// Damage a private copy of the container bytes; the format's
-			// structure checks and checksums locate the damage.
-			var data []byte
-			if data, err = os.ReadFile(*traceFile); err == nil {
-				tf, err = tracestore.OpenBytes(faultPlan.MutateTrace(data, tracestore.HeadMagicLen))
-			}
-		} else {
-			tf, err = tracestore.Open(*traceFile)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bertisim:", err)
-			os.Exit(exitRunFailed)
-		}
-		defer tf.Close()
-		if *skip > 0 && *skip >= tf.Meta().Instructions {
-			fmt.Fprintf(os.Stderr, "bertisim: -skip %d is beyond the trace's %d instructions\n",
-				*skip, tf.Meta().Instructions)
-			os.Exit(exitUsage)
-		}
-		// run wires a fresh window reader through the engine with this
-		// run's hooks: the main and baseline runs each stream the file
-		// independently.
-		run := func(l1, l2 string, opts sim.Options) (*sim.Result, error) {
-			cfg := sim.DefaultConfig()
-			cfg.WarmupInstructions = scale.WarmupInstr
-			cfg.SimInstructions = scale.SimInstr
-			var l1f, l2f sim.PrefetcherFactory
-			if l1 != "" {
-				e, ok := prefetch.ByName(l1)
-				if !ok {
-					fmt.Fprintf(os.Stderr, "unknown prefetcher %q\n", l1)
-					os.Exit(exitUsage)
-				}
-				l1f = func() cache.Prefetcher { return e.New() }
-			}
-			if l2 != "" {
-				e, ok := prefetch.ByName(l2)
-				if !ok {
-					fmt.Fprintf(os.Stderr, "unknown prefetcher %q\n", l2)
-					os.Exit(exitUsage)
-				}
-				l2f = func() cache.Prefetcher { return e.New() }
-			}
-			rd, err := tf.NewWindowReader(*skip, tracestore.ReaderOptions{Loop: true})
-			if err != nil {
-				return nil, err
-			}
-			defer rd.Close()
-			m, err := sim.New(cfg, []trace.Reader{rd}, l1f, l2f)
-			if err != nil {
-				return nil, err
-			}
-			m.SetScheduler(sched)
-			m.SetContext(ctx)
-			m.Attach(opts)
-			return m.Run()
-		}
-		start := time.Now()
-		res, runErr = run(*l1d, *l2, opts)
-		elapsed = time.Since(start)
-		if runErr == nil {
-			base, baseErr = run("ip-stride", "", sim.Options{})
-		}
+		spec.Workload, spec.TraceFile = "", *traceFile
 		*workload = *traceFile
-	} else {
-		if _, ok := workloads.ByName(*workload); !ok {
-			fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *workload)
-			os.Exit(exitUsage)
-		}
-		spec := harness.RunSpec{Workload: *workload, L1DPf: *l1d, L2Pf: *l2, DRAMCfg: *dramCfg}
-		start := time.Now()
-		if opts == (sim.Options{}) {
-			res, runErr = h.RunContext(ctx, spec)
-		} else {
-			res, runErr = h.RunWithContext(ctx, spec, opts)
-		}
-		elapsed = time.Since(start)
-		if runErr == nil {
-			base, baseErr = h.RunContext(ctx, harness.RunSpec{Workload: *workload, L1DPf: "ip-stride", DRAMCfg: *dramCfg})
-		}
 	}
-	if runErr != nil {
+	opts := sim.Options{Observer: observer, Checker: checker, Fault: faultPlan, Provenance: tracker}
+	var res *sim.Result
+	start := time.Now()
+	if opts == (sim.Options{}) {
+		res, err = h.RunContext(ctx, spec)
+	} else {
+		res, err = h.RunWithContext(ctx, spec, opts)
+	}
+	elapsed := time.Since(start)
+	if err != nil {
 		if metrics != nil {
 			metrics.RunFailed()
 		}
-		exitForError(runErr, checker)
+		return exitForError(stderr, err, checker)
 	}
+	baseSpec := spec
+	baseSpec.L1DPf, baseSpec.L2Pf = "ip-stride", ""
+	base, baseErr := h.RunContext(ctx, baseSpec)
 	if metrics != nil {
 		metrics.RunCompleted()
 		if p := res.Provenance; p != nil {
@@ -335,77 +267,107 @@ func main() {
 	}
 	if baseErr != nil {
 		if sim.IsCancel(baseErr) {
-			fmt.Fprintln(os.Stderr, "bertisim: run interrupted during the baseline; no report was produced")
-			os.Exit(exitInterrupted)
+			fmt.Fprintln(stderr, "bertisim: run interrupted during the baseline; no report was produced")
+			return exitInterrupted
 		}
-		fmt.Fprintln(os.Stderr, "bertisim: baseline run failed:", baseErr)
-		os.Exit(exitRunFailed)
+		return fail(exitRunFailed, fmt.Errorf("baseline run failed: %w", baseErr))
 	}
 	if checker != nil {
-		// A checked run that produced violations returns them as runErr above,
-		// so reaching here means every invariant held.
-		fmt.Fprintln(os.Stderr, "check: all invariants held")
+		// A checked run that produced violations returns them as an error
+		// above, so reaching here means every invariant held.
+		fmt.Fprintln(stderr, "check: all invariants held")
 	}
 
-	if elapsed > 0 {
-		kinstr := float64(res.Config.SimInstructions+res.Config.WarmupInstructions) / 1000
-		fmt.Fprintf(os.Stderr, "sim throughput: %.0f kinstr/s (%.2fs wall, %d measured cycles)\n",
-			kinstr/elapsed.Seconds(), elapsed.Seconds(), res.Cycles)
+	kinstr := float64(res.Config.SimInstructions+res.Config.WarmupInstructions) / 1000
+	fmt.Fprintf(stderr, "sim throughput: %.0f kinstr/s (%.2fs wall, %d measured cycles)\n",
+		kinstr/elapsed.Seconds(), elapsed.Seconds(), res.Cycles)
+	if err := writeObservability(stderr, observer, res, *tsOut, *traceOut); err != nil {
+		return fail(exitRunFailed, err)
 	}
-	writeObservability(observer, res, *tsOut, *traceOut)
-	writeProvenance(res.Provenance, *provOut)
+	if err := writeProvenance(stderr, res.Provenance, *provOut); err != nil {
+		return fail(exitRunFailed, err)
+	}
 
+	if *jsonOut {
+		if err := emitJSON(stdout, *workload, *l1d, *l2, res, base); err != nil {
+			return fail(exitRunFailed, err)
+		}
+		return exitOK
+	}
+	printReport(stdout, *workload, *l1d, *l2, res, base)
+	return exitOK
+}
+
+// printList renders the workload and prefetcher registries.
+func printList(w io.Writer) {
+	fmt.Fprintln(w, "workloads:")
+	for _, wl := range workloads.All() {
+		memInt := ""
+		if wl.MemIntensive {
+			memInt = " [MemInt]"
+		}
+		fmt.Fprintf(w, "  %-24s %s%s\n", wl.Name, wl.Suite, memInt)
+	}
+	fmt.Fprintln(w, "prefetchers:")
+	for _, e := range prefetch.All() {
+		level := "L1D"
+		if e.Level == prefetch.AtL2 {
+			level = "L2 "
+		}
+		fmt.Fprintf(w, "  %-12s %s  %s\n", e.Name, level, e.Comment)
+	}
+}
+
+// printReport renders the human-readable report of one run against its
+// IP-stride baseline.
+func printReport(w io.Writer, workload, l1d, l2 string, res, base *sim.Result) {
 	instr := res.Config.SimInstructions
 	c := &res.Cores[0]
-	if *jsonOut {
-		emitJSON(*workload, *l1d, *l2, res, base)
-		return
-	}
-	fmt.Printf("workload: %s  l1d=%q l2=%q\n", *workload, *l1d, *l2)
-	fmt.Printf("IPC            %.4f  (IP-stride baseline %.4f, speedup %.3fx)\n",
+	fmt.Fprintf(w, "workload: %s  l1d=%q l2=%q\n", workload, l1d, l2)
+	fmt.Fprintf(w, "IPC            %.4f  (IP-stride baseline %.4f, speedup %.3fx)\n",
 		res.IPC(), base.IPC(), harness.SpeedupOver(res, base))
-	fmt.Printf("L1D  accesses=%d hits=%d misses=%d MPKI=%.1f avgFillLat=%.0f cyc\n",
+	fmt.Fprintf(w, "L1D  accesses=%d hits=%d misses=%d MPKI=%.1f avgFillLat=%.0f cyc\n",
 		c.L1D.DemandAccesses, c.L1D.DemandHits, c.L1D.DemandMisses,
 		c.L1D.MPKI(instr), c.L1D.AvgFillLatency())
-	fmt.Printf("     prefetch: issued=%d fills=%d useful=%d late=%d useless=%d dropped=%d\n",
+	fmt.Fprintf(w, "     prefetch: issued=%d fills=%d useful=%d late=%d useless=%d dropped=%d\n",
 		c.L1D.PrefIssued, c.L1D.PrefFills, c.L1D.PrefUseful, c.L1D.PrefLate,
 		c.L1D.PrefUseless, c.L1D.PrefDropped)
-	fmt.Printf("     accuracy=%.3f timelyFraction=%.3f\n", c.L1D.Accuracy(), c.L1D.TimelyFraction())
-	fmt.Printf("L2   accesses=%d misses=%d MPKI=%.1f pfFills=%d pfUseful=%d\n",
+	fmt.Fprintf(w, "     accuracy=%.3f timelyFraction=%.3f\n", c.L1D.Accuracy(), c.L1D.TimelyFraction())
+	fmt.Fprintf(w, "L2   accesses=%d misses=%d MPKI=%.1f pfFills=%d pfUseful=%d\n",
 		c.L2.DemandAccesses, c.L2.DemandMisses, c.L2.MPKI(instr), c.L2.PrefFills, c.L2.PrefUseful)
-	fmt.Printf("LLC  accesses=%d misses=%d MPKI=%.1f\n",
+	fmt.Fprintf(w, "LLC  accesses=%d misses=%d MPKI=%.1f\n",
 		res.LLC.DemandAccesses, res.LLC.DemandMisses, res.LLC.MPKI(instr))
-	fmt.Printf("DRAM reads=%d writes=%d rowHit=%d rowMiss=%d rowConf=%d busBusy=%.2f\n",
+	fmt.Fprintf(w, "DRAM reads=%d writes=%d rowHit=%d rowMiss=%d rowConf=%d busBusy=%.2f\n",
 		res.DRAM.Reads, res.DRAM.Writes, res.DRAM.RowHits, res.DRAM.RowMisses,
 		res.DRAM.RowConflicts, float64(res.DRAM.BusyCycles)/float64(res.Cycles))
 	tr := res.Traffic()
 	l2t, llct, drt := tr.Total()
-	fmt.Printf("traffic lines: L1D<->L2=%d L2<->LLC=%d LLC<->DRAM=%d\n", l2t, llct, drt)
+	fmt.Fprintf(w, "traffic lines: L1D<->L2=%d L2<->LLC=%d LLC<->DRAM=%d\n", l2t, llct, drt)
 	e := energy.Compute(energy.Default22nm(), res)
-	fmt.Printf("dynamic energy (uJ): L1D=%.1f L2=%.1f LLC=%.1f DRAM=%.1f total=%.1f\n",
+	fmt.Fprintf(w, "dynamic energy (uJ): L1D=%.1f L2=%.1f LLC=%.1f DRAM=%.1f total=%.1f\n",
 		e.L1D/1e6, e.L2/1e6, e.LLC/1e6, e.DRAM/1e6, e.Total()/1e6)
-	fmt.Printf("TLB  dTLBmiss=%d STLBmiss=%d walks=%d pfDropTLB=%d\n",
+	fmt.Fprintf(w, "TLB  dTLBmiss=%d STLBmiss=%d walks=%d pfDropTLB=%d\n",
 		c.TLB.DTLBMisses, c.TLB.STLBMisses, c.TLB.PageWalks, c.TLB.PrefDropTLB)
 	if ts := res.TimeSeries; ts != nil && len(ts.Rows) > 0 {
 		last := &ts.Rows[len(ts.Rows)-1]
-		fmt.Printf("timeseries: %d intervals of %d instr (last: ipc=%.3f acc=%.3f)\n",
+		fmt.Fprintf(w, "timeseries: %d intervals of %d instr (last: ipc=%.3f acc=%.3f)\n",
 			len(ts.Rows), ts.IntervalInstr, last.IPC, last.PfAccuracy)
 	}
-	printProvenance(res.Provenance)
+	printProvenance(w, res.Provenance)
 }
 
 // printProvenance renders the human-readable attribution summary: per-level
 // outcome totals with mean slack, then the heaviest trigger PCs and deltas
 // with Berti's claimed confidence next to the measured timely rate.
-func printProvenance(p *provenance.Report) {
+func printProvenance(w io.Writer, p *provenance.Report) {
 	if p == nil {
 		return
 	}
-	fmt.Printf("provenance: pool=%d overflow=%d live_at_end=%d\n",
+	fmt.Fprintf(w, "provenance: pool=%d overflow=%d live_at_end=%d\n",
 		p.Capacity, p.Overflow, p.LiveAtEnd)
 	for i := range p.Levels {
 		l := &p.Levels[i]
-		fmt.Printf("  %-4s issued=%d spawned=%d fills=%d timely=%d late=%d useless=%d dropped=%d avgSlack=%.0f avgFillLat=%.0f\n",
+		fmt.Fprintf(w, "  %-4s issued=%d spawned=%d fills=%d timely=%d late=%d useless=%d dropped=%d avgSlack=%.0f avgFillLat=%.0f\n",
 			l.Level, l.Issued, l.Spawned, l.Fills, l.Timely, l.Late, l.Useless,
 			l.Dropped, l.Slack.Mean(), l.FillLatency.Mean())
 	}
@@ -413,10 +375,10 @@ func printProvenance(p *provenance.Report) {
 		if len(rows) == 0 {
 			return
 		}
-		fmt.Printf("  top %s (issued / claimed conf -> timely rate, avg slack):\n", kind)
+		fmt.Fprintf(w, "  top %s (issued / claimed conf -> timely rate, avg slack):\n", kind)
 		for i := range rows {
 			r := &rows[i]
-			fmt.Printf("    %-18s issued=%-8d conf=%3.0f%% -> timely=%.2f slack=%.0f\n",
+			fmt.Fprintf(w, "    %-18s issued=%-8d conf=%3.0f%% -> timely=%.2f slack=%.0f\n",
 				r.Key, r.Issued, r.AvgConf, r.TimelyRate, r.AvgSlack)
 		}
 	}
@@ -424,125 +386,108 @@ func printProvenance(p *provenance.Report) {
 	printRows("deltas", p.TopDeltas(5))
 }
 
-// writeProvenance persists the attribution report (.json = JSON document,
-// anything else = attribution CSV).
-func writeProvenance(p *provenance.Report, path string) {
-	if path == "" {
-		return
-	}
-	if p == nil {
-		fmt.Fprintln(os.Stderr, "provenance: no report produced")
-		return
-	}
+// writeFile creates path and fills it with write, reporting the first error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "provenance:", err)
-		os.Exit(1)
+		return err
 	}
-	if strings.HasSuffix(path, ".json") {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(p)
-	} else {
-		err = p.WriteCSV(f)
-	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "provenance:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "provenance: wrote attribution (%d PCs, %d deltas) to %s\n",
-		len(p.PCs), len(p.Deltas), path)
+	return err
 }
 
-// exitForError reports a failed run and exits with the code matching the
-// error class: invariant violations get their own code (and a listing of the
-// recorded violations) so scripts can distinguish "the simulator broke" from
-// "the simulator caught breakage".
-func exitForError(err error, checker *check.Checker) {
+// encodeJSON writes v as indented JSON.
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// writeProvenance persists the attribution report (.json = JSON document,
+// anything else = attribution CSV).
+func writeProvenance(stderr io.Writer, p *provenance.Report, path string) error {
+	if path == "" || p == nil {
+		return nil
+	}
+	err := writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".json") {
+			return encodeJSON(w, p)
+		}
+		return p.WriteCSV(w)
+	})
+	if err != nil {
+		return fmt.Errorf("provenance: %w", err)
+	}
+	fmt.Fprintf(stderr, "provenance: wrote attribution (%d PCs, %d deltas) to %s\n",
+		len(p.PCs), len(p.Deltas), path)
+	return nil
+}
+
+// exitForError reports a failed run and returns the exit code matching the
+// error class: a spec the harness refused is a usage error, and invariant
+// violations get their own code (and a listing of the recorded violations)
+// so scripts can distinguish "the simulator broke" from "the simulator
+// caught breakage".
+func exitForError(stderr io.Writer, err error, checker *check.Checker) int {
 	if sim.IsCancel(err) {
-		fmt.Fprintln(os.Stderr, "bertisim: run interrupted before completion; no report was produced")
-		os.Exit(exitInterrupted)
+		fmt.Fprintln(stderr, "bertisim: run interrupted before completion; no report was produced")
+		return exitInterrupted
+	}
+	var se *harness.SpecError
+	if errors.As(err, &se) {
+		hint := ""
+		if se.Err == nil {
+			hint = " (use -list)"
+		}
+		fmt.Fprintf(stderr, "bertisim: %v%s\n", se, hint)
+		return exitUsage
 	}
 	var ve *check.ViolationError
 	if errors.As(err, &ve) {
-		fmt.Fprintf(os.Stderr, "bertisim: %d invariant violation(s) detected\n", ve.Total)
+		fmt.Fprintf(stderr, "bertisim: %d invariant violation(s) detected\n", ve.Total)
 		for _, v := range ve.Violations {
-			fmt.Fprintln(os.Stderr, "  ", v.String())
+			fmt.Fprintln(stderr, "  ", v.String())
 		}
 		if ve.Total > len(ve.Violations) {
-			fmt.Fprintf(os.Stderr, "   ... and %d more (raise check.Checker.MaxRecorded to keep them)\n",
+			fmt.Fprintf(stderr, "   ... and %d more (raise check.Checker.MaxRecorded to keep them)\n",
 				ve.Total-len(ve.Violations))
 		}
-		os.Exit(exitViolations)
+		return exitViolations
 	}
-	fmt.Fprintln(os.Stderr, "bertisim: run failed:", err)
+	fmt.Fprintln(stderr, "bertisim: run failed:", err)
 	if checker != nil && checker.Total() > 0 {
-		fmt.Fprintf(os.Stderr, "bertisim: %d invariant violation(s) were also recorded before the failure\n",
+		fmt.Fprintf(stderr, "bertisim: %d invariant violation(s) were also recorded before the failure\n",
 			checker.Total())
 	}
-	os.Exit(exitRunFailed)
-}
-
-// ensureWritable verifies an output path can be created, exiting early with
-// a clean error instead of failing after the simulation has run.
-func ensureWritable(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bertisim:", err)
-		os.Exit(1)
-	}
-	f.Close()
+	return exitRunFailed
 }
 
 // writeObservability persists the sampled time series and the event trace.
-func writeObservability(o *obs.Observer, res *sim.Result, tsOut, traceOut string) {
-	if tsOut != "" && res.TimeSeries != nil {
-		f, err := os.Create(tsOut)
+func writeObservability(stderr io.Writer, o *obs.Observer, res *sim.Result, tsOut, traceOut string) error {
+	if ts := res.TimeSeries; tsOut != "" && ts != nil {
+		err := writeFile(tsOut, func(w io.Writer) error {
+			if strings.HasSuffix(tsOut, ".json") {
+				return encodeJSON(w, ts)
+			}
+			return ts.WriteCSV(w)
+		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "timeseries:", err)
-			os.Exit(1)
+			return fmt.Errorf("timeseries: %w", err)
 		}
-		if strings.HasSuffix(tsOut, ".json") {
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			err = enc.Encode(res.TimeSeries)
-		} else {
-			err = res.TimeSeries.WriteCSV(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "timeseries:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "timeseries: wrote %d intervals to %s\n",
-			len(res.TimeSeries.Rows), tsOut)
+		fmt.Fprintf(stderr, "timeseries: wrote %d intervals to %s\n", len(ts.Rows), tsOut)
 	}
 	if o == nil || o.Tracer == nil || traceOut == "" {
-		return
+		return nil
 	}
-	f, err := os.Create(traceOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+	if err := writeFile(traceOut, o.Tracer.WriteChromeTrace); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	err = o.Tracer.WriteChromeTrace(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d emitted, %d dropped by ring)\n",
+	fmt.Fprintf(stderr, "trace: wrote %d events to %s (%d emitted, %d dropped by ring)\n",
 		len(o.Tracer.Events()), traceOut, o.Tracer.Total(), o.Tracer.Dropped())
+	return nil
 }
 
 // jsonReport is the machine-readable output of one run. SchemaVersion
@@ -584,8 +529,8 @@ type jsonProvenance struct {
 	Calibration   []provenance.CalBand    `json:"calibration"`
 }
 
-// emitJSON prints the machine-readable report.
-func emitJSON(workload, l1d, l2 string, res, base *sim.Result) {
+// emitJSON writes the machine-readable report.
+func emitJSON(w io.Writer, workload, l1d, l2 string, res, base *sim.Result) error {
 	instr := res.Config.SimInstructions
 	c := &res.Cores[0]
 	rep := jsonReport{
@@ -618,10 +563,5 @@ func emitJSON(workload, l1d, l2 string, res, base *sim.Result) {
 			Calibration:   p.Calibration,
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return encodeJSON(w, rep)
 }

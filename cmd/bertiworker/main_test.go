@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -19,6 +21,36 @@ import (
 	"github.com/bertisim/berti/internal/server"
 )
 
+// binDir holds the bertiworker and bertid binaries, built once by
+// TestMain for every test that runs them.
+var binDir string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	os.Exit(runTests(m))
+}
+
+// runTests builds the binaries into a shared temporary directory (skipped
+// under -short, where every test here skips) and runs the tests.
+func runTests(m *testing.M) int {
+	if testing.Short() {
+		return m.Run()
+	}
+	dir, err := os.MkdirTemp("", "berti-test-bin")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
+	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../bertid")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building test binaries: %v\n%s", err, out)
+		return 1
+	}
+	binDir = dir
+	return m.Run()
+}
+
 // TestWorkerFleetChaosByteIdentical is the distributed acceptance test
 // over real processes and real HTTP: a campaign on a lease-only
 // coordinator, served by three bertiworker binaries — the first SIGKILLed
@@ -29,17 +61,11 @@ import (
 // in the fleet metrics.
 func TestWorkerFleetChaosByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and boots the bertid and bertiworker binaries")
+		t.Skip("boots the bertid and bertiworker binaries")
 	}
 	dir := t.TempDir()
-	coordBin := filepath.Join(dir, "bertid")
-	if out, err := exec.Command("go", "build", "-o", coordBin, "../bertid").CombinedOutput(); err != nil {
-		t.Fatalf("building bertid binary: %v\n%s", err, out)
-	}
-	workerBin := filepath.Join(dir, "bertiworker")
-	if out, err := exec.Command("go", "build", "-o", workerBin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building bertiworker binary: %v\n%s", err, out)
-	}
+	coordBin := filepath.Join(binDir, "bertid")
+	workerBin := filepath.Join(binDir, "bertiworker")
 	env := append(os.Environ(), "BERTI_SCALE=quick")
 	specs := []harness.RunSpec{
 		{Workload: "mcf_like_1554", L1DPf: "ip-stride"},

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -14,23 +16,52 @@ import (
 	"time"
 )
 
+// binDir holds the experiments and bertid binaries, built once by
+// TestMain for every test that runs them.
+var binDir string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	os.Exit(runTests(m))
+}
+
+// runTests builds the binaries into a shared temporary directory (skipped
+// under -short, where every test here skips) and runs the tests.
+func runTests(m *testing.M) int {
+	if testing.Short() {
+		return m.Run()
+	}
+	dir, err := os.MkdirTemp("", "berti-test-bin")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
+	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../bertid")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building test binaries: %v\n%s", err, out)
+		return 1
+	}
+	binDir = dir
+	return m.Run()
+}
+
 // TestKillAndResume is the end-to-end crash-safety acceptance test: a
 // campaign interrupted by SIGINT and resumed from its journal must produce
 // a final JSON report byte-identical to an uninterrupted campaign — even
 // after the journal's tail is torn, which must cost only the torn record.
 //
 // AblCalibration is used because it is the cheapest registered experiment
-// with enough harness runs (~50 at quick scale) that a signal fired after
-// the first journaled run always interrupts real in-flight work.
+// with enough harness runs (28 at quick scale: 7 workloads x 3 margins plus
+// their baselines) that a signal fired after the first journaled run always
+// interrupts real in-flight work; the exit-130 and partial-report checks
+// below fail if it does not.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the experiments binary three times")
+		t.Skip("runs the experiments binary three times")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "experiments")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building experiments binary: %v\n%s", err, out)
-	}
+	bin := filepath.Join(binDir, "experiments")
 	env := append(os.Environ(), "BERTI_SCALE=quick")
 	const expID = "AblCalibration"
 
@@ -124,13 +155,9 @@ func TestKillAndResume(t *testing.T) {
 // cleaner than a partially-broken one.
 func TestSuppressedFailuresStillFail(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the experiments binary")
+		t.Skip("runs the experiments binary")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "experiments")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building experiments binary: %v\n%s", err, out)
-	}
+	bin := filepath.Join(binDir, "experiments")
 	// A 1ns run timeout fails every run; -max-failures 1 records one
 	// verbatim and suppresses the rest.
 	cmd := exec.Command(bin, "-run", "AblCalibration", "-run-timeout", "1ns", "-max-failures", "1")
@@ -150,17 +177,11 @@ func TestSuppressedFailuresStillFail(t *testing.T) {
 // byte-identical to a purely local run of the same experiment.
 func TestServerThinClient(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds two binaries and runs a daemon")
+		t.Skip("runs the experiments binary against a daemon")
 	}
 	dir := t.TempDir()
-	expBin := filepath.Join(dir, "experiments")
-	daemonBin := filepath.Join(dir, "bertid")
-	if out, err := exec.Command("go", "build", "-o", expBin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building experiments binary: %v\n%s", err, out)
-	}
-	if out, err := exec.Command("go", "build", "-o", daemonBin, "../bertid").CombinedOutput(); err != nil {
-		t.Fatalf("building bertid binary: %v\n%s", err, out)
-	}
+	expBin := filepath.Join(binDir, "experiments")
+	daemonBin := filepath.Join(binDir, "bertid")
 	env := append(os.Environ(), "BERTI_SCALE=quick")
 	const expID = "AblCalibration"
 

@@ -56,12 +56,6 @@ type Config struct {
 	// and demand-priority scheduling; Section III-A notes prefetch
 	// latency exceeds demand latency). 25 = require 1.25x latency.
 	TimelinessMarginPct int
-	// MediumBandOnTriggerOnly restricts medium-coverage (L2-fill) deltas
-	// to trigger events that would have missed in the baseline (demand
-	// misses and first hits on prefetched lines), keeping the
-	// medium-confidence traffic small; high-coverage deltas still issue
-	// on every access.
-	MediumBandOnTriggerOnly bool
 	// LatencyBits is the width of the per-line latency counter (12);
 	// latencies that overflow are set to zero and not learned (§IV.J).
 	LatencyBits int
@@ -98,28 +92,27 @@ func DPC3Config() Config {
 // DefaultConfig returns the paper's configuration (Table I, Section III-C).
 func DefaultConfig() Config {
 	return Config{
-		HistorySets:             8,
-		HistoryWays:             16,
-		DeltaTableEntries:       16,
-		DeltasPerEntry:          16,
-		MaxTimelyPerSearch:      8,
-		MaxSelectedDeltas:       12,
-		HighWatermarkPct:        65,
-		MediumWatermarkPct:      35,
-		ReplWatermarkPct:        50,
-		WarmupHighPct:           80,
-		WarmupMinSearches:       8,
-		MSHROccupancyPct:        70,
-		TimelinessMarginPct:     25,
-		MediumBandOnTriggerOnly: false,
-		LatencyBits:             12,
-		TimestampBits:           16,
-		DeltaBits:               13,
-		LineAddrBits:            24,
-		CrossPage:               true,
-		L1DLines:                768,
-		PQEntries:               16,
-		MSHREntries:             16,
+		HistorySets:         8,
+		HistoryWays:         16,
+		DeltaTableEntries:   16,
+		DeltasPerEntry:      16,
+		MaxTimelyPerSearch:  8,
+		MaxSelectedDeltas:   12,
+		HighWatermarkPct:    65,
+		MediumWatermarkPct:  35,
+		ReplWatermarkPct:    50,
+		WarmupHighPct:       80,
+		WarmupMinSearches:   8,
+		MSHROccupancyPct:    70,
+		TimelinessMarginPct: 25,
+		LatencyBits:         12,
+		TimestampBits:       16,
+		DeltaBits:           13,
+		LineAddrBits:        24,
+		CrossPage:           true,
+		L1DLines:            768,
+		PQEntries:           16,
+		MSHREntries:         16,
 	}
 }
 
@@ -579,13 +572,11 @@ func (b *Berti) OnAccess(ev cache.AccessEvent) []cache.PrefetchReq {
 		// known.
 		b.insertHistory(key, ev.LineAddr, ev.Cycle)
 	}
-	return b.predict(ev, !ev.Hit || ev.PrefetchHit)
+	return b.predict(ev)
 }
 
 // predict looks up the table of deltas and emits prefetch requests.
-// isTrigger marks accesses that would have missed in the baseline (demand
-// misses and first hits to prefetched lines).
-func (b *Berti) predict(ev cache.AccessEvent, isTrigger bool) []cache.PrefetchReq {
+func (b *Berti) predict(ev cache.AccessEvent) []cache.PrefetchReq {
 	e := b.findTableEntry(b.key(ev.IP, ev.LineAddr))
 	if e == nil {
 		return nil
@@ -610,9 +601,6 @@ func (b *Berti) predict(ev cache.AccessEvent, isTrigger bool) []cache.PrefetchRe
 				level = cache.L2
 			}
 		case e.warmed && (s.status == statusL2 || s.status == statusL2Repl):
-			if b.cfg.MediumBandOnTriggerOnly && !isTrigger {
-				continue
-			}
 			level = cache.L2
 		case !e.warmed && int(e.counter) >= b.cfg.WarmupMinSearches &&
 			int(s.coverage)*100 >= warmHigh*int(e.counter):

@@ -324,3 +324,57 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestFillLevelByStatus pins the fill level of a warmed delta per status.
+// A medium-coverage (L2-status) delta issues an L2 prefetch on every L1D
+// access: plain demand hits, misses and first hits on prefetched lines
+// alike. A high-coverage (L1D-status) delta fills the L1D until the MSHR
+// reaches MSHROccupancyPct, then falls back to L2.
+func TestFillLevelByStatus(t *testing.T) {
+	const ip, delta, line = 0x400dd4, 7, 1000
+	// warm closes one learning phase in which hits of the 16 searches
+	// found delta timely: 6 -> l2_pref_repl, 8 -> l2_pref, 16 -> l1d_pref.
+	warm := func(hits int) *Berti {
+		b := New(DefaultConfig())
+		for i := 0; i < 16; i++ {
+			var ds []int64
+			if i < hits {
+				ds = []int64{delta}
+			}
+			b.recordSearch(ip, ds)
+		}
+		return b
+	}
+	cases := []struct {
+		name   string
+		hits   int
+		status string
+		ev     cache.AccessEvent
+		want   cache.Level
+	}{
+		{"L2 status, demand hit", 8, "l2_pref", cache.AccessEvent{Hit: true}, cache.L2},
+		{"L2 status, demand miss", 8, "l2_pref", cache.AccessEvent{}, cache.L2},
+		{"L2 status, prefetch hit", 8, "l2_pref", cache.AccessEvent{Hit: true, PrefetchHit: true}, cache.L2},
+		{"L2 replaceable status, demand hit", 6, "l2_pref_repl", cache.AccessEvent{Hit: true}, cache.L2},
+		{"L1D status, MSHR below watermark", 16, "l1d_pref",
+			cache.AccessEvent{Hit: true, MSHRCap: 10, MSHROccupancy: 6}, cache.L1D},
+		{"L1D status, MSHR at watermark", 16, "l1d_pref",
+			cache.AccessEvent{Hit: true, MSHRCap: 10, MSHROccupancy: 7}, cache.L2},
+		{"L1D status, MSHR above watermark", 16, "l1d_pref",
+			cache.AccessEvent{MSHRCap: 10, MSHROccupancy: 9}, cache.L2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := warm(c.hits)
+			if ds := b.SnapshotDeltas(ip); len(ds) != 1 || ds[0].Status != c.status {
+				t.Fatalf("warmed deltas %+v, want one %s delta", ds, c.status)
+			}
+			ev := c.ev
+			ev.IP, ev.LineAddr, ev.Cycle = ip, line, 5000
+			reqs := b.OnAccess(ev)
+			if len(reqs) != 1 || reqs[0].LineAddr != line+delta || reqs[0].FillLevel != c.want {
+				t.Fatalf("issued %+v, want one prefetch of line %d filling %v", reqs, line+delta, c.want)
+			}
+		})
+	}
+}

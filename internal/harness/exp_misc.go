@@ -48,27 +48,19 @@ func renderAblPythia(r *Runs, w io.Writer) {
 	fmt.Fprintln(w, "paper: with Berti at the L1D, Pythia adds <1%")
 }
 
-// renderAblCalibration ablates the two Berti calibration decisions this
+// renderAblCalibration ablates the Berti calibration decision this
 // reproduction adds on top of the paper's text (DESIGN.md §6): the
-// timeliness margin on the timely-delta search and the trigger gating of
-// the medium-coverage (L2-fill) band.
+// timeliness margin on the timely-delta search.
 func renderAblCalibration(r *Runs, w io.Writer) {
-	t := metrics.NewTable("Ablation: reproduction calibration knobs (speedup over IP-stride)",
-		"margin-%", "medium-band", "speedup")
+	t := metrics.NewTable("Ablation: reproduction calibration knob (speedup over IP-stride)",
+		"margin-%", "speedup")
 	for _, margin := range []int{0, 25, 50} {
-		for _, gated := range []bool{true, false} {
-			cfg := core.DefaultConfig()
-			cfg.TimelinessMarginPct = margin
-			cfg.MediumBandOnTriggerOnly = gated
-			band := "every-access"
-			if gated {
-				band = "triggers-only"
-			}
-			t.AddRow(margin, band, bertiVariantSpeedup(r, cfg))
-		}
+		cfg := core.DefaultConfig()
+		cfg.TimelinessMarginPct = margin
+		t.AddRow(margin, bertiVariantSpeedup(r, cfg))
 	}
 	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "defaults: margin 25%, triggers-only (see DESIGN.md §6 for rationale)")
+	fmt.Fprintln(w, "defaults: margin 25%; the medium band issues on every access (see DESIGN.md §6 for rationale)")
 }
 
 // renderAblIdeal reproduces the Section IV-G observation: for CloudSuite-like

@@ -97,7 +97,7 @@ var experiments = []Experiment{
 		Desc:   "ideal (oracle) L1D prefetcher headroom, cloud vs MemInt",
 		Render: renderAblIdeal},
 	{ID: "AblCalibration", Paper: "DESIGN.md §6",
-		Desc:   "this reproduction's calibration knobs: timeliness margin, medium-band gating",
+		Desc:   "this reproduction's calibration knob: the timeliness margin",
 		Render: renderAblCalibration},
 	{ID: "AblPythia", Paper: "Section V",
 		Desc:   "Pythia (RL, L2) with and without Berti at L1D",

@@ -188,12 +188,6 @@ func (p RetryPolicy) delay(key string, attempt int) time.Duration {
 // the given identity key, aborting early when ctx fires, and reports
 // whether the retry should proceed (false = ctx cancelled).
 func (p RetryPolicy) Sleep(ctx context.Context, key string, attempt int) bool {
-	return p.backoff(ctx, key, attempt)
-}
-
-// backoff sleeps the policy's delay, aborting early when ctx fires. It
-// reports whether the retry should proceed.
-func (p RetryPolicy) backoff(ctx context.Context, key string, attempt int) bool {
 	t := time.NewTimer(p.delay(key, attempt))
 	defer t.Stop()
 	select {
@@ -289,14 +283,23 @@ func ScaleFromEnv() Scale {
 	}
 }
 
-// RunSpec names one simulation: a workload (or multi-core mix), an L1D and
-// L2 prefetcher from the registry, and optional overrides.
+// RunSpec names one simulation: a trace source (a registry workload, a
+// multi-core mix or a trace file), an L1D and L2 prefetcher from the
+// registry, and optional overrides.
 type RunSpec struct {
 	// Workload is a registry name (single core). For multi-core runs use
 	// Mix instead.
 	Workload string
 	// Mix lists one workload per core (multi-core heterogeneous mix).
 	Mix []string
+	// TraceFile is the path of a v2 trace container (from tracegen) to run
+	// on a single core instead of a generated workload. It excludes
+	// Workload, Mix and the oracle L1D prefetcher.
+	TraceFile string `json:",omitempty"`
+	// Skip fast-forwards a TraceFile run this many instructions before the
+	// warmup window starts (the container's chunk index seeks past the
+	// skipped region without decompressing it).
+	Skip uint64 `json:",omitempty"`
 	// L1DPf / L2Pf are prefetch registry names; "" disables the level.
 	L1DPf string
 	L2Pf  string
@@ -312,16 +315,32 @@ type RunSpec struct {
 
 // Key builds the memoization key. It is also the journal key the campaign
 // layer persists completed results under, so it must be stable across
-// process restarts (it is: a pure function of the spec's fields).
+// process restarts (it is: a pure function of the spec's fields and, for a
+// trace file, of the container's content).
 func (s RunSpec) Key() string { return s.key() }
 
-// key builds the memoization key.
+// key builds the memoization key. A trace file enters it by its content
+// digest, not its path, so a copied or moved container keys the same.
 func (s RunSpec) key() string {
 	k := fmt.Sprintf("w=%s|mix=%v|l1=%s|l2=%s|dram=%s|seed=%d", s.Workload, s.Mix, s.L1DPf, s.L2Pf, s.DRAMCfg, s.Seed)
+	if s.TraceFile != "" {
+		k += fmt.Sprintf("|trace=%s|skip=%d", traceDigest(s.TraceFile), s.Skip)
+	}
 	if s.BertiOverride != nil {
 		k += fmt.Sprintf("|berti=%+v", *s.BertiOverride)
 	}
 	return k
+}
+
+// traceDigest is the content digest of the container at path. An
+// unreadable file keys by its path: its run fails on the same open error.
+func traceDigest(path string) string {
+	f, err := tracestore.Open(path)
+	if err != nil {
+		return "unreadable:" + path
+	}
+	defer f.Close()
+	return f.Digest()
 }
 
 // Harness memoizes traces and simulation results across experiments.
@@ -496,9 +515,12 @@ func (h *Harness) MustTrace(name string, seed int64) *trace.Slice {
 	return t
 }
 
-func (h *Harness) factory(name string, override *core.Config) (sim.PrefetcherFactory, error) {
+// factory resolves the prefetcher a spec field names ("" disables the
+// level; "oracle" is wired in newMachine, which has the trace). A Berti
+// override replaces the registry config and is validated first.
+func factory(field, name string, override *core.Config) (sim.PrefetcherFactory, error) {
 	if name == "" || name == "oracle" {
-		return nil, nil // "oracle" is wired specially in Run (needs the trace)
+		return nil, nil
 	}
 	if name == "berti" && override != nil {
 		if err := override.Validate(); err != nil {
@@ -509,19 +531,23 @@ func (h *Harness) factory(name string, override *core.Config) (sim.PrefetcherFac
 	}
 	e, ok := prefetch.ByName(name)
 	if !ok {
-		return nil, &SpecError{Field: "Prefetcher", Name: name}
+		return nil, &SpecError{Field: field, Name: name}
 	}
 	return func() cache.Prefetcher { return e.New() }, nil
 }
 
 // ValidateSpec resolves every registry name and override in spec without
 // executing anything — the campaign server's admission check. A rejected
-// spec yields the same typed *SpecError the run itself would fail with,
-// but with the offending spec field named ("L1DPf" instead of the generic
-// "Prefetcher"), so API clients get an addressable error.
+// spec yields the same typed *SpecError, naming the offending spec field,
+// that the run itself would fail with, so API clients get an addressable
+// error.
 func ValidateSpec(spec RunSpec) error {
-	if spec.Workload == "" && len(spec.Mix) == 0 {
-		return &SpecError{Field: "Workload", Name: ""}
+	if err := checkSource(spec); err != nil {
+		return err
+	}
+	if spec.TraceFile != "" {
+		return &SpecError{Field: "TraceFile", Name: spec.TraceFile,
+			Err: errors.New("the campaign daemon runs generated workloads only: its workers cannot fetch trace files")}
 	}
 	names := spec.Mix
 	if len(names) == 0 {
@@ -532,16 +558,11 @@ func ValidateSpec(spec RunSpec) error {
 			return &SpecError{Field: "Workload", Name: w}
 		}
 	}
-	if err := validatePrefetcher("L1DPf", spec.L1DPf); err != nil {
+	if _, err := factory("L1DPf", spec.L1DPf, spec.BertiOverride); err != nil {
 		return err
 	}
-	if err := validatePrefetcher("L2Pf", spec.L2Pf); err != nil {
+	if _, err := factory("L2Pf", spec.L2Pf, nil); err != nil {
 		return err
-	}
-	if spec.BertiOverride != nil && spec.L1DPf == "berti" {
-		if err := spec.BertiOverride.Validate(); err != nil {
-			return &SpecError{Field: "BertiOverride", Name: spec.L1DPf, Err: err}
-		}
 	}
 	if _, err := dramConfig(spec.DRAMCfg); err != nil {
 		return err
@@ -549,16 +570,52 @@ func ValidateSpec(spec RunSpec) error {
 	return nil
 }
 
-// validatePrefetcher mirrors factory's name resolution ("" disables the
-// level; "oracle" is wired specially) with the spec field in the error.
-func validatePrefetcher(field, name string) error {
-	if name == "" || name == "oracle" {
+// checkSource refuses specs whose trace source is contradictory: a trace
+// file alongside a workload or mix, a trace file under the oracle (which
+// reads a generated trace's future), or a skip without a trace file.
+func checkSource(spec RunSpec) error {
+	if spec.TraceFile == "" {
+		if spec.Skip > 0 {
+			return &SpecError{Field: "Skip", Name: fmt.Sprint(spec.Skip),
+				Err: errors.New("only a trace file can be skipped into (generated workloads start at instruction 0)")}
+		}
 		return nil
 	}
-	if _, ok := prefetch.ByName(name); !ok {
-		return &SpecError{Field: field, Name: name}
+	if spec.Workload != "" || len(spec.Mix) > 0 {
+		return &SpecError{Field: "TraceFile", Name: spec.TraceFile,
+			Err: errors.New("a trace-file spec names no Workload or Mix")}
+	}
+	if spec.L1DPf == "oracle" {
+		return &SpecError{Field: "L1DPf", Name: spec.L1DPf,
+			Err: errors.New("the oracle needs a generated trace, not a trace file")}
 	}
 	return nil
+}
+
+// openTraceFile opens a trace-file spec's container and checks its skip
+// against the trace length. Under a trace fault plan it opens a damaged
+// private copy of the bytes instead; the format's structure checks and
+// checksums locate the damage as a *tracestore.FormatError.
+func openTraceFile(spec RunSpec, fp *fault.Plan) (*tracestore.File, error) {
+	var f *tracestore.File
+	var err error
+	if fp != nil && fp.TraceFault() {
+		var data []byte
+		if data, err = os.ReadFile(spec.TraceFile); err == nil {
+			f, err = tracestore.OpenBytes(fp.MutateTrace(data, tracestore.HeadMagicLen))
+		}
+	} else {
+		f, err = tracestore.Open(spec.TraceFile)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if n := f.Meta().Instructions; spec.Skip > 0 && spec.Skip >= n {
+		f.Close()
+		return nil, &SpecError{Field: "Skip", Name: fmt.Sprint(spec.Skip),
+			Err: fmt.Errorf("at or past the end of the trace's %d instructions", n)}
+	}
+	return f, nil
 }
 
 func dramConfig(name string) (dram.Config, error) {
@@ -743,7 +800,7 @@ func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Optio
 			return res, err
 		}
 		if retry && attempts < h.Retry.maxAttempts() && transient(err, attempts) {
-			if !h.Retry.backoff(ctx, spec.key(), attempts) {
+			if !h.Retry.Sleep(ctx, spec.key(), attempts) {
 				return nil, &sim.CancelError{Cause: ctx.Err()}
 			}
 			continue
@@ -813,13 +870,18 @@ func (h *Harness) RunWithContext(ctx context.Context, spec RunSpec, opts sim.Opt
 }
 
 // newMachine builds the fully-wired machine for one spec (traces are still
-// memoized; the machine itself is fresh). With CorpusDir set, each core
-// streams its trace from the on-disk v2 container through a bounded decode
-// pipeline; the returned cleanup releases the streaming readers and file
-// handles after the run. Oracle prefetchers (which read the trace's
-// future) and trace-level fault plans (which damage a private encoded copy,
-// surfacing the damage as *tracestore.FormatError) keep the in-memory path.
+// memoized; the machine itself is fresh). A trace-file spec streams its
+// container from the Skip window on. With CorpusDir set, each core of a
+// generated workload streams its trace from the on-disk v2 container; the
+// returned cleanup releases the streaming readers and file handles after
+// the run. Oracle prefetchers (which read the trace's future) and
+// trace-level fault plans on generated workloads (which damage a private
+// encoded copy, surfacing the damage as *tracestore.FormatError) keep the
+// in-memory path.
 func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func(), error) {
+	if err := checkSource(spec); err != nil {
+		return nil, nil, err
+	}
 	cfg := sim.DefaultConfig()
 	var err error
 	cfg.DRAM, err = dramConfig(spec.DRAMCfg)
@@ -829,7 +891,8 @@ func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func()
 	cfg.WarmupInstructions = h.Scale.WarmupInstr
 	cfg.SimInstructions = h.Scale.SimInstr
 
-	stream := h.CorpusDir != "" && spec.L1DPf != "oracle" && (fp == nil || !fp.TraceFault())
+	traceFault := fp != nil && fp.TraceFault()
+	stream := spec.TraceFile != "" || (h.CorpusDir != "" && spec.L1DPf != "oracle" && !traceFault)
 	var closers []func()
 	cleanup := func() {
 		for _, c := range closers {
@@ -841,28 +904,31 @@ func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func()
 		return nil, nil, err
 	}
 
-	workloadTrace := func(w string, seed int64) (*trace.Slice, error) {
-		tr, err := h.Trace(w, seed)
-		if err != nil {
-			return nil, err
-		}
-		if fp != nil && fp.TraceFault() {
-			return damageTrace(tr, fp)
-		}
-		return tr, nil
-	}
 	var traces []*trace.Slice
 	makeReader := func(w string, seed int64) (trace.Reader, error) {
 		if stream {
-			f, err := h.corpusFile(w, seed)
+			var f *tracestore.File
+			var err error
+			if spec.TraceFile != "" {
+				f, err = openTraceFile(spec, fp)
+			} else {
+				f, err = h.corpusFile(w, seed)
+			}
 			if err != nil {
 				return nil, err
 			}
-			rd := f.NewReader(tracestore.ReaderOptions{Loop: true, Workers: streamWorkers})
+			rd, err := f.NewWindowReader(spec.Skip, tracestore.ReaderOptions{Loop: true, Workers: streamWorkers})
+			if err != nil {
+				f.Close()
+				return nil, err
+			}
 			closers = append(closers, func() { rd.Close(); f.Close() })
 			return rd, nil
 		}
-		tr, err := workloadTrace(w, seed)
+		tr, err := h.Trace(w, seed)
+		if err == nil && traceFault {
+			tr, err = damageTrace(tr, fp)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -870,25 +936,18 @@ func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func()
 		return trace.NewLoopReader(tr), nil
 	}
 
-	var readers []trace.Reader
-	if len(spec.Mix) > 0 {
-		cfg.Cores = len(spec.Mix)
-		for i, w := range spec.Mix {
-			rd, err := makeReader(w, spec.Seed+int64(i))
-			if err != nil {
-				return fail(err)
-			}
-			readers = append(readers, rd)
-		}
-	} else {
-		cfg.Cores = 1
-		rd, err := makeReader(spec.Workload, spec.Seed)
-		if err != nil {
+	names := spec.Mix
+	if len(names) == 0 {
+		names = []string{spec.Workload}
+	}
+	cfg.Cores = len(names)
+	readers := make([]trace.Reader, len(names))
+	for i, w := range names {
+		if readers[i], err = makeReader(w, spec.Seed+int64(i)); err != nil {
 			return fail(err)
 		}
-		readers = append(readers, rd)
 	}
-	l1Factory, err := h.factory(spec.L1DPf, spec.BertiOverride)
+	l1Factory, err := factory("L1DPf", spec.L1DPf, spec.BertiOverride)
 	if err != nil {
 		return fail(err)
 	}
@@ -902,7 +961,7 @@ func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func()
 			return oracle.New(tr, 24)
 		}
 	}
-	l2Factory, err := h.factory(spec.L2Pf, nil)
+	l2Factory, err := factory("L2Pf", spec.L2Pf, nil)
 	if err != nil {
 		return fail(err)
 	}

@@ -132,6 +132,13 @@ func TestValidateSpec(t *testing.T) {
 		{RunSpec{Workload: "mcf_like_1554", L2Pf: "no-such-pf"}, "L2Pf"},
 		{RunSpec{Workload: "mcf_like_1554", DRAMCfg: "ddr9"}, "DRAMCfg"},
 		{RunSpec{Workload: "mcf_like_1554", L1DPf: "berti", BertiOverride: &core.Config{}}, "BertiOverride"},
+		{RunSpec{Workload: "mcf_like_1554", Skip: 1000}, "Skip"},
+		{RunSpec{TraceFile: "t.btr2", Workload: "mcf_like_1554"}, "TraceFile"},
+		{RunSpec{TraceFile: "t.btr2", Mix: []string{"mcf_like_1554", "roms_like"}}, "TraceFile"},
+		{RunSpec{TraceFile: "t.btr2", L1DPf: "oracle"}, "L1DPf"},
+		// The daemon's workers cannot fetch files: a well-formed trace-file
+		// spec is refused too.
+		{RunSpec{TraceFile: "t.btr2", L1DPf: "berti", Skip: 1000}, "TraceFile"},
 	}
 	for _, c := range cases {
 		err := ValidateSpec(c.spec)

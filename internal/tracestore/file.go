@@ -3,7 +3,9 @@ package tracestore
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -23,6 +25,7 @@ type File struct {
 	size   int64
 	meta   Meta
 	chunks []chunkInfo
+	digest [sha256.Size]byte
 	closer io.Closer
 }
 
@@ -97,7 +100,7 @@ func OpenReaderAt(ra io.ReaderAt, size int64) (*File, error) {
 		return fail("footer", footerOff, ErrChecksum)
 	}
 
-	f := &File{ra: ra, size: size}
+	f := &File{ra: ra, size: size, digest: sha256.Sum256(footer)}
 	mb := footer[indexLen:]
 	if len(mb) < 32 {
 		return fail("meta", footerOff+indexLen, io.ErrUnexpectedEOF)
@@ -203,6 +206,12 @@ func (f *File) Close() error {
 
 // Meta returns the stored trace metadata.
 func (f *File) Meta() Meta { return f.meta }
+
+// Digest names the container by its content: the hex SHA-256 of the
+// checksummed footer, i.e. the chunk index (which carries each chunk's
+// CRC32-C) plus the metadata. Copies of a container share a digest wherever
+// they live; containers of different records do not.
+func (f *File) Digest() string { return hex.EncodeToString(f.digest[:]) }
 
 // Chunks returns the number of chunks in the container.
 func (f *File) Chunks() int { return len(f.chunks) }
@@ -324,6 +333,9 @@ func (f *File) decodeChunk(idx int, sc *scratch) ([]trace.Record, error) {
 func (f *File) FastForward(target uint64) (chunk, skip int, startInstr uint64, err error) {
 	if target >= f.meta.Instructions {
 		return len(f.chunks), 0, f.meta.Instructions, nil
+	}
+	if target == 0 {
+		return 0, 0, 0, nil // the first record always retires past 0
 	}
 	// Last chunk whose first record retires within the target.
 	chunk = sort.Search(len(f.chunks), func(i int) bool {
