@@ -138,8 +138,15 @@ func BenchmarkCacheTick(b *testing.B) {
 func TestCacheTickZeroAllocSteadyState(t *testing.T) {
 	for _, cfg := range tickGeometries {
 		tb := newTickBench(cfg).warm()
-		if avg := testing.AllocsPerRun(2000, tb.step); avg != 0 {
-			t.Fatalf("%s: %.3f allocs per cycle in steady state, want 0", cfg.Name, avg)
+		// One batch per run: AllocsPerRun's integer division would round
+		// a rate below one allocation per cycle down to zero.
+		n := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 2000; i++ {
+				tb.step()
+			}
+		})
+		if n != 0 {
+			t.Fatalf("%s: %.0f allocations over 2000 cycles in steady state, want 0", cfg.Name, n)
 		}
 	}
 }

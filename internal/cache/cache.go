@@ -400,7 +400,15 @@ type Cache struct {
 	// RQRejects counts AcceptRead refusals (queue full) — a backpressure
 	// diagnostic.
 	RQRejects uint64
-	Stats     stats.CacheStats
+	// PrefForwarded counts prefetches handed straight to the lower level
+	// because they fill below this one (a diagnostic outside Stats).
+	PrefForwarded uint64
+	// fwd is the request processPrefetches hands to the lower level. It
+	// lives in the cache rather than on the stack because the DRAM adaptor
+	// below the LLC is reached through the Lower interface, which would
+	// make a local escape to the heap on every forwarded prefetch.
+	fwd   Req
+	Stats stats.CacheStats
 	// drripPSEL and leader sets for DRRIP set dueling.
 	drripPSEL int
 	// tr is the structured event tracer (nil = tracing disabled; every
@@ -1344,7 +1352,7 @@ func (c *Cache) processPrefetches(cycle uint64) {
 			// the lower level so it can never block demand misses
 			// queued in sendQ. If the lower level is full, retry next
 			// cycle (the PQ itself is the bounded buffer).
-			req := Req{
+			c.fwd = Req{
 				LineAddr:   e.pline,
 				VLineAddr:  e.vline,
 				IsPrefetch: true,
@@ -1352,10 +1360,11 @@ func (c *Cache) processPrefetches(cycle uint64) {
 				notBefore:  cycle,
 				provID:     e.provID,
 			}
-			if !c.lowerAcceptRead(&req, cycle) {
+			if !c.lowerAcceptRead(&c.fwd, cycle) {
 				return
 			}
 			c.TrafficDown++
+			c.PrefForwarded++
 		}
 		c.pq.PopFront()
 		c.pqIdx.remove(e.pline)
@@ -1508,6 +1517,7 @@ func (c *Cache) ResetStats() {
 	c.Stats = stats.CacheStats{Name: name}
 	c.TrafficDown = 0
 	c.WBDown = 0
+	c.PrefForwarded = 0
 }
 
 // QueueSnapshot captures one level's queue and MSHR occupancy (engine

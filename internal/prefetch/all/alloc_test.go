@@ -60,11 +60,13 @@ func TestPrefetchersZeroAllocSteadyState(t *testing.T) {
 			// Warm: populate tables, grow scratch buffers to their
 			// steady-state high-water mark.
 			cycle := drive(p, 20_000, 0)
-			avg := testing.AllocsPerRun(100, func() {
-				cycle = drive(p, 200, cycle)
+			// One batch per run: AllocsPerRun's integer division would
+			// round a rate below one allocation per batch down to zero.
+			n := testing.AllocsPerRun(1, func() {
+				cycle = drive(p, 20_000, cycle)
 			})
-			if avg != 0 {
-				t.Fatalf("%s: %.2f allocs per 200 accesses in steady state, want 0", e.Name, avg)
+			if n != 0 {
+				t.Fatalf("%s: %.0f allocations over 20000 accesses in steady state, want 0", e.Name, n)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func sampleTrace(n int, seed int64) *Slice {
@@ -78,5 +79,13 @@ func TestInstructionsCount(t *testing.T) {
 	s.Append(Record{NonMemBefore: 7})
 	if got := s.Instructions(); got != 13 {
 		t.Fatalf("instructions = %d, want 13", got)
+	}
+}
+
+// TestRecordSize pins the packed layout: reordering the fields back to
+// Kind before NonMemBefore would pad a record to 32 bytes.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 24 {
+		t.Fatalf("trace.Record is %d bytes, want 24", n)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"github.com/bertisim/berti/internal/trace"
@@ -225,29 +226,45 @@ func (f *File) CompressedSize() int64 {
 	return n
 }
 
-// scratch holds the per-decoder reusable buffers so a streaming worker
-// allocates only the record slice it hands off.
+// scratch holds the per-decoder reusable buffers, so a decode allocates
+// nothing once they have grown to the largest chunk.
 type scratch struct {
 	comp []byte
 	raw  bytes.Buffer
 	br   *bytes.Reader
 	fr   io.ReadCloser
+	lr   io.LimitedReader
 }
 
-func newScratch() *scratch {
-	return &scratch{br: bytes.NewReader(nil), fr: flate.NewReader(bytes.NewReader(nil))}
+// newScratch returns decode buffers sized up front for f's largest chunk,
+// so a decoder never regrows them, whichever chunks it happens to be
+// handed. The raw buffer keeps bytes.MinRead spare bytes past the payload:
+// a bytes.Buffer reading to EOF wants that much room.
+func (f *File) newScratch() *scratch {
+	var comp, raw int
+	for i := range f.chunks {
+		comp = max(comp, int(f.chunks[i].CompLen))
+		raw = max(raw, int(f.chunks[i].RawLen))
+	}
+	sc := &scratch{comp: make([]byte, comp), br: bytes.NewReader(nil), fr: flate.NewReader(bytes.NewReader(nil))}
+	sc.raw.Grow(raw + bytes.MinRead)
+	return sc
 }
 
-// decodeChunk reads, decompresses, verifies, and parses one chunk. The
-// returned slice is freshly allocated (it is handed across goroutines);
-// everything else comes from sc.
-func (f *File) decodeChunk(idx int, sc *scratch) ([]trace.Record, error) {
+// newChunkBuf returns an empty record buffer that holds any chunk of f, so
+// a recycled buffer never has to grow.
+func (f *File) newChunkBuf() []trace.Record {
+	return make([]trace.Record, 0, min(uint64(f.meta.ChunkRecords), f.meta.Records))
+}
+
+// decodeChunk reads, decompresses, verifies, and parses one chunk,
+// appending its records to dst and returning the extended slice. Streaming
+// readers pass a recycled buffer (dst[:0] of a consumed chunk), so a warm
+// reader decodes without allocating; everything else comes from sc.
+func (f *File) decodeChunk(idx int, sc *scratch, dst []trace.Record) ([]trace.Record, error) {
 	c := &f.chunks[idx]
 	failC := func(err error) ([]trace.Record, error) {
 		return nil, &FormatError{Section: "chunk", Chunk: idx, Offset: c.Offset, Err: err}
-	}
-	if cap(sc.comp) < int(c.CompLen) {
-		sc.comp = make([]byte, c.CompLen)
 	}
 	comp := sc.comp[:c.CompLen]
 	if _, err := f.ra.ReadAt(comp, c.Offset); err != nil {
@@ -261,7 +278,8 @@ func (f *File) decodeChunk(idx int, sc *scratch) ([]trace.Record, error) {
 	// The copy is capped at RawLen+1: a payload that inflates past its
 	// declared size is rejected without buffering the excess, and the
 	// index validation already bounded RawLen by the chunk's record count.
-	n, err := io.Copy(&sc.raw, io.LimitReader(sc.fr, int64(c.RawLen)+1))
+	sc.lr = io.LimitedReader{R: sc.fr, N: int64(c.RawLen) + 1}
+	n, err := io.Copy(&sc.raw, &sc.lr)
 	if err != nil {
 		return failC(fmt.Errorf("inflate: %w", err))
 	}
@@ -273,7 +291,7 @@ func (f *File) decodeChunk(idx int, sc *scratch) ([]trace.Record, error) {
 		return failC(ErrChecksum)
 	}
 
-	out := make([]trace.Record, 0, c.Records)
+	out := slices.Grow(dst, int(c.Records))
 	var prevIP, prevAddr uint64
 	pos := 0
 	for i := uint32(0); i < c.Records; i++ {
@@ -344,7 +362,7 @@ func (f *File) FastForward(target uint64) (chunk, skip int, startInstr uint64, e
 	if chunk < 0 {
 		chunk = 0
 	}
-	recs, err := f.decodeChunk(chunk, newScratch())
+	recs, err := f.decodeChunk(chunk, f.newScratch(), nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -370,13 +388,12 @@ func (f *File) ReadAll() (*trace.Slice, error) {
 		capHint = 1 << 20
 	}
 	s := &trace.Slice{Records: make([]trace.Record, 0, capHint)}
-	sc := newScratch()
+	sc := f.newScratch()
 	for i := range f.chunks {
-		recs, err := f.decodeChunk(i, sc)
-		if err != nil {
+		var err error
+		if s.Records, err = f.decodeChunk(i, sc, s.Records); err != nil {
 			return nil, err
 		}
-		s.Records = append(s.Records, recs...)
 	}
 	return s, nil
 }

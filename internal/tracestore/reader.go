@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bertisim/berti/internal/trace"
 )
@@ -17,9 +18,11 @@ type ReaderOptions struct {
 	// baseline).
 	Workers int
 	// Ahead bounds how many decoded chunks may sit ready in front of the
-	// consumer (0 = 2x workers). Together with Workers it bounds peak
-	// decoded-records-resident memory at (Ahead + Workers + 1) chunks,
-	// independent of trace length.
+	// consumer (0 = 2x workers). A pipelined reader owns at most Ahead + 2
+	// chunk-sized record buffers (the consumer's, Ahead ready ones, and
+	// the one being queued behind them), independent of trace length and
+	// of Workers: it allocates them over its first Ahead + 2 decodes and
+	// recycles them from then on.
 	Ahead int
 	// Loop replays the trace forever (multi-core mixes), matching
 	// trace.LoopReader: EOF is returned only for an empty trace.
@@ -39,7 +42,8 @@ type job struct {
 }
 
 type chunkResult struct {
-	recs    []trace.Record
+	recs    []trace.Record // the records to replay (buf minus any skip)
+	buf     []trace.Record // the whole decoded chunk, recycled once consumed
 	err     error
 	wrapped bool
 }
@@ -49,12 +53,14 @@ type chunkResult struct {
 // order, workers decompress and parse them concurrently, and the consumer
 // receives them strictly in order through per-chunk hand-off slots. Close
 // must be called to release the pipeline goroutines unless Next has already
-// returned an error (EOF included).
+// returned an error (EOF included). A reader recycles the record buffer of
+// each chunk it has consumed, so a warm reader decodes without allocating.
 type Reader struct {
 	f    *File
 	loop bool
 
 	cur   []trace.Record
+	buf   []trace.Record // backing buffer of cur (cur may skip its head)
 	pos   int
 	loops int
 	err   error
@@ -65,8 +71,13 @@ type Reader struct {
 	skip      int
 	sc        *scratch
 
-	// Pipeline mode.
+	// Pipeline mode. free carries consumed chunk buffers back to the
+	// workers. bufs counts the buffers allocated so far; it stops at
+	// cap(free), the most that can be in flight, so free never fills and
+	// a worker past the cap always finds a buffer there or soon will.
 	pending  chan chan chunkResult
+	free     chan []trace.Record
+	bufs     atomic.Int32
 	stop     chan struct{}
 	stopOnce sync.Once
 }
@@ -102,7 +113,7 @@ func (f *File) newReader(startChunk, skip int, o ReaderOptions) *Reader {
 		r.sync = true
 		r.nextChunk = startChunk
 		r.skip = skip
-		r.sc = newScratch()
+		r.sc = f.newScratch()
 		return r
 	}
 	ahead := o.Ahead
@@ -110,6 +121,7 @@ func (f *File) newReader(startChunk, skip int, o ReaderOptions) *Reader {
 		ahead = 2 * workers
 	}
 	r.pending = make(chan chan chunkResult, ahead)
+	r.free = make(chan []trace.Record, ahead+2)
 	r.stop = make(chan struct{})
 	jobs := make(chan job, workers)
 
@@ -145,18 +157,23 @@ func (f *File) newReader(startChunk, skip int, o ReaderOptions) *Reader {
 	}()
 	for w := 0; w < workers; w++ {
 		go func() {
-			sc := newScratch()
+			sc := r.f.newScratch()
 			for {
 				select {
 				case j, ok := <-jobs:
 					if !ok {
 						return
 					}
-					recs, err := r.f.decodeChunk(j.idx, sc)
-					if err == nil && j.skip > 0 {
-						recs = recs[j.skip:]
+					buf, ok := r.takeBuf()
+					if !ok {
+						return
 					}
-					j.ch <- chunkResult{recs: recs, err: err, wrapped: j.wrapped}
+					recs, err := r.f.decodeChunk(j.idx, sc, buf)
+					res := chunkResult{recs: recs, buf: recs, err: err, wrapped: j.wrapped}
+					if err == nil {
+						res.recs = recs[j.skip:]
+					}
+					j.ch <- res
 				case <-r.stop:
 					return
 				}
@@ -180,6 +197,7 @@ func (r *Reader) Next() (trace.Record, error) {
 			}
 			continue
 		}
+		r.recycle()
 		ch, ok := <-r.pending
 		if !ok {
 			r.err = io.EOF
@@ -194,7 +212,7 @@ func (r *Reader) Next() (trace.Record, error) {
 		if res.wrapped {
 			r.loops++
 		}
-		r.cur, r.pos = res.recs, 0
+		r.cur, r.buf, r.pos = res.recs, res.buf, 0
 	}
 	rec := r.cur[r.pos]
 	r.pos++
@@ -210,14 +228,45 @@ func (r *Reader) advanceSync() error {
 		r.nextChunk, r.skip = 0, 0
 		r.loops++
 	}
-	recs, err := r.f.decodeChunk(r.nextChunk, r.sc)
+	// The current chunk is exhausted: decode over its buffer.
+	if r.buf == nil {
+		r.buf = r.f.newChunkBuf()
+	}
+	recs, err := r.f.decodeChunk(r.nextChunk, r.sc, r.buf[:0])
 	if err != nil {
 		return err
 	}
+	r.buf = recs
 	r.cur, r.pos = recs[r.skip:], 0
 	r.nextChunk++
 	r.skip = 0
 	return nil
+}
+
+// takeBuf gives a pipeline worker the buffer to decode its chunk into: a
+// fresh one until cap(free) exist, a recycled one after that. It reports
+// false if the reader stopped while it waited.
+func (r *Reader) takeBuf() ([]trace.Record, bool) {
+	if int(r.bufs.Load()) < cap(r.free) && int(r.bufs.Add(1)) <= cap(r.free) {
+		return r.f.newChunkBuf(), true
+	}
+	select {
+	case buf := <-r.free:
+		return buf, true
+	case <-r.stop:
+		return nil, false
+	}
+}
+
+// recycle hands the exhausted current chunk's buffer back to the pipeline
+// workers (pipeline mode). The send never blocks: free has room for every
+// buffer the reader allocates.
+func (r *Reader) recycle() {
+	if r.buf == nil {
+		return
+	}
+	r.free <- r.buf[:0]
+	r.cur, r.buf = nil, nil
 }
 
 // Loops reports how many times a looping reader has wrapped.
@@ -236,7 +285,7 @@ func (r *Reader) Close() error {
 	if r.err == nil {
 		r.err = ErrReaderClosed
 	}
-	r.cur, r.pos = nil, 0
+	r.cur, r.buf, r.pos = nil, nil, 0
 	r.shutdown()
 	return nil
 }

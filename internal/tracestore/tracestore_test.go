@@ -2,14 +2,18 @@ package tracestore
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/bertisim/berti/internal/trace"
 	"github.com/bertisim/berti/internal/workloads"
@@ -252,6 +256,111 @@ func TestLoopParity(t *testing.T) {
 	if got.Loops() != 2 {
 		t.Fatalf("Loops = %d, want 2", got.Loops())
 	}
+}
+
+// TestReaderRecyclesChunkBuffers checks that a warm looping reader decodes
+// into the buffers of chunks it has consumed instead of allocating a fresh
+// record slice per chunk, in both the synchronous and the pipelined mode.
+// The stream starts mid-chunk (a window reader, so the first buffer is
+// handed out with its head skipped) and each lap crosses every chunk
+// boundary and the wrap. compress/flate allocates Huffman link tables for
+// every dynamic block it inflates (about 1 byte per record on this
+// high-entropy trace), so the test measures that cost alone over the same
+// chunks and requires the reader to add less than 1% of one chunk's
+// record bytes per lap on top of it. Every record must still match the
+// trace.
+func TestReaderRecyclesChunkBuffers(t *testing.T) {
+	const chunk = 16384
+	s := synthSlice(3*chunk+chunk/2, 11)
+	f := encodeV2(t, s, chunk, "recycle")
+	var start uint64 // instructions retired by the records before chunk/3
+	for _, rec := range s.Records[:chunk/3] {
+		start += uint64(rec.NonMemBefore) + 1
+	}
+	limit := uint64(chunk) * uint64(unsafe.Sizeof(trace.Record{})) / 100
+	// Starting mid-chunk 0, a lap decodes chunks 1..3, wraps, and decodes
+	// chunk 0 again: every chunk once.
+	inflate := inflateCost(t, f)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			r, err := f.NewWindowReader(start, ReaderOptions{Workers: workers, Loop: true})
+			if err != nil {
+				t.Fatalf("NewWindowReader: %v", err)
+			}
+			defer r.Close()
+			next := chunk / 3 // index of the record the reader returns next
+			lap := func() {
+				for range s.Records {
+					rec, err := r.Next()
+					if err != nil {
+						t.Fatalf("Next: %v", err)
+					}
+					if want := s.Records[next]; rec != want {
+						t.Fatalf("record %d = %+v, want %+v", next, rec, want)
+					}
+					next = (next + 1) % len(s.Records)
+				}
+			}
+			for i := 0; i < 3; i++ { // warm: allocate the pipeline's buffers
+				lap()
+			}
+			// Pipelined decoders run up to Ahead + 1 chunks in front of the
+			// consumer, so a window's decode count (and flate's share) can
+			// differ from its chunk count by that much; enough laps
+			// amortize it.
+			const laps = 48
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < laps; i++ {
+				lap()
+			}
+			runtime.ReadMemStats(&after)
+			perLap := (after.TotalAlloc - before.TotalAlloc) / laps
+			if perLap >= inflate+limit {
+				t.Fatalf("%d bytes allocated per lap once warm, of which compress/flate accounts for %d; want < %d more (1%% of a %d-record chunk)",
+					perLap, inflate, limit, chunk)
+			}
+			if r.Loops() != 3+laps {
+				t.Fatalf("Loops = %d, want %d", r.Loops(), 3+laps)
+			}
+		})
+	}
+}
+
+// inflateCost returns the bytes compress/flate allocates to inflate every
+// chunk of f once, into buffers that are already warm.
+func inflateCost(t *testing.T, f *File) uint64 {
+	t.Helper()
+	fr := flate.NewReader(bytes.NewReader(nil))
+	var br bytes.Reader
+	var raw bytes.Buffer
+	var comp []byte
+	pass := func() {
+		for i := range f.chunks {
+			c := &f.chunks[i]
+			if cap(comp) < int(c.CompLen) {
+				comp = make([]byte, c.CompLen)
+			}
+			comp = comp[:c.CompLen]
+			if _, err := f.ra.ReadAt(comp, c.Offset); err != nil {
+				t.Fatalf("chunk %d: %v", i, err)
+			}
+			br.Reset(comp)
+			if err := fr.(flate.Resetter).Reset(&br, nil); err != nil {
+				t.Fatalf("chunk %d: %v", i, err)
+			}
+			raw.Reset()
+			if _, err := raw.ReadFrom(fr); err != nil {
+				t.Fatalf("chunk %d: %v", i, err)
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestEmptyTrace: zero records must round-trip and stream to immediate EOF,

@@ -1,23 +1,75 @@
 package gap
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/bertisim/berti/internal/workloads"
 )
 
+// TestBuildCSRStructure builds a small graph from undirected samples, one of
+// them repeated in the other orientation, and checks the whole CSR: both
+// directions of every sample present, each list sorted, the duplicate gone.
 func TestBuildCSRStructure(t *testing.T) {
-	g := BuildCSR(4, [][2]uint32{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 0}})
+	g := BuildCSR(4, [][2]uint32{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 0}, {1, 0}})
 	if g.N != 4 {
 		t.Fatalf("N=%d", g.N)
 	}
-	if g.Degree(0) != 2 || g.Degree(3) != 1 {
+	wantOff := []uint32{0, 3, 5, 7, 10}
+	wantEdges := []uint32{1, 2, 3, 0, 3, 0, 3, 0, 1, 2}
+	if !slices.Equal(g.Offsets, wantOff) || !slices.Equal(g.Edges, wantEdges) {
+		t.Fatalf("CSR = %v / %v, want %v / %v", g.Offsets, g.Edges, wantOff, wantEdges)
+	}
+	if g.Degree(0) != 3 || g.Degree(3) != 3 {
 		t.Fatalf("degrees wrong: %d %d", g.Degree(0), g.Degree(3))
 	}
-	nb := g.Neighbors(0)
-	if len(nb) != 2 || nb[0] != 1 || nb[1] != 2 {
+	nb := g.Neighbors(3)
+	if len(nb) != 3 || nb[0] != 0 || nb[1] != 1 || nb[2] != 2 {
 		t.Fatalf("adjacency not sorted: %v", nb)
+	}
+}
+
+// directedCSR is the reference builder: it takes every directed edge
+// explicitly, places each in its source's list, then sorts and deduplicates
+// into a fresh array.
+func directedCSR(n int, edges [][2]uint32) *Graph {
+	lists := make([][]uint32, n)
+	for _, e := range edges {
+		lists[e[0]] = append(lists[e[0]], e[1])
+	}
+	g := &Graph{N: n, Offsets: make([]uint32, n+1)}
+	for v, nb := range lists {
+		slices.Sort(nb)
+		g.Edges = append(g.Edges, slices.Compact(nb)...)
+		g.Offsets[v+1] = uint32(len(g.Edges))
+	}
+	return g
+}
+
+// Property: BuildCSR over undirected samples equals the reference builder
+// over the explicitly symmetrized edge list, duplicates and hubs included.
+func TestBuildCSRMatchesDirectedReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(64)
+		samples := make([][2]uint32, rng.Intn(400))
+		var edges [][2]uint32
+		for i := range samples {
+			u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			if rng.Intn(4) == 0 {
+				u = 0 // a hub with many duplicates
+			}
+			samples[i] = [2]uint32{u, v}
+			edges = append(edges, [2]uint32{u, v}, [2]uint32{v, u})
+		}
+		got, want := BuildCSR(n, samples), directedCSR(n, edges)
+		return got.N == want.N && slices.Equal(got.Offsets, want.Offsets) &&
+			slices.Equal(got.Edges, want.Edges)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,7 +10,7 @@ package gap
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable CSR graph.
@@ -30,41 +30,50 @@ func (g *Graph) Neighbors(v int) []uint32 {
 	return g.Edges[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// BuildCSR constructs a CSR graph from an edge list, sorting adjacency
-// lists and removing duplicate edges (as the GAP reference builder does;
-// RMAT sampling produces many duplicates, especially on hub vertices).
-func BuildCSR(n int, edges [][2]uint32) *Graph {
-	deg := make([]uint32, n+1)
-	for _, e := range edges {
-		deg[e[0]+1]++
+// BuildCSR constructs a symmetric CSR graph from undirected edge samples:
+// each sample {u, v} becomes the directed edges u->v and v->u. Adjacency
+// lists are sorted and duplicate edges removed (as the GAP reference
+// builder does; RMAT sampling produces many duplicates, especially on hub
+// vertices). Storing each sample once and compacting the adjacency array in
+// place keeps setup memory at one sample list plus the final edge array.
+func BuildCSR(n int, samples [][2]uint32) *Graph {
+	off := make([]uint32, n+1)
+	for _, e := range samples {
+		off[e[0]+1]++
+		off[e[1]+1]++
 	}
 	for i := 1; i <= n; i++ {
-		deg[i] += deg[i-1]
+		off[i] += off[i-1]
 	}
-	adj := make([]uint32, len(edges))
+	adj := make([]uint32, 2*len(samples))
 	fill := make([]uint32, n)
-	for _, e := range edges {
-		adj[deg[e[0]]+fill[e[0]]] = e[1]
-		fill[e[0]]++
+	for _, e := range samples {
+		u, v := e[0], e[1]
+		adj[off[u]+fill[u]] = v
+		fill[u]++
+		adj[off[v]+fill[v]] = u
+		fill[v]++
 	}
-	// Sort and dedup per vertex, then repack.
-	outOff := make([]uint32, n+1)
-	outAdj := make([]uint32, 0, len(adj))
+	// Sort and dedup each vertex's list, sliding it down over the
+	// duplicates already dropped. off[v] still holds v's old start when
+	// the list is sliced and is then rewritten to its compacted start.
+	var w uint32
 	for v := 0; v < n; v++ {
-		nb := adj[deg[v]:deg[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-		prevSet := false
+		nb := adj[off[v]:off[v+1]]
+		slices.Sort(nb)
+		off[v] = w
 		var prev uint32
-		for _, u := range nb {
-			if prevSet && u == prev {
+		for i, u := range nb {
+			if i > 0 && u == prev {
 				continue
 			}
-			outAdj = append(outAdj, u)
-			prev, prevSet = u, true
+			adj[w] = u
+			w++
+			prev = u
 		}
-		outOff[v+1] = uint32(len(outAdj))
 	}
-	return &Graph{N: n, Offsets: outOff, Edges: outAdj}
+	off[n] = w
+	return &Graph{N: n, Offsets: off, Edges: adj[:w]}
 }
 
 // Kronecker generates an RMAT graph with 2^scale vertices and
@@ -74,7 +83,7 @@ func Kronecker(scale, degree int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 << scale
 	m := n * degree / 2
-	edges := make([][2]uint32, 0, 2*m)
+	samples := make([][2]uint32, 0, m)
 	const a, b, c = 0.57, 0.19, 0.19
 	for i := 0; i < m; i++ {
 		var u, v int
@@ -95,9 +104,9 @@ func Kronecker(scale, degree int, seed int64) *Graph {
 		if u == v {
 			continue
 		}
-		edges = append(edges, [2]uint32{uint32(u), uint32(v)}, [2]uint32{uint32(v), uint32(u)})
+		samples = append(samples, [2]uint32{uint32(u), uint32(v)})
 	}
-	return BuildCSR(n, edges)
+	return BuildCSR(n, samples)
 }
 
 // Urand generates a uniform-random graph with 2^scale vertices and
@@ -106,16 +115,16 @@ func Urand(scale, degree int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 << scale
 	m := n * degree / 2
-	edges := make([][2]uint32, 0, 2*m)
+	samples := make([][2]uint32, 0, m)
 	for i := 0; i < m; i++ {
 		u := uint32(rng.Intn(n))
 		v := uint32(rng.Intn(n))
 		if u == v {
 			continue
 		}
-		edges = append(edges, [2]uint32{u, v}, [2]uint32{v, u})
+		samples = append(samples, [2]uint32{u, v})
 	}
-	return BuildCSR(n, edges)
+	return BuildCSR(n, samples)
 }
 
 // Road generates a road-network-like graph: a 2D grid with mostly local
@@ -128,10 +137,10 @@ func Road(scale int, seed int64) *Graph {
 		side *= 2
 	}
 	n = side * side
-	edges := make([][2]uint32, 0, 5*n)
+	samples := make([][2]uint32, 0, 2*n+n/64)
 	add := func(u, v int) {
 		if u != v && u >= 0 && v >= 0 && u < n && v < n {
-			edges = append(edges, [2]uint32{uint32(u), uint32(v)}, [2]uint32{uint32(v), uint32(u)})
+			samples = append(samples, [2]uint32{uint32(u), uint32(v)})
 		}
 	}
 	for y := 0; y < side; y++ {
@@ -149,5 +158,5 @@ func Road(scale int, seed int64) *Graph {
 	for i := 0; i < n/64; i++ {
 		add(rng.Intn(n), rng.Intn(n))
 	}
-	return BuildCSR(n, edges)
+	return BuildCSR(n, samples)
 }
