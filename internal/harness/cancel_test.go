@@ -161,6 +161,38 @@ func TestExperimentStopsOnCancelledContext(t *testing.T) {
 	}
 }
 
+// pollCancelCtx is a context that reports itself done from its (n+1)-th
+// Done call on. The engine polls Done from its own goroutine once before the
+// first cycle and then every deadlineStride cycles, so cancelling at a poll
+// count rather than after a wall-clock sleep lands mid-run on any machine,
+// however fast the run.
+type pollCancelCtx struct {
+	context.Context
+	n, polls int
+	done     chan struct{}
+}
+
+func newPollCancelCtx(n int) *pollCancelCtx {
+	return &pollCancelCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} {
+	c.polls++
+	if c.polls == c.n+1 {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *pollCancelCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
 // TestMachineCancelMidRun drives the engine directly with a context that
 // fires mid-simulation: the run must stop at a poll stride with the typed
 // error carrying an engine snapshot.
@@ -171,27 +203,29 @@ func TestMachineCancelMidRun(t *testing.T) {
 	cfg.WarmupInstructions = tinyScale.WarmupInstr
 	cfg.SimInstructions = tinyScale.SimInstr
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// Let the pre-run check and two in-run polls pass; the third in-run
+	// poll sees the context done.
+	ctx := newPollCancelCtx(3)
 	m, err := sim.New(cfg, []trace.Reader{trace.NewLoopReader(tr)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.SetContext(ctx)
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
 	_, err = m.Run()
 	if err == nil {
-		// The run legitimately beat the timer; nothing to assert.
-		t.Skip("run completed before cancellation fired")
+		t.Fatalf("run finished after %d context polls; the cancel never landed", ctx.polls)
 	}
 	var ce *sim.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *sim.CancelError, got %v", err)
 	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel error must carry context.Canceled, got %v", err)
+	}
 	if ce.Snapshot.Cycle == 0 {
 		t.Error("cancel snapshot should capture a mid-run engine state")
+	}
+	if ctx.polls != 4 {
+		t.Errorf("run stopped after %d context polls, want 4 (the first done poll)", ctx.polls)
 	}
 }
