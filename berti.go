@@ -92,26 +92,16 @@ func Simulate(opts Options) (*Report, error) {
 	if opts.Workload == "" && len(opts.Mix) == 0 {
 		return nil, fmt.Errorf("berti: Options.Workload or Options.Mix required")
 	}
-	names := append([]string{}, opts.Mix...)
-	if opts.Workload != "" {
-		names = append(names, opts.Workload)
+	spec := harness.RunSpec{
+		Workload: opts.Workload,
+		Mix:      opts.Mix,
+		L1DPf:    opts.L1DPrefetcher,
+		L2Pf:     opts.L2Prefetcher,
+		DRAMCfg:  opts.DRAM,
+		Seed:     opts.Seed,
 	}
-	for _, n := range names {
-		if _, ok := workloads.ByName(n); !ok {
-			return nil, fmt.Errorf("berti: unknown workload %q", n)
-		}
-	}
-	for _, p := range []string{opts.L1DPrefetcher, opts.L2Prefetcher} {
-		if p != "" {
-			if _, ok := prefetch.ByName(p); !ok {
-				return nil, fmt.Errorf("berti: unknown prefetcher %q", p)
-			}
-		}
-	}
-	switch opts.DRAM {
-	case "", "ddr5-6400", "ddr4-3200", "ddr3-1600":
-	default:
-		return nil, fmt.Errorf("berti: unknown DRAM config %q", opts.DRAM)
+	if err := harness.ValidateSpec(spec); err != nil {
+		return nil, fmt.Errorf("berti: %w", err)
 	}
 
 	scale := harness.ScaleFromEnv()
@@ -125,14 +115,7 @@ func Simulate(opts Options) (*Report, error) {
 		scale.SimInstr = opts.Instructions
 	}
 	h := harness.New(scale)
-	res, err := h.RunContext(context.TODO(), harness.RunSpec{
-		Workload: opts.Workload,
-		Mix:      opts.Mix,
-		L1DPf:    opts.L1DPrefetcher,
-		L2Pf:     opts.L2Prefetcher,
-		DRAMCfg:  opts.DRAM,
-		Seed:     opts.Seed,
-	})
+	res, err := h.RunContext(context.TODO(), spec)
 	if err != nil {
 		return nil, fmt.Errorf("berti: simulation failed: %w", err)
 	}

@@ -1,10 +1,10 @@
 // Package campaign makes long multi-experiment evaluations crash-safe. A
 // Journal is an append-only, CRC-protected JSONL file that persists each
 // completed run's result (keyed by the harness memo key) the moment it
-// finishes, written atomically so a crash, OOM-kill, or Ctrl-C never
-// leaves a torn file. A re-invoked campaign loads the journal, pre-seeds
-// the harness memo cache, and re-executes only the unfinished runs; a
-// corrupt tail record is truncated and re-run rather than failing the
+// finishes: one write and one fsync per run. A re-invoked campaign loads
+// the journal, pre-seeds the harness memo cache, and re-executes only the
+// unfinished runs; a tail torn by a crash, OOM-kill, or Ctrl-C is
+// truncated at load and its run re-executed rather than failing the
 // resume.
 //
 // On-disk format (see DESIGN.md §12): one record per line, each line
@@ -25,7 +25,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"github.com/bertisim/berti/internal/harness"
@@ -44,9 +46,9 @@ const JournalExt = ".journal"
 // crcTable is the Castagnoli polynomial, shared with the tracestore.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// syncWrites fsyncs every journal write before the rename. Always on in
-// production; the fuzz harness disables it (thousands of throwaway
-// journals per second do not need durability).
+// syncWrites fsyncs every journal append and every WriteFileAtomic before
+// it returns. Always on in production; the fuzz harness disables it
+// (thousands of throwaway journals per second do not need durability).
 var syncWrites = true
 
 // header is the first record of every journal.
@@ -102,33 +104,31 @@ type Journal struct {
 	mu      sync.Mutex
 	path    string
 	scale   harness.Scale
-	buf     []byte // the full serialized journal (header + valid records)
 	entries []Entry
 	byKey   map[string]int // key -> index in entries
 	dropped int            // records lost to tail truncation at load
-	err     error          // first persistent write failure
+	err     error          // first failed Append; no Append writes after it
 }
 
-// Create starts a fresh journal at path, truncating any existing file, and
+// Create starts a fresh journal at path, replacing any existing file, and
 // persists the header record immediately.
 func Create(path string, scale harness.Scale) (*Journal, error) {
-	j := &Journal{path: path, scale: scale, byKey: map[string]int{}}
 	line, err := encodeLine(header{Magic: Magic, Version: Version, Scale: scale})
 	if err != nil {
 		return nil, err
 	}
-	j.buf = line
-	if err := j.flushLocked(); err != nil {
+	if err := writeAll(path, line); err != nil {
 		return nil, err
 	}
-	return j, nil
+	return &Journal{path: path, scale: scale, byKey: map[string]int{}}, nil
 }
 
 // Open loads an existing journal, validating every record's CRC and shape.
 // The first damaged record and everything after it are dropped and the
 // file is rewritten to the valid prefix (atomically), so a torn tail from
-// a crash costs at most the interrupted run. A missing file is an
-// *os.PathError; a damaged first record is a *HeaderError.
+// a crash costs at most the interrupted run. This is the journal's only
+// recovery: Append never rewrites what is already on disk. A missing file
+// is an *os.PathError; a damaged first record is a *HeaderError.
 func Open(path string) (*Journal, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -172,10 +172,10 @@ func Open(path string) (*Journal, error) {
 	if first {
 		return nil, &HeaderError{Path: path, Reason: "empty file"}
 	}
-	j.buf = valid
 	if len(valid) != len(data) {
-		// Truncate the damaged tail on disk so the next load is clean.
-		if err := j.flushLocked(); err != nil {
+		// Truncate the damaged tail on disk (and terminate a valid last
+		// line that lacks its newline) so appends extend a clean file.
+		if err := writeAll(path, valid); err != nil {
 			return nil, err
 		}
 	}
@@ -210,64 +210,92 @@ func (j *Journal) addEntry(e Entry) {
 	j.entries = append(j.entries, e)
 }
 
-// Append persists one completed run. Already-journaled keys are skipped
-// (a resumed campaign may re-complete a memoized run). The journal is
-// rewritten to a temp file and renamed over the old one, so the on-disk
-// file is always a complete, valid journal — a crash mid-Append loses only
-// the entry being written.
+// Append persists one completed run as one fsynced write at the end of
+// the file; a crash mid-Append leaves at most a torn last line, which the
+// next Open drops. Already-journaled keys are skipped (a resumed campaign
+// may re-complete a memoized run). A failed Append may leave a torn line
+// too, so the journal stops there: later Appends write nothing and return
+// the same error, which Err reports.
 func (j *Journal) Append(key string, r *sim.Result) error {
 	if r == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
 	if _, ok := j.byKey[key]; ok {
 		return nil
 	}
-	line, err := encodeLine(Entry{Key: key, Result: r})
+	e := Entry{Key: key, Result: r}
+	line, err := encodeLine(e)
+	if err == nil {
+		err = appendLine(j.path, line)
+	}
 	if err != nil {
-		j.setErr(err)
+		j.err = err
 		return err
 	}
-	j.addEntry(Entry{Key: key, Result: r})
-	j.buf = append(j.buf, line...)
-	if err := j.flushLocked(); err != nil {
-		j.setErr(err)
-		return err
-	}
+	j.addEntry(e)
 	return nil
 }
 
-// flushLocked writes the serialized journal atomically: temp file in the
-// same directory, fsync, rename. Callers hold j.mu (or own j exclusively).
-func (j *Journal) flushLocked() error {
-	tmp := j.path + ".tmp"
-	f, err := os.Create(tmp)
+// appendLine appends line to the existing file at path and fsyncs it. A
+// vanished file is an error, not recreated: it would lack the header.
+func appendLine(path string, line []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
-	if _, err = f.Write(j.buf); err == nil && syncWrites {
+	_, err = f.Write(line)
+	if err == nil && syncWrites {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	return err
+}
+
+// writeAll atomically replaces path with data.
+func writeAll(path string, data []byte) error {
+	return WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteFileAtomic replaces the file at path with what write produces: a
+// temp file in path's directory is written, fsynced, closed and renamed
+// over path, so readers and crashes see the old file or the new one. On
+// any error the temp file is removed and path is untouched. Temp names
+// (".tmp-*") never end in path's extension, so suffix scans (the result
+// store's ".json" count, the daemon's manifest recovery) skip them.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, j.path)
-}
-
-// setErr keeps the first persistent write failure for Err.
-func (j *Journal) setErr(err error) {
-	if j.err == nil {
-		j.err = err
+	err = write(f)
+	if err == nil && syncWrites {
+		err = f.Sync()
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
-// Err returns the first write failure, if any — the campaign driver checks
-// it once at the end instead of every Append having to abort the run.
+// Err returns the first Append failure, if any — the campaign driver
+// checks it once at the end instead of every Append having to abort the
+// run.
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

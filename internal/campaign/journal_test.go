@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -257,6 +259,191 @@ func TestJournalSeedsHarness(t *testing.T) {
 	}
 	if j.Len() != 1 {
 		t.Fatalf("memo hits must not re-journal: %d entries", j.Len())
+	}
+}
+
+// TestJournalAppendOnly: Create writes the header, and every Append then
+// extends that same file by exactly its one line — no rewrite, no rename.
+// A duplicate key writes nothing, and reopening a clean journal leaves the
+// file alone.
+func TestJournalAppendOnly(t *testing.T) {
+	path := journalPath(t)
+	j, err := Create(path, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(mustLine(t, header{Magic: Magic, Version: Version, Scale: testScale}))); created.Size() != want {
+		t.Fatalf("fresh journal is %d bytes, want the %d-byte header", created.Size(), want)
+	}
+	size := created.Size()
+	grows := func(t *testing.T, want int64) {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(created, fi) {
+			t.Fatal("journal file was replaced; Append must extend the file Create wrote")
+		}
+		if fi.Size() != size+want {
+			t.Fatalf("journal grew by %d bytes, want %d", fi.Size()-size, want)
+		}
+		size = fi.Size()
+	}
+	for i, k := range []string{"w=a|l1=berti", "w=b|l1=ipcp", "w=c|l1="} {
+		r := fakeResult(float64(i + 1))
+		if err := j.Append(k, r); err != nil {
+			t.Fatal(err)
+		}
+		grows(t, int64(len(mustLine(t, Entry{Key: k, Result: r}))))
+	}
+	if err := j.Append("w=a|l1=berti", fakeResult(9)); err != nil {
+		t.Fatal(err)
+	}
+	grows(t, 0)
+	if _, err := Open(path); err != nil {
+		t.Fatal(err)
+	}
+	grows(t, 0)
+}
+
+// TestJournalStopsAtFirstFailedAppend: a failed Append may leave a torn
+// line, so the journal writes nothing after it. Later Appends return the
+// same error, Err reports it, and the lost run is not in Entries.
+func TestJournalStopsAtFirstFailedAppend(t *testing.T) {
+	path := journalPath(t)
+	j, err := Create(path, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("k1", fakeResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Appends never create the file, so a vanished journal fails them.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	first := j.Append("k2", fakeResult(2))
+	if first == nil {
+		t.Fatal("Append to a vanished journal must fail")
+	}
+	// A header-only file at the path now: a stopped journal must not
+	// extend it either.
+	if _, err := Create(path, testScale); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
+	if err := j.Append("k3", fakeResult(3)); err != first {
+		t.Fatalf("Append after a failure = %v, want the first failure %v", err, first)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Fatal("a stopped journal wrote to the file")
+	}
+	if j.Err() != first {
+		t.Fatalf("Err = %v, want %v", j.Err(), first)
+	}
+	if j.Len() != 1 {
+		t.Fatalf("journal holds %d runs, want only the one that reached disk", j.Len())
+	}
+}
+
+// TestJournalRepairTerminatesLastLine: a valid last record that lost only
+// its newline survives the load, and the repair writes the newline so the
+// next Append starts a line of its own.
+func TestJournalRepairTerminatesLastLine(t *testing.T) {
+	path := journalPath(t)
+	j, err := Create(path, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("k1", fakeResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 1 || re.Dropped() != 0 {
+		t.Fatalf("unterminated valid record: %d entries, %d dropped; want 1, 0", re.Len(), re.Dropped())
+	}
+	if repaired, _ := os.ReadFile(path); !bytes.Equal(repaired, data) {
+		t.Fatal("repair must restore the record's newline")
+	}
+	if err := re.Append("k2", fakeResult(2)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Len() != 2 || again.Dropped() != 0 {
+		t.Fatalf("after repair and append: %d entries, %d dropped; want 2, 0", again.Len(), again.Dropped())
+	}
+}
+
+// TestWriteFileAtomicFailureLeavesNoTrace: a write replaces the target,
+// and when the write callback or the rename fails, the error comes back,
+// the target keeps its bytes, and no temp file is left in the directory.
+func TestWriteFileAtomicFailureLeavesNoTrace(t *testing.T) {
+	writeString := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.json")
+	for _, s := range []string{"first", "old"} {
+		if err := WriteFileAtomic(path, writeString(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if err != boom {
+		t.Fatalf("error = %v, want the callback's %v", err, boom)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("target holds %q after a failed write, want %q", got, "old")
+	}
+	onlyEntry(t, dir, "x.json")
+
+	// A non-empty directory at the target path cannot be renamed over.
+	dir = t.TempDir()
+	path = filepath.Join(dir, "y.json")
+	if err := os.MkdirAll(filepath.Join(path, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, writeString("new")); err == nil {
+		t.Fatal("renaming over a non-empty directory must fail")
+	}
+	onlyEntry(t, dir, "y.json")
+}
+
+// onlyEntry fails t unless dir holds exactly one entry, named name.
+func onlyEntry(t *testing.T, dir, name string) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 || des[0].Name() != name {
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		t.Fatalf("directory holds %v, want only %s", names, name)
 	}
 }
 

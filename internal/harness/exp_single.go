@@ -11,7 +11,6 @@ import (
 	"github.com/bertisim/berti/internal/prefetch"
 	"github.com/bertisim/berti/internal/prefetch/bop"
 	"github.com/bertisim/berti/internal/sim"
-	"github.com/bertisim/berti/internal/trace"
 )
 
 // accuracyOf returns the artifact-formula accuracy for one run.
@@ -117,32 +116,12 @@ func renderFig3(r *Runs, w io.Writer) {
 	if r.h == nil {
 		return
 	}
-	tr, err := r.h.Trace("mcf_like_1554", 0)
+	berti, _, err := fig3Run(r, "berti")
 	if err != nil {
-		fmt.Fprintf(w, "Figure 3 failed: %v\n", err)
-		return
-	}
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInstructions = r.Scale.WarmupInstr
-	cfg.SimInstructions = r.Scale.SimInstr
-
-	var berti *core.Berti
-	var bopPf *bop.Prefetcher
-	m := sim.MustNew(cfg, []trace.Reader{trace.NewLoopReader(tr)}, func() cache.Prefetcher {
-		berti = core.New(core.DefaultConfig())
-		return berti
-	}, nil)
-	m.SetContext(r.ctx)
-	if _, err := m.Run(); err != nil {
 		fmt.Fprintf(w, "Figure 3 failed (berti run): %v\n", err)
 		return
 	}
-	m2 := sim.MustNew(cfg, []trace.Reader{trace.NewLoopReader(tr)}, func() cache.Prefetcher {
-		bopPf = bop.New(bop.DefaultConfig())
-		return bopPf
-	}, nil)
-	m2.SetContext(r.ctx)
-	res2, err := m2.Run()
+	bopPf, res2, err := fig3Run(r, "bop")
 	if err != nil {
 		fmt.Fprintf(w, "Figure 3 failed (bop run): %v\n", err)
 		return
@@ -150,11 +129,11 @@ func renderFig3(r *Runs, w io.Writer) {
 
 	fmt.Fprintf(w, "== Figure 3: local (per-IP) deltas vs a global delta on mcf-like ==\n")
 	fmt.Fprintf(w, "BOP global best offset: %+d (accuracy %.2f)\n",
-		bopPf.BestOffset(), res2.Cores[0].L1D.Accuracy())
+		bopPf.(*bop.Prefetcher).BestOffset(), res2.Cores[0].L1D.Accuracy())
 	ips := []uint64{1, 2, 3, 4, 5}
 	for _, loc := range ips {
 		ip := ipOf(int(loc))
-		ds := berti.SnapshotDeltas(ip)
+		ds := berti.(*core.Berti).SnapshotDeltas(ip)
 		fmt.Fprintf(w, "Berti IP#%d (0x%x): ", loc, ip)
 		if len(ds) == 0 {
 			fmt.Fprintf(w, "(no entry)\n")
@@ -166,6 +145,23 @@ func renderFig3(r *Runs, w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "shape target: each IP has its own best deltas; no single global offset covers them")
+}
+
+// fig3Run simulates mcf_like_1554 with l1d as the L1D prefetcher through
+// the harness's machine builder, under the batch's context, and returns
+// the prefetcher with its learned state alongside the result.
+func fig3Run(r *Runs, l1d string) (cache.Prefetcher, *sim.Result, error) {
+	m, cleanup, err := r.h.newMachine(RunSpec{Workload: "mcf_like_1554", L1DPf: l1d}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer cleanup()
+	m.SetContext(r.ctx)
+	res, err := m.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.L1D(0).Prefetcher(), res, nil
 }
 
 // ipOf mirrors workloads.IP without importing it here (cycle avoidance is

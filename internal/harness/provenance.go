@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/bertisim/berti/internal/obs"
@@ -40,7 +41,11 @@ func (p *ProvenanceRollup) Attach(h *Harness) {
 		if prev != nil {
 			prev(key, spec, r)
 		}
-		p.Add(spec.Workload, r)
+		label := spec.Workload
+		if len(spec.Mix) > 0 { // a mix's row: "mix:w1+w2+..."
+			label = "mix:" + strings.Join(spec.Mix, "+")
+		}
+		p.Add(label, r)
 	}
 }
 

@@ -141,6 +141,7 @@ func TestProvenanceRollupMergesAcrossRuns(t *testing.T) {
 		{Workload: "bfs-kron", L1DPf: "berti"},
 		{Workload: "bfs-kron", L1DPf: "berti", Seed: 1},
 		{Workload: "pr-kron", L1DPf: "berti"},
+		{Mix: []string{"bfs-kron", "pr-kron"}, L1DPf: "berti"},
 	}
 	for _, s := range specs {
 		if _, err := h.RunContext(context.Background(), s); err != nil {
@@ -154,11 +155,15 @@ func TestProvenanceRollupMergesAcrossRuns(t *testing.T) {
 	if rep.Runs != len(specs) || rep.RunsWithoutProvenance != 0 {
 		t.Fatalf("rollup saw %d runs (%d without provenance)", rep.Runs, rep.RunsWithoutProvenance)
 	}
-	if len(rep.Workloads) != 2 {
+	if len(rep.Workloads) != 3 {
 		t.Fatalf("workload rows = %+v", rep.Workloads)
 	}
 	if rep.Workloads[0].Workload != "bfs-kron" || rep.Workloads[0].Runs != 2 {
 		t.Fatalf("bfs-kron row = %+v", rep.Workloads[0])
+	}
+	// A mix gets its own row, labelled by its workloads.
+	if mix := rep.Workloads[1]; mix.Workload != "mix:bfs-kron+pr-kron" || mix.Runs != 1 {
+		t.Fatalf("mix row = %+v", mix)
 	}
 	// The merged report's issued totals equal the sum of the per-run ones.
 	var wantIssued uint64

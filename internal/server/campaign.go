@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
 
+	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/harness"
 )
 
@@ -81,18 +83,14 @@ func dedupeSpecs(specs []harness.RunSpec) []harness.RunSpec {
 	return out
 }
 
-// writeManifest persists m atomically (temp + rename, like every other
-// on-disk artifact the campaign layer owns).
+// writeManifest persists m durably and atomically through
+// campaign.WriteFileAtomic, like every other file the daemon owns.
 func writeManifest(path string, m *Manifest) error {
-	body, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(body, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return campaign.WriteFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(m)
+	})
 }
 
 // readManifest loads and sanity-checks a manifest.

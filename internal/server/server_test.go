@@ -844,3 +844,30 @@ func TestStoreErrorOnStatus(t *testing.T) {
 		t.Fatalf("report holds %d runs, want %d served from memory", len(rep.Runs), len(specs))
 	}
 }
+
+// TestWriteManifestFailureLeavesNoTemp: a manifest write that fails (here
+// its rename, over a non-empty directory at the manifest path) reports
+// the error and leaves no temp file in the campaigns directory for a
+// later recovery or operator to trip over.
+func TestWriteManifestFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "0123456789abcdef"+ManifestExt)
+	if err := os.MkdirAll(filepath.Join(path, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m := &Manifest{SchemaVersion: ManifestSchemaVersion, ID: "0123456789abcdef", Scale: srvScale, Specs: srvSpecs()}
+	if err := writeManifest(path, m); err == nil {
+		t.Fatal("writing a manifest over a non-empty directory must fail")
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 || des[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		t.Fatalf("campaigns directory holds %v after a failed manifest write, want only the manifest path", names)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -22,9 +23,10 @@ import (
 // Store is the content-addressed result store: one JSON file per completed
 // run, named by the SHA-256 of the harness memo key (keys contain
 // filesystem-hostile characters; the hash is the address, the stored key
-// is the proof). Writes are durable and atomic (temp file, fsync, rename)
-// and idempotent — concurrent Puts of the same key write identical bytes,
-// so whichever rename lands last changes nothing. The daemon keeps one
+// is the proof). Writes are durable and atomic (campaign.WriteFileAtomic:
+// temp file, fsync, rename) and idempotent — concurrent Puts of the same
+// key write identical bytes, so whichever rename lands last changes
+// nothing. The daemon keeps one
 // store per scale (memo keys do not encode the scale), and it is the
 // daemon's only durable copy of each result. All methods are safe for
 // concurrent use from harness workers.
@@ -60,24 +62,12 @@ func (s *Store) Put(key string, r *sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("server: result store: encode %q: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
+	err = campaign.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(body)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("server: result store: %w", err)
-	}
-	_, werr := tmp.Write(body)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: result store: write %q: %w", key, werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: result store: %w", err)
+		return fmt.Errorf("server: result store: write %q: %w", key, err)
 	}
 	return nil
 }

@@ -15,15 +15,13 @@ type ReaderOptions struct {
 	// Workers is the number of concurrent chunk-decode goroutines. 0 picks
 	// min(GOMAXPROCS, 8); 1 decodes synchronously on the consuming
 	// goroutine (no pipeline, no goroutines — the single-threaded
-	// baseline).
+	// baseline). A pipelined reader lets up to 2*Workers decoded chunks
+	// sit ready in front of the consumer, so it owns at most 2*Workers + 2
+	// chunk-sized record buffers (the consumer's, the ready ones, and the
+	// one being queued behind them), whatever the trace length: it
+	// allocates them over its first 2*Workers + 2 decodes and recycles
+	// them from then on.
 	Workers int
-	// Ahead bounds how many decoded chunks may sit ready in front of the
-	// consumer (0 = 2x workers). A pipelined reader owns at most Ahead + 2
-	// chunk-sized record buffers (the consumer's, Ahead ready ones, and
-	// the one being queued behind them), independent of trace length and
-	// of Workers: it allocates them over its first Ahead + 2 decodes and
-	// recycles them from then on.
-	Ahead int
 	// Loop replays the trace forever (multi-core mixes), matching
 	// trace.LoopReader: EOF is returned only for an empty trace.
 	Loop bool
@@ -116,10 +114,7 @@ func (f *File) newReader(startChunk, skip int, o ReaderOptions) *Reader {
 		r.sc = f.newScratch()
 		return r
 	}
-	ahead := o.Ahead
-	if ahead <= 0 {
-		ahead = 2 * workers
-	}
+	ahead := 2 * workers // ready chunks in front of the consumer
 	r.pending = make(chan chan chunkResult, ahead)
 	r.free = make(chan []trace.Record, ahead+2)
 	r.stop = make(chan struct{})

@@ -304,10 +304,10 @@ func TestReaderRecyclesChunkBuffers(t *testing.T) {
 			for i := 0; i < 3; i++ { // warm: allocate the pipeline's buffers
 				lap()
 			}
-			// Pipelined decoders run up to Ahead + 1 chunks in front of the
-			// consumer, so a window's decode count (and flate's share) can
-			// differ from its chunk count by that much; enough laps
-			// amortize it.
+			// Pipelined decoders run up to 2*Workers + 1 chunks in front
+			// of the consumer, so a window's decode count (and flate's
+			// share) can differ from its chunk count by that much; enough
+			// laps amortize it.
 			const laps = 48
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
