@@ -28,6 +28,12 @@
 // daemon runs no in-process workers and becomes a pure coordinator; the
 // final report is byte-identical to a solo local run either way.
 //
+// The run flags -workers (alias -j), -corpus-dir, -check and -run-timeout
+// mean the same as on experiments and bertiworker. Campaigns always run on
+// the event-horizon scheduler, whose results are byte-identical to the
+// per-cycle reference loop; bertisim -sched ticked runs a single spec on
+// that loop.
+//
 // The first SIGINT/SIGTERM drains gracefully: new submissions get 503,
 // in-flight simulations stop cooperatively at the engine's next poll
 // stride, every completed run is already in the result store, and the
@@ -46,26 +52,20 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"github.com/bertisim/berti/internal/cli"
 	"github.com/bertisim/berti/internal/harness"
 	"github.com/bertisim/berti/internal/server"
-	"github.com/bertisim/berti/internal/sim"
 )
 
 func main() {
+	h := harness.New(harness.ScaleFromEnv())
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address for the API and metrics")
 	dataDir := flag.String("data", "bertid-data", "state root: campaign manifests and the content-addressed result store (one directory per scale)")
-	workers := flag.Int("workers", 0, "in-process lease workers, i.e. concurrent simulations (0 = NumCPU)")
-	flag.IntVar(workers, "j", 0, "alias for -workers")
-	corpusDir := flag.String("corpus-dir", "", "cache generated traces here (v2 containers) and stream them from disk")
-	checkFlag := flag.Bool("check", false, "run the invariant checker on every simulation")
-	schedFlag := flag.String("sched", "horizon", "engine scheduler: horizon (event-horizon skipping) or ticked (exhaustive per-cycle reference)")
-	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock budget (0 = 10m default, negative disables)")
-	provFlag := flag.Bool("provenance", false, "track per-prefetch lifecycle provenance on every run")
-	provCap := flag.Int("provenance-cap", 0, "per-run provenance record-pool capacity (0 = default 65536)")
+	cli.RunFlags(flag.CommandLine, h)
+	flag.BoolVar(&h.EnableProvenance, "provenance", false, "track per-prefetch lifecycle provenance on every run")
+	flag.IntVar(&h.ProvenanceCap, "provenance-cap", 0, "per-run provenance record-pool capacity (0 = default 65536)")
 	leaseOnly := flag.Bool("lease-only", false, "coordinator mode: hand specs to bertiworker processes via the lease endpoints instead of running them locally")
 	leaseTTL := flag.Duration("lease-ttl", server.DefaultLeaseTTL, "lease lifetime without a heartbeat before specs are reassigned")
 	leaseHB := flag.Duration("lease-heartbeat", 0, "heartbeat cadence suggested to workers and the expiry scan period (0 = lease-ttl/4)")
@@ -76,22 +76,6 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("bertid: ")
 
-	h := harness.New(harness.ScaleFromEnv())
-	if *workers > 0 {
-		h.Workers = *workers
-	}
-	h.CorpusDir = *corpusDir
-	h.EnableChecks = *checkFlag
-	h.RunTimeout = *runTimeout
-	h.EnableProvenance = *provFlag
-	h.ProvenanceCap = *provCap
-	sched, err := sim.ParseScheduler(*schedFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bertid:", err)
-		os.Exit(2)
-	}
-	h.Scheduler = sched
-
 	// Bind before recovering: if another daemon already owns the address
 	// (and very likely the data dir), fail fast instead of reading its
 	// manifests and re-enqueueing work a live process is mid-way through.
@@ -101,8 +85,9 @@ func main() {
 		os.Exit(1)
 	}
 	// The roll-up owns OnResult (the server stores results through the
-	// lease pool, not the hook). Attach it before server.New starts the
-	// in-process workers, so no run escapes it.
+	// lease pool, not the hook); in-process runs fire it from the harness
+	// and pushed results from the lease endpoint. Attach it before
+	// server.New starts the in-process workers, so no run escapes it.
 	var rollup *harness.ProvenanceRollup
 	if h.EnableProvenance {
 		rollup = harness.NewProvenanceRollup()
@@ -140,16 +125,15 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpServer.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
+	interrupted, interrupt := context.WithCancel(context.Background())
+	defer interrupt()
+	stop := cli.OnInterrupt(func(sig os.Signal) {
 		log.Printf("%v: draining — rejecting new work, letting in-flight runs stop (send again to exit immediately)", sig)
-		go func() {
-			<-sigc
-			log.Print("second signal: exiting immediately")
-			os.Exit(130)
-		}()
+		interrupt()
+	})
+	defer stop()
+	select {
+	case <-interrupted.Done():
 		s.Drain()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -27,7 +27,13 @@
 // issue/fill/use/evict, MSHR stalls, TLB walks) into a bounded ring buffer
 // and writes Chrome trace_event JSON loadable in chrome://tracing or
 // Perfetto; -pprof serves net/http/pprof for profiling the simulator
-// itself. Simulation throughput (kinstr/s) is reported on stderr.
+// itself. Simulation throughput (kinstr/s) is reported on stderr. Output
+// files are written to a temp file and renamed into place, so a failed or
+// interrupted run leaves no torn file.
+//
+// Scheduler: -sched ticked runs the spec, a -trace file included, on the
+// per-cycle reference loop instead of the event-horizon scheduler; both
+// print the same report. No other command takes -sched.
 //
 // Robustness: -check runs the invariant checker (MSHR leaks, queue bounds,
 // duplicate tags, ROB/TLB consistency) alongside the simulation;
@@ -50,15 +56,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/check"
+	"github.com/bertisim/berti/internal/cli"
 	"github.com/bertisim/berti/internal/energy"
 	"github.com/bertisim/berti/internal/fault"
 	"github.com/bertisim/berti/internal/harness"
@@ -79,7 +86,11 @@ const (
 	exitInterrupted = 130
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("bertisim: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
 // run is the whole command: it parses args, runs the spec and its IP-stride
 // baseline, writes the report to stdout and diagnostics to stderr, and
@@ -163,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if path == "" {
 			continue
 		}
-		if err := writeFile(path, func(io.Writer) error { return nil }); err != nil {
+		if err := campaign.WriteFileAtomic(path, func(io.Writer) error { return nil }); err != nil {
 			return fail(exitRunFailed, err)
 		}
 	}
@@ -212,21 +223,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// engine's next poll stride; a second signal exits immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	go func() {
-		select {
-		case s := <-sigc:
-			fmt.Fprintf(stderr, "\nbertisim: %v: cancelling run (send again to exit immediately)\n", s)
-			cancel()
-		case <-ctx.Done():
-			return
-		}
-		<-sigc
-		fmt.Fprintln(stderr, "bertisim: second signal: exiting immediately")
-		os.Exit(exitInterrupted)
-	}()
+	stop := cli.OnInterrupt(func(sig os.Signal) {
+		fmt.Fprintf(stderr, "\nbertisim: %v: cancelling run (send again to exit immediately)\n", sig)
+		cancel()
+	})
+	defer stop()
 
 	h := harness.New(scale)
 	h.Scheduler = sched
@@ -386,19 +387,6 @@ func printProvenance(w io.Writer, p *provenance.Report) {
 	printRows("deltas", p.TopDeltas(5))
 }
 
-// writeFile creates path and fills it with write, reporting the first error.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // encodeJSON writes v as indented JSON.
 func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
@@ -412,7 +400,7 @@ func writeProvenance(stderr io.Writer, p *provenance.Report, path string) error 
 	if path == "" || p == nil {
 		return nil
 	}
-	err := writeFile(path, func(w io.Writer) error {
+	err := campaign.WriteFileAtomic(path, func(w io.Writer) error {
 		if strings.HasSuffix(path, ".json") {
 			return encodeJSON(w, p)
 		}
@@ -468,7 +456,7 @@ func exitForError(stderr io.Writer, err error, checker *check.Checker) int {
 // writeObservability persists the sampled time series and the event trace.
 func writeObservability(stderr io.Writer, o *obs.Observer, res *sim.Result, tsOut, traceOut string) error {
 	if ts := res.TimeSeries; tsOut != "" && ts != nil {
-		err := writeFile(tsOut, func(w io.Writer) error {
+		err := campaign.WriteFileAtomic(tsOut, func(w io.Writer) error {
 			if strings.HasSuffix(tsOut, ".json") {
 				return encodeJSON(w, ts)
 			}
@@ -482,7 +470,7 @@ func writeObservability(stderr io.Writer, o *obs.Observer, res *sim.Result, tsOu
 	if o == nil || o.Tracer == nil || traceOut == "" {
 		return nil
 	}
-	if err := writeFile(traceOut, o.Tracer.WriteChromeTrace); err != nil {
+	if err := campaign.WriteFileAtomic(traceOut, o.Tracer.WriteChromeTrace); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	fmt.Fprintf(stderr, "trace: wrote %d events to %s (%d emitted, %d dropped by ring)\n",

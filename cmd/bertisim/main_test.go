@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/harness"
 	"github.com/bertisim/berti/internal/obs"
 	"github.com/bertisim/berti/internal/tracestore"
@@ -34,15 +36,11 @@ func writeTrace(t *testing.T) string {
 	scale := harness.ScaleQuick
 	scale.MemRecords = 20000
 	path := filepath.Join(t.TempDir(), "mcf.btr2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := harness.New(scale).MustTrace("mcf_like_1554", 0)
-	if err := tracestore.Write(f, tr, tracestore.Meta{Workload: "mcf_like_1554"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	err := campaign.WriteFileAtomic(path, func(w io.Writer) error {
+		return tracestore.Write(w, tr, tracestore.Meta{Workload: "mcf_like_1554"})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -137,5 +135,73 @@ func TestTraceFaultsExit1(t *testing.T) {
 				t.Fatalf("the failure must name the tracestore damage\n%s", stderr)
 			}
 		})
+	}
+}
+
+// TestOutputFiles: -timeseries-out and -provenance-out land through the
+// atomic writer with the bytes their encoders produce, identical across
+// runs, and leave no temp file beside them.
+func TestOutputFiles(t *testing.T) {
+	write := func(dir string) jsonReport {
+		return jsonRun(t, "-workload", "mcf_like_1554", "-l1d", "berti", "-interval", "10000",
+			"-timeseries-out", filepath.Join(dir, "ts.json"),
+			"-provenance-out", filepath.Join(dir, "prov.csv"))
+	}
+	a, b := t.TempDir(), t.TempDir()
+	rep := write(a)
+	write(b)
+	for _, name := range []string{"ts.json", "prov.csv"} {
+		got, err := os.ReadFile(filepath.Join(a, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := os.ReadFile(filepath.Join(b, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || !bytes.Equal(got, again) {
+			t.Errorf("%s: %d bytes, rerun %d bytes: want identical non-empty files", name, len(got), len(again))
+		}
+	}
+	// The time series file is the -json report's time_series, encoded the
+	// way writeObservability encodes it.
+	var want bytes.Buffer
+	if err := encodeJSON(&want, rep.TimeSeries); err != nil {
+		t.Fatal(err)
+	}
+	if ts, _ := os.ReadFile(filepath.Join(a, "ts.json")); !bytes.Equal(ts, want.Bytes()) {
+		t.Errorf("ts.json differs from the report's time series (%d vs %d bytes)", len(ts), want.Len())
+	}
+	if prov, _ := os.ReadFile(filepath.Join(a, "prov.csv")); !bytes.HasPrefix(prov, []byte("# berti.provenance v2")) {
+		t.Errorf("prov.csv does not start with its schema line:\n%.80s", prov)
+	}
+	for _, dir := range []string{a, b} {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), ".tmp-") {
+				t.Errorf("temp file %s left in %s", e.Name(), dir)
+			}
+		}
+	}
+}
+
+// TestSchedTickedSameReport: -sched ticked runs a -trace file, which the
+// scheduler-differential suite never sees, on the reference loop and
+// prints the report the default scheduler prints.
+func TestSchedTickedSameReport(t *testing.T) {
+	path := writeTrace(t)
+	var reports []string
+	for _, sched := range []string{"horizon", "ticked"} {
+		code, stdout, stderr := bertisim(t, "-trace", path, "-sched", sched)
+		if code != exitOK {
+			t.Fatalf("-sched %s: exit %d\n%s", sched, code, stderr)
+		}
+		reports = append(reports, stdout)
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("-sched ticked report differs from -sched horizon:\n%s\nvs\n%s", reports[1], reports[0])
 	}
 }

@@ -16,6 +16,12 @@
 // -net-fault injects seeded network faults (drop/delay/duplicate/sever)
 // into the worker's own HTTP client for chaos testing.
 //
+// The run flags -workers (alias -j), -corpus-dir, -check and -run-timeout
+// mean the same as on experiments and bertid. Runs always use the
+// event-horizon scheduler, whose results are byte-identical to the
+// per-cycle reference loop; bertisim -sched ticked runs a single spec on
+// that loop.
+//
 // The first SIGINT/SIGTERM stops in-flight runs cooperatively, pushes
 // every completed result, and exits 0 (abandoned specs are reassigned
 // when the lease expires); a second signal exits 130 immediately.
@@ -30,26 +36,20 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"github.com/bertisim/berti/internal/cli"
 	"github.com/bertisim/berti/internal/fault"
 	"github.com/bertisim/berti/internal/harness"
 	"github.com/bertisim/berti/internal/server"
-	"github.com/bertisim/berti/internal/sim"
 )
 
 func main() {
+	h := harness.New(harness.ScaleFromEnv())
 	serverURL := flag.String("server", "", "bertid coordinator base URL (required), e.g. http://127.0.0.1:9090")
 	id := flag.String("id", "", "stable worker identity (default hostname-pid)")
 	maxSpecs := flag.Int("max-specs", 0, "specs requested per lease (0 = coordinator default)")
 	poll := flag.Duration("poll", 0, "idle wait between lease attempts when no work is pending (0 = 500ms)")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
-	flag.IntVar(workers, "j", 0, "alias for -workers")
-	corpusDir := flag.String("corpus-dir", "", "cache generated traces here (v2 containers) and stream them from disk")
-	checkFlag := flag.Bool("check", false, "run the invariant checker on every simulation")
-	schedFlag := flag.String("sched", "horizon", "engine scheduler: horizon (event-horizon skipping) or ticked (exhaustive per-cycle reference)")
-	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock budget (0 = 10m default, negative disables)")
+	cli.RunFlags(flag.CommandLine, h)
 	netFault := flag.String("net-fault", "", "seeded network-fault plan for this worker's HTTP client, e.g. drop=0.1,delay=0.2,delayms=25,dup=0.1,seed=7")
 	flag.Parse()
 	log.SetFlags(log.LstdFlags)
@@ -67,20 +67,6 @@ func main() {
 		}
 		wid = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-
-	h := harness.New(harness.ScaleFromEnv())
-	if *workers > 0 {
-		h.Workers = *workers
-	}
-	h.CorpusDir = *corpusDir
-	h.EnableChecks = *checkFlag
-	h.RunTimeout = *runTimeout
-	sched, err := sim.ParseScheduler(*schedFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bertiworker:", err)
-		os.Exit(2)
-	}
-	h.Scheduler = sched
 
 	cl := server.NewClient(*serverURL)
 	if *netFault != "" {
@@ -102,16 +88,12 @@ func main() {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
+	defer cancel()
+	stop := cli.OnInterrupt(func(sig os.Signal) {
 		log.Printf("%v: stopping in-flight runs, pushing completed results, then exiting (send again to exit immediately)", sig)
 		cancel()
-		<-sigc
-		log.Print("second signal: exiting immediately")
-		os.Exit(130)
-	}()
+	})
+	defer stop()
 
 	log.Printf("worker %s pulling from %s (scale=%s)", wid, *serverURL, h.Scale.Name)
 	if err := w.Run(ctx); err != nil {

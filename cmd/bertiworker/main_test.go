@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -281,4 +282,17 @@ func freeAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
+}
+
+// TestRejectsSched: a worker runs the default scheduler, so -sched is a
+// usage error.
+func TestRejectsSched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the bertiworker binary")
+	}
+	out, err := exec.Command(filepath.Join(binDir, "bertiworker"), "-sched", "ticked").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("bertiworker -sched ticked: %v, want exit 2\n%s", err, out)
+	}
 }

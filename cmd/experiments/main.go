@@ -26,10 +26,13 @@
 // holding every trace in RAM. -j (alias -workers) bounds concurrent
 // simulations. -run-timeout bounds each individual run's wall clock (a
 // runaway simulation surfaces as a DeadlineError naming its spec instead
-// of wedging the campaign).
+// of wedging the campaign). These run flags and -check mean the same on
+// bertid and bertiworker. Campaigns always run on the event-horizon
+// scheduler, whose results are byte-identical to the per-cycle reference
+// loop; bertisim -sched ticked runs a single spec on that loop.
 //
 // Crash safety: -journal records every completed run (append-only,
-// CRC-protected, atomically written) the moment it finishes; -resume loads
+// CRC-protected, fsynced) the moment it finishes; -resume loads
 // the journal and skips finished work, so a campaign interrupted at hour N
 // re-executes only what is missing. The first SIGINT/SIGTERM cancels the
 // campaign cooperatively — in-flight runs drain, the journal is flushed,
@@ -37,6 +40,8 @@
 // exits immediately. -json-out writes a deterministic machine-readable
 // report of every completed run (sorted by run key), byte-identical
 // between an uninterrupted campaign and an interrupted-then-resumed one.
+// -json-out and -provenance-out replace their files atomically, so an
+// interrupted write never leaves a torn report behind.
 //
 // Exit codes: 0 success; 1 one or more runs failed (reports may be
 // partial); 2 usage error; 130 interrupted by signal.
@@ -48,13 +53,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/bertisim/berti/internal/campaign"
+	"github.com/bertisim/berti/internal/cli"
 	"github.com/bertisim/berti/internal/harness"
 	"github.com/bertisim/berti/internal/obs/live"
 	"github.com/bertisim/berti/internal/server"
@@ -62,25 +68,23 @@ import (
 )
 
 func main() {
+	h := harness.New(harness.ScaleFromEnv())
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	runIDs := flag.String("run", "", "comma-separated experiment IDs to run")
 	all := flag.Bool("all", false, "run every experiment")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
-	flag.IntVar(workers, "j", 0, "alias for -workers")
-	corpusDir := flag.String("corpus-dir", "", "cache generated traces here (v2 containers) and stream them from disk")
-	checkFlag := flag.Bool("check", false, "run the invariant checker on every simulation")
-	schedFlag := flag.String("sched", "horizon", "engine scheduler: horizon (event-horizon skipping) or ticked (exhaustive per-cycle reference)")
+	cli.RunFlags(flag.CommandLine, h)
 	journalPath := flag.String("journal", "", "journal completed runs to this file (crash-safe campaign log)")
 	resume := flag.Bool("resume", false, "load the -journal and skip already-completed runs")
-	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock budget (0 = 10m default, negative disables)")
 	jsonOut := flag.String("json-out", "", "write a deterministic JSON report of every completed run to this file")
-	provFlag := flag.Bool("provenance", false, "track per-prefetch lifecycle provenance on every run")
+	flag.BoolVar(&h.EnableProvenance, "provenance", false, "track per-prefetch lifecycle provenance on every run")
 	provOut := flag.String("provenance-out", "", "write the cross-workload attribution roll-up to this file (.json = JSON, else CSV); implies -provenance")
-	provCap := flag.Int("provenance-cap", 0, "per-run provenance record-pool capacity (0 = default 65536)")
+	flag.IntVar(&h.ProvenanceCap, "provenance-cap", 0, "per-run provenance record-pool capacity (0 = default 65536)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live campaign metrics (run counters, merged attribution, expvar) on this address")
 	serverURL := flag.String("server", "", "thin-client mode: run every simulation on the bertid daemon at this URL; journaling, reports, and metrics stay local")
-	maxFailures := flag.Int("max-failures", 0, "failures recorded verbatim (0 = default 64, negative = unbounded); overflow is suppressed from the log but still counts toward metrics and the exit code")
+	flag.IntVar(&h.MaxFailures, "max-failures", 0, "failures recorded verbatim (0 = default 64, negative = unbounded); overflow is suppressed from the log but still counts toward metrics and the exit code")
 	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("experiments: ")
 
 	if *list {
 		for _, e := range harness.Experiments() {
@@ -111,27 +115,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	h := harness.New(harness.ScaleFromEnv())
-	if *workers > 0 {
-		h.Workers = *workers
-	}
-	h.CorpusDir = *corpusDir
-	h.EnableChecks = *checkFlag
-	h.RunTimeout = *runTimeout
-	h.EnableProvenance = *provFlag || *provOut != ""
-	h.ProvenanceCap = *provCap
-	h.MaxFailures = *maxFailures
-	sched, err := sim.ParseScheduler(*schedFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	h.Scheduler = sched
+	h.EnableProvenance = h.EnableProvenance || *provOut != ""
 	// Thin-client mode: the daemon executes (and dedupes) every run; the
 	// local harness keeps its memo cache, journal, metrics, and reports, so
 	// everything downstream is oblivious to where the cycles were spent.
-	// Execution knobs (-check, -sched, -corpus-dir, provenance) belong to
-	// the daemon in this mode.
+	// Execution knobs (-check, -corpus-dir, provenance) belong to the
+	// daemon in this mode.
 	var daemon *server.Client
 	if *serverURL != "" {
 		daemon = server.NewClient(*serverURL)
@@ -141,6 +130,7 @@ func main() {
 	// The crash-safe campaign log: every completed run is journaled as it
 	// finishes; -resume seeds the memo cache so finished work is skipped.
 	var journal *campaign.Journal
+	var err error
 	if *journalPath != "" {
 		if *resume {
 			journal, err = campaign.OpenOrCreate(*journalPath, h.Scale)
@@ -196,16 +186,11 @@ func main() {
 	// that finished. A second signal exits immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigc
-		fmt.Fprintf(os.Stderr, "\nexperiments: %v: cancelling campaign; in-flight runs are draining (send again to exit immediately)\n", s)
+	stop := cli.OnInterrupt(func(sig os.Signal) {
+		fmt.Fprintf(os.Stderr, "\nexperiments: %v: cancelling campaign; in-flight runs are draining (send again to exit immediately)\n", sig)
 		cancel()
-		<-sigc
-		fmt.Fprintln(os.Stderr, "experiments: second signal: exiting immediately")
-		os.Exit(130)
-	}()
+	})
+	defer stop()
 
 	fmt.Printf("scale=%s (%d mem records, %d warmup, %d measured instructions)\n\n",
 		h.Scale.Name, h.Scale.MemRecords, h.Scale.WarmupInstr, h.Scale.SimInstr)
@@ -336,35 +321,23 @@ func writeReport(path string, h *harness.Harness, partial bool) error {
 		Partial:       partial,
 		Runs:          server.SortedRuns(h, keys),
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	err = enc.Encode(rep)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return campaign.WriteFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(rep)
+	})
 }
 
 // writeRollup persists the cross-workload attribution roll-up (.json = the
 // full roll-up document, anything else = the merged attribution CSV).
 func writeRollup(path string, rollup *harness.ProvenanceRollup) error {
 	rep := rollup.Report()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = rep.WriteJSON(f)
-	} else {
-		err = rep.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	err := campaign.WriteFileAtomic(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".json") {
+			return rep.WriteJSON(w)
+		}
+		return rep.WriteCSV(w)
+	})
 	if err == nil {
 		fmt.Fprintf(os.Stderr, "experiments: wrote attribution roll-up (%d run(s), %d workload(s)) to %s\n",
 			rep.Runs, len(rep.Workloads), path)

@@ -246,3 +246,18 @@ func TestServerThinClient(t *testing.T) {
 		t.Fatalf("thin-client report differs from the local one (%d vs %d bytes)", len(want), len(got))
 	}
 }
+
+// TestRejectsSched: campaigns run on the default scheduler, so -sched is
+// a usage error on experiments and bertid (bertisim keeps it).
+func TestRejectsSched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the experiments and bertid binaries")
+	}
+	for _, name := range []string{"experiments", "bertid"} {
+		out, err := exec.Command(filepath.Join(binDir, name), "-sched", "ticked").CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s -sched ticked: %v, want exit 2\n%s", name, err, out)
+		}
+	}
+}

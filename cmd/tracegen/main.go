@@ -9,12 +9,12 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/trace"
 	"github.com/bertisim/berti/internal/tracestore"
 	"github.com/bertisim/berti/internal/workloads"
@@ -41,68 +41,24 @@ func main() {
 			fatal(fmt.Errorf("unknown workload %q", *workload))
 		}
 		tr := w.Gen(workloads.GenConfig{MemRecords: *records, Seed: *seed})
-		n, err := writeTrace(*out, uint32(*chunk), *workload, tr)
+		// Written to a temp file and renamed into place, so a failed or
+		// interrupted write leaves no truncated container behind.
+		err := campaign.WriteFileAtomic(*out, func(w io.Writer) error {
+			return tracestore.Write(w, tr, tracestore.Meta{Workload: *workload, ChunkRecords: uint32(*chunk)})
+		})
 		if err != nil {
-			// Leave no truncated container behind: a partial trace file
-			// decodes as corrupt at best and silently short at worst.
-			os.Remove(*out)
+			fatal(fmt.Errorf("writing %s: %w", *out, err))
+		}
+		st, err := os.Stat(*out)
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d records (%d instructions) to %s (v2, %d bytes)\n",
-			tr.Len(), tr.Instructions(), *out, n)
+			tr.Len(), tr.Instructions(), *out, st.Size())
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// countingWriter tracks bytes accepted downstream so failures can report
-// how much of the file made it to disk.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	if err == nil && n < len(p) {
-		err = io.ErrShortWrite
-	}
-	return n, err
-}
-
-// writeTrace encodes tr to path as a v2 container through a fully
-// error-checked write path: every byte goes through a buffered writer whose
-// Flush, the file's Sync, and Close are all checked, and short writes
-// surface as errors with the byte count written so far.
-func writeTrace(path string, chunkRecords uint32, workload string, tr *trace.Slice) (written int64, err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	cw := &countingWriter{w: f}
-	bw := bufio.NewWriterSize(cw, 1<<20)
-
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			err = fmt.Errorf("writing %s (%d bytes written): %w", path, cw.n, err)
-		}
-	}()
-
-	if err = tracestore.Write(bw, tr, tracestore.Meta{Workload: workload, ChunkRecords: chunkRecords}); err != nil {
-		return cw.n, err
-	}
-	if err = bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	if err = f.Sync(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
 }
 
 // inspectFile opens a v2 container and prints a summary.

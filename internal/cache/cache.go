@@ -947,60 +947,31 @@ func (c *Cache) ReqDone(lineAddr, done uint64) {
 // fill installs the line (respecting fill level) and wakes waiters.
 func (c *Cache) fill(m *mshr, cycle uint64) {
 	install := c.cfg.Level >= m.fillLevel || !m.isPrefetch || m.demandMerged
-	latency := cycle - m.issueCycle
 	if install {
+		latency := cycle - m.issueCycle
+		byPrefetch := m.isPrefetch && !m.demandMerged
+		var evAddr uint64
+		var evPf bool
 		// A writeback from above may have installed the line while this
 		// miss was in flight (processWrites probes, but fills used not
 		// to); installing again would leave the same tag valid in two
 		// ways. Update the resident copy in place instead.
-		if w := c.probe(m.lineAddr); w >= 0 {
-			l := &c.lines[w]
-			c.touch(l)
-			if m.isStore && (!m.isPrefetch || m.demandMerged) {
-				l.dirty = true
+		w := c.probe(m.lineAddr)
+		resident := w >= 0
+		if resident {
+			c.touch(&c.lines[w])
+		} else {
+			w = c.victim(m.lineAddr)
+			if c.tags[w] != 0 {
+				evAddr = c.tags[w] - 1
+				evPf = c.lines[w].prefetched
+				c.evict(w, cycle)
 			}
-			c.Stats.TotalFills++
-			if m.isPrefetch {
-				c.Stats.PrefFills++
-				if c.tr != nil {
-					c.emit(cycle, obs.EvPrefetchFill, m.lineAddr, m.ip)
-				}
-				if c.prov != nil && !m.demandMerged {
-					// The line was installed by a writeback while this
-					// prefetch was in flight: no prefetch bit is set, so
-					// the prefetch terminates without a trackable install.
-					c.prov.Resolve(m.provID, int(c.cfg.Level), provenance.OutDropped, cycle)
-				}
-			}
-			if c.pf != nil {
-				c.pf.OnFill(FillEvent{
-					Cycle:      cycle,
-					IP:         m.ip,
-					LineAddr:   c.trainAddr(m.vline, m.lineAddr),
-					PLineAddr:  m.lineAddr,
-					Latency:    latency,
-					ByPrefetch: m.isPrefetch && !m.demandMerged,
-				})
-			}
-			if !m.isPrefetch || m.demandMerged {
-				c.Stats.RecordFillLatency(latency)
-			}
-			c.fireChain(m.whead, cycle)
-			m.whead, m.wtail = 0, 0
-			return
+			c.tags[w] = m.lineAddr + 1
+			c.lines[w] = line{vaddr: m.vline}
+			c.insertRepl(&c.lines[w], m.lineAddr)
 		}
-		w := c.victim(m.lineAddr)
-		var evAddr uint64
-		var evPf bool
-		if c.tags[w] != 0 {
-			evAddr = c.tags[w] - 1
-			evPf = c.lines[w].prefetched
-			c.evict(w, cycle)
-		}
-		c.tags[w] = m.lineAddr + 1
-		v := &c.lines[w]
-		*v = line{vaddr: m.vline}
-		c.insertRepl(v, m.lineAddr)
+		l := &c.lines[w]
 		c.Stats.TotalFills++
 		if m.isPrefetch {
 			// Every prefetch-initiated fill counts toward the artifact
@@ -1010,22 +981,30 @@ func (c *Cache) fill(m *mshr, cycle uint64) {
 				c.emit(cycle, obs.EvPrefetchFill, m.lineAddr, m.ip)
 			}
 		}
-		if m.isPrefetch && !m.demandMerged {
-			v.prefetched = true
-			v.pfIP = m.ip
-			v.provID = m.provID
+		switch {
+		case byPrefetch && resident:
+			// The line was installed by a writeback while this prefetch
+			// was in flight: no prefetch bit is set, so the prefetch
+			// terminates without a trackable install.
+			if c.prov != nil {
+				c.prov.Resolve(m.provID, int(c.cfg.Level), provenance.OutDropped, cycle)
+			}
+		case byPrefetch:
+			l.prefetched = true
+			l.pfIP = m.ip
+			l.provID = m.provID
 			if c.prov != nil {
 				c.prov.Fill(m.provID, cycle)
 			}
 			// Store the 12-bit latency; overflow -> 0 (not learned).
 			if latency >= 1<<12 {
-				v.pfLatency = 0
+				l.pfLatency = 0
 			} else {
-				v.pfLatency = uint16(latency)
+				l.pfLatency = uint16(latency)
 			}
 		}
-		if m.isStore && (!m.isPrefetch || m.demandMerged) {
-			v.dirty = true
+		if m.isStore && !byPrefetch {
+			l.dirty = true
 		}
 		if c.pf != nil {
 			c.pf.OnFill(FillEvent{
@@ -1034,12 +1013,12 @@ func (c *Cache) fill(m *mshr, cycle uint64) {
 				LineAddr:          c.trainAddr(m.vline, m.lineAddr),
 				PLineAddr:         m.lineAddr,
 				Latency:           latency,
-				ByPrefetch:        m.isPrefetch && !m.demandMerged,
+				ByPrefetch:        byPrefetch,
 				EvictedAddr:       evAddr,
 				EvictedPrefetched: evPf,
 			})
 		}
-		if !m.isPrefetch || m.demandMerged {
+		if !byPrefetch {
 			c.Stats.RecordFillLatency(latency)
 		}
 	}
@@ -1510,8 +1489,9 @@ func (c *Cache) Drained() bool {
 		c.mshrUsed == 0
 }
 
-// FlushMetadata clears prefetch bits (between warmup and measurement the
-// stats are reset but cache contents persist).
+// ResetStats zeroes the statistics and traffic counters; cache contents,
+// prefetch bits and prefetcher state persist (between warmup and
+// measurement).
 func (c *Cache) ResetStats() {
 	name := c.Stats.Name
 	c.Stats = stats.CacheStats{Name: name}

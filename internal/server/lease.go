@@ -236,6 +236,13 @@ func (p *leasePool) touchLease(id string) {
 	p.mu.Unlock()
 }
 
+// spec returns the spec the pool tracks under key.
+func (p *leasePool) spec(key string) harness.RunSpec {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.specs[key]
+}
+
 // finish transitions key to done (from any non-terminal state), detaching
 // it from its holding lease. fresh reports a first completion; known
 // reports whether the pool tracks the key at all. Exactly one concurrent
@@ -515,7 +522,9 @@ func (s *Server) handleLeaseHeartbeat(w http.ResponseWriter, r *http.Request) {
 // are accepted even for an expired or unknown lease (the computation is
 // real regardless of the lease's fate) and during a drain (the result
 // store makes every landed result crash-safe) — the per-entry
-// accounting in the response says what actually happened.
+// accounting in the response says what actually happened. Each accepted
+// entry fires the harness's OnResult once, as an in-process run does from
+// the harness, so hooks such as a provenance roll-up see pushed runs too.
 func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req ResultsRequest
@@ -541,6 +550,9 @@ func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 		case "accepted":
 			resp.Accepted++
 			s.live.RemoteResult()
+			if s.h.OnResult != nil {
+				s.h.OnResult(e.Key, s.pool.spec(e.Key), e.Result)
+			}
 		case "duplicate":
 			resp.Duplicates++
 		default:

@@ -411,6 +411,52 @@ func TestLeaseProtocolEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLeasePushFiresOnResult: results a worker pushes to a lease-only
+// coordinator fire the coordinator's OnResult once each, so a provenance
+// roll-up attached there (bertid -provenance) counts every run.
+func TestLeasePushFiresOnResult(t *testing.T) {
+	ctx := testCtx(t)
+	h := harness.New(srvScale)
+	rollup := harness.NewProvenanceRollup()
+	rollup.Attach(h)
+	s, err := New(Options{Harness: h, DataDir: t.TempDir(), Logf: t.Logf, LeaseOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	w := &Worker{
+		ID: "w1", Client: NewClient(ts.URL), Harness: harness.New(srvScale),
+		MaxSpecs: 2, PollInterval: 20 * time.Millisecond, Logf: t.Logf,
+	}
+	wctx, wcancel := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() { done <- w.Run(wctx) }()
+
+	specs := srvSpecs()
+	cl := NewClient(ts.URL)
+	ack, err := cl.Submit(ctx, "pushed", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.WaitCampaign(ctx, ack.ID)
+	wcancel()
+	if werr := <-done; werr != nil {
+		t.Fatalf("worker: %v", werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Completed != len(specs) {
+		t.Fatalf("campaign finished as %+v", st)
+	}
+	if rep := rollup.Report(); rep.Runs != len(specs) {
+		t.Fatalf("roll-up saw %d run(s), want %d", rep.Runs, len(specs))
+	}
+}
+
 // TestClientRetriesTransient pins the retry discipline: 5xx and transport
 // errors retry with the deterministic backoff; 4xx (including 410 for a
 // dead lease) surface immediately.

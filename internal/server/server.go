@@ -32,7 +32,8 @@ type Options struct {
 	// Harness executes the runs (required). The daemon runs
 	// max(Harness.Workers, 1) in-process lease workers on it. The server
 	// installs no OnResult hook; set one of your own before New starts
-	// the workers.
+	// the workers. It fires once per run: from the harness for an
+	// in-process run, from the lease endpoint for a pushed result.
 	Harness *harness.Harness
 	// DataDir is the daemon's state root (required): campaign manifests
 	// live in DataDir/campaigns, the content-addressed result store in
