@@ -16,9 +16,9 @@
 // -server switches to thin-client mode: the batch runs as one campaign on
 // a bertid daemon (deduped there against every other client) while the
 // journal, reports, metrics, and exit codes stay local; a daemon at a
-// different BERTI_SCALE is a usage error. -max-failures bounds the
-// failures logged verbatim; the overflow is reported as suppressed but
-// still counts toward the exit code and the failed-run metric.
+// different BERTI_SCALE is a usage error. Every failed spec is logged
+// once, in spec-key order, and counts toward the exit code and the
+// failed-run metric.
 //
 // -corpus-dir enables the content-addressed trace corpus: generated
 // workload traces are persisted there as v2 containers and simulations
@@ -81,7 +81,6 @@ func main() {
 	flag.IntVar(&h.ProvenanceCap, "provenance-cap", 0, "per-run provenance record-pool capacity (0 = default 65536)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live campaign metrics (run counters, merged attribution, expvar) on this address")
 	serverURL := flag.String("server", "", "thin-client mode: run every simulation on the bertid daemon at this URL; journaling, reports, and metrics stay local")
-	flag.IntVar(&h.MaxFailures, "max-failures", 0, "failures recorded verbatim (0 = default 64, negative = unbounded); overflow is suppressed from the log but still counts toward metrics and the exit code")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
@@ -270,17 +269,11 @@ func main() {
 	}
 }
 
-// noteFailures reports the batch's run failures and returns how many
-// count toward the exit code, bumping the live failed-run metric for each.
-// Failures are capped by the harness (-max-failures); the overflow is
-// suppressed only from the verbatim log — every suppressed failure still
-// counts toward the returned total and the failed-run metric, so a
-// campaign whose failure set blew past the cap can never masquerade as
-// clean in either the exit code or /metrics.
+// noteFailures logs each failed run once, in spec-key order, and returns
+// how many there were, bumping the live failed-run metric for each.
 func noteFailures(h *harness.Harness, metrics *live.Server) int {
-	failed := 0
-	for _, f := range h.Failures() {
-		failed++
+	fails := h.Failures()
+	for _, f := range fails {
 		var dle *sim.DeadlineError
 		if errors.As(f, &dle) {
 			fmt.Fprintf(os.Stderr, "experiments: run-timeout %v exceeded by spec %s (cycle %d; raise -run-timeout or lower BERTI_SCALE)\n",
@@ -289,20 +282,12 @@ func noteFailures(h *harness.Harness, metrics *live.Server) int {
 		}
 		fmt.Fprintf(os.Stderr, "experiments: run failed: %v\n", f)
 	}
-	if n := h.SuppressedFailures(); n > 0 {
-		failed += n
-		cap := h.MaxFailures
-		if cap == 0 {
-			cap = harness.DefaultMaxFailures
-		}
-		fmt.Fprintf(os.Stderr, "experiments: ... and %d more failure(s) suppressed (cap %d)\n", n, cap)
-	}
 	if metrics != nil {
-		for i := 0; i < failed; i++ {
+		for range fails {
 			metrics.RunFailed()
 		}
 	}
-	return failed
+	return len(fails)
 }
 
 // writeReport emits the deterministic campaign report (a server.Report

@@ -10,10 +10,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/bertisim/berti/internal/harness"
 )
 
 // binDir holds the experiments and bertid binaries, built once by
@@ -149,26 +152,48 @@ func TestKillAndResume(t *testing.T) {
 	}
 }
 
-// TestSuppressedFailuresStillFail: when a campaign's failure set blows
-// past -max-failures, the overflow is suppressed from the log but must
-// still fail the exit code — a fully-broken campaign can never look any
-// cleaner than a partially-broken one.
-func TestSuppressedFailuresStillFail(t *testing.T) {
+// TestFailedSpecsLoggedOnceInKeyOrder: a campaign whose every run fails
+// must exit 1 and log each failed spec exactly once, in spec-key order, so
+// the failure list of a -j N campaign reads the same on every run.
+func TestFailedSpecsLoggedOnceInKeyOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the experiments binary")
 	}
-	bin := filepath.Join(binDir, "experiments")
-	// A 1ns run timeout fails every run; -max-failures 1 records one
-	// verbatim and suppresses the rest.
-	cmd := exec.Command(bin, "-run", "AblCalibration", "-run-timeout", "1ns", "-max-failures", "1")
+	const expID = "AblCalibration"
+	e, ok := harness.ExperimentByID(expID)
+	if !ok {
+		t.Fatalf("no experiment %s", expID)
+	}
+	var keys []string
+	for _, s := range harness.Plan(harness.ScaleQuick, []harness.Experiment{e}) {
+		keys = append(keys, s.Key())
+	}
+	sort.Strings(keys)
+
+	// A 1ns run timeout fails every run.
+	cmd := exec.Command(filepath.Join(binDir, "experiments"), "-run", expID, "-run-timeout", "1ns", "-j", "4")
 	cmd.Env = append(os.Environ(), "BERTI_SCALE=quick")
-	out, err := cmd.CombinedOutput()
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
-		t.Fatalf("all-suppressed failures must exit 1, got %v\n%s", err, out)
+		t.Fatalf("a campaign with failed runs must exit 1, got %v\n%s", err, stderr.String())
 	}
-	if !bytes.Contains(out, []byte("suppressed (cap 1)")) {
-		t.Fatalf("suppressed overflow must be reported with its cap\n%s", out)
+	var logged []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "experiments: run-timeout 1ns exceeded by spec "); ok {
+			logged = append(logged, rest[:strings.LastIndex(rest, " (cycle ")])
+		} else if strings.HasPrefix(line, "experiments: run failed: ") {
+			t.Fatalf("a 1ns run timeout must fail runs on their deadline: %s", line)
+		}
+	}
+	if strings.Join(logged, "\n") != strings.Join(keys, "\n") {
+		t.Fatalf("logged failed specs:\n%s\nwant each of the %d planned specs once, in key order:\n%s",
+			strings.Join(logged, "\n"), len(keys), strings.Join(keys, "\n"))
+	}
+	if want := fmt.Sprintf("experiments: %d run(s) failed", len(keys)); !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr lacks %q\n%s", want, stderr.String())
 	}
 }
 

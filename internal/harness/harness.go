@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -28,8 +29,7 @@ import (
 	"github.com/bertisim/berti/internal/tracestore"
 	"github.com/bertisim/berti/internal/workloads"
 
-	// Populate the registries.
-	_ "github.com/bertisim/berti/internal/prefetch/all"
+	// Populate the workload registry.
 	_ "github.com/bertisim/berti/internal/workloads/cloudlike"
 	_ "github.com/bertisim/berti/internal/workloads/gap"
 	_ "github.com/bertisim/berti/internal/workloads/speclike"
@@ -370,11 +370,6 @@ type Harness struct {
 	// Retry bounds re-execution of transiently-failing runs (zero value =
 	// defaults: 2 attempts, 50ms exponential backoff capped at 2s).
 	Retry RetryPolicy
-	// MaxFailures caps the failures recorded verbatim (DefaultMaxFailures
-	// if 0, unbounded if negative); further failures only bump the
-	// suppressed counter so a pathological campaign cannot grow the slice
-	// without bound. Mirrors check.Checker.MaxRecorded.
-	MaxFailures int
 	// OnResult, when set, is invoked (outside the harness lock, possibly
 	// from concurrent workers) for every freshly-completed memoized run —
 	// the campaign journal's subscription point. Memo hits and seeded
@@ -393,15 +388,11 @@ type Harness struct {
 	// counter says how many.
 	ProvenanceCap int
 
-	mu         sync.Mutex
-	traces     map[string]*trace.Slice
-	results    map[string]*sim.Result
-	errs       map[string]error
-	inflight   map[string]chan struct{}
-	failures   []*RunError
-	suppressed int
-	sem        chan struct{}
-	semOnce    sync.Once
+	mu      sync.Mutex
+	traces  map[string]*trace.Slice
+	runs    map[string]*outcome
+	sem     chan struct{}
+	semOnce sync.Once
 
 	corpus     *tracestore.Corpus
 	corpusErr  error
@@ -414,45 +405,44 @@ func New(scale Scale) *Harness {
 		Scale:   scale,
 		Workers: runtime.NumCPU(),
 		traces:  map[string]*trace.Slice{},
-		results: map[string]*sim.Result{},
-		errs:    map[string]error{},
+		runs:    map[string]*outcome{},
 	}
 }
 
-// DefaultMaxFailures bounds the failures a harness records verbatim.
-const DefaultMaxFailures = 64
+// outcome is a run key's one memo entry. It is in flight while its leader
+// executes the run (waiters block on done) and memoized once it holds the
+// run's result or its error. A cancelled leader removes its entry, and a
+// seed replaces an entry still in flight.
+type outcome struct {
+	done chan struct{} // closed by the leader; nil on seeded entries
+	res  *sim.Result
+	err  error
+	// spec is set on seeded failures only: Failures wraps a seeded error
+	// that is not a *RunError with it.
+	spec RunSpec
+}
 
-// Failures returns every run failure recorded so far (up to MaxFailures),
-// in completion order.
+func (e *outcome) memoized() bool { return e.res != nil || e.err != nil }
+
+// Failures returns every memoized run failure, sorted by spec key.
 func (h *Harness) Failures() []*RunError {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]*RunError(nil), h.failures...)
-}
-
-// SuppressedFailures counts the failures dropped after the MaxFailures cap
-// filled — report them as "N more suppressed" next to Failures.
-func (h *Harness) SuppressedFailures() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.suppressed
-}
-
-// RecordFailure records a run failure as a local run's would be: counted
-// toward Failures up to MaxFailures, then toward SuppressedFailures. The
-// thin client records the failures a campaign daemon reports this way.
-func (h *Harness) RecordFailure(e *RunError) {
-	h.mu.Lock()
-	limit := h.MaxFailures
-	if limit == 0 {
-		limit = DefaultMaxFailures
+	var keys []string
+	for k, e := range h.runs {
+		if e.err != nil {
+			keys = append(keys, k)
+		}
 	}
-	if limit < 0 || len(h.failures) < limit {
-		h.failures = append(h.failures, e)
-	} else {
-		h.suppressed++
+	sort.Strings(keys)
+	out := make([]*RunError, len(keys))
+	for i, k := range keys {
+		e := h.runs[k]
+		if !errors.As(e.err, &out[i]) {
+			out[i] = &RunError{Spec: e.spec, Attempts: 1, Err: e.err}
+		}
 	}
 	h.mu.Unlock()
+	return out
 }
 
 // Trace returns the (memoized) trace for a workload; unknown names yield a
@@ -645,12 +635,11 @@ func (h *Harness) acquire() func() {
 
 // RunContext executes (or returns the memoized result of) one simulation.
 // Both outcomes are memoized: a failing spec returns the same error
-// without re-running. The failure (with panic recovery and the retry
-// policy already applied) is also recorded on the harness; see Failures.
-// Once ctx is done the in-flight simulation stops at the engine's next
-// poll stride and the call returns an error chain holding a
-// *sim.CancelError. Cancelled runs are neither memoized nor recorded as
-// failures — a resumed campaign re-executes them.
+// without re-running, and Failures lists it (with panic recovery and the
+// retry policy already applied). Once ctx is done the in-flight simulation
+// stops at the engine's next poll stride and the call returns an error
+// chain holding a *sim.CancelError. Cancelled runs are not memoized — a
+// resumed campaign re-executes them.
 //
 // Identical specs are single-flight: when a spec's key is already
 // executing, further callers wait for that execution and share its
@@ -662,45 +651,34 @@ func (h *Harness) RunContext(ctx context.Context, spec RunSpec) (*sim.Result, er
 	key := spec.key()
 	for {
 		h.mu.Lock()
-		if r, ok := h.results[key]; ok {
+		e, ok := h.runs[key]
+		if !ok {
+			e = &outcome{done: make(chan struct{})}
+			h.runs[key] = e
 			h.mu.Unlock()
-			return r, nil
+			return h.lead(ctx, spec, key, e)
 		}
-		if err, ok := h.errs[key]; ok {
+		if e.memoized() {
 			h.mu.Unlock()
-			return nil, err
-		}
-		wait, running := h.inflight[key]
-		if !running {
-			if h.inflight == nil {
-				h.inflight = map[string]chan struct{}{}
-			}
-			done := make(chan struct{})
-			h.inflight[key] = done
-			h.mu.Unlock()
-			return h.lead(ctx, spec, key, done)
+			return e.res, e.err
 		}
 		h.mu.Unlock()
 		select {
-		case <-wait:
-			// The leader finished (or was cancelled); loop to re-read the
-			// memo — or take over the lead if nothing was recorded.
+		case <-e.done:
+			// The leader finished, was cancelled, or a seed replaced it;
+			// loop to re-read the memo — or take over the lead if nothing
+			// was memoized.
 		case <-ctx.Done():
 			return nil, &sim.CancelError{Cause: ctx.Err()}
 		}
 	}
 }
 
-// lead executes spec as the single in-flight owner of key: it runs the
-// simulation, memoizes the outcome, fires OnResult for a fresh success,
-// and finally wakes every waiter.
-func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, done chan struct{}) (*sim.Result, error) {
-	defer func() {
-		h.mu.Lock()
-		delete(h.inflight, key)
-		h.mu.Unlock()
-		close(done)
-	}()
+// lead executes spec as the single in-flight owner of key's entry e: it
+// runs the simulation, memoizes the outcome in e (or removes e if the run
+// was cancelled), wakes every waiter, and fires OnResult for a fresh
+// memoized success. A seed that replaced e meanwhile stays the memo.
+func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, e *outcome) (*sim.Result, error) {
 	release := h.acquire()
 	defer release()
 
@@ -713,34 +691,58 @@ func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, done chan 
 	}
 	r, err := h.runProtected(ctx, spec, opts)
 	if err != nil {
-		if !sim.IsCancel(err) {
-			h.mu.Lock()
-			h.errs[key] = err
-			h.mu.Unlock()
-		}
-		return nil, err
+		r = nil
 	}
-
 	h.mu.Lock()
-	h.results[key] = r
+	kept := false
+	if h.runs[key] == e { // else a seed replaced e and stays the memo
+		if sim.IsCancel(err) {
+			delete(h.runs, key) // nothing memoized: a waiter takes over
+		} else {
+			e.res, e.err, kept = r, err, true
+		}
+	}
+	close(e.done)
 	h.mu.Unlock()
-	if h.OnResult != nil {
+	if kept && err == nil && h.OnResult != nil {
 		h.OnResult(key, spec, r)
 	}
-	return r, nil
+	return r, err
+}
+
+// seed memoizes e for key unless key is already memoized. An entry still
+// in flight is replaced: its leader closes its own done channel and leaves
+// the seed in place.
+func (h *Harness) seed(key string, e *outcome) {
+	h.mu.Lock()
+	if old, ok := h.runs[key]; !ok || !old.memoized() {
+		h.runs[key] = e
+	}
+	h.mu.Unlock()
 }
 
 // SeedResult pre-loads the memo cache with a completed result (the resume
 // path: journal entries become memo hits, so a re-invoked campaign skips
-// finished work). Seeded results do not fire OnResult; a caller landing
-// results computed elsewhere fires it itself.
+// finished work). It does nothing when key is already memoized. Seeded
+// results do not fire OnResult; a caller landing results computed
+// elsewhere fires it itself.
 func (h *Harness) SeedResult(key string, r *sim.Result) {
 	if r == nil {
 		return
 	}
-	h.mu.Lock()
-	h.results[key] = r
-	h.mu.Unlock()
+	h.seed(key, &outcome{res: r})
+}
+
+// SeedFailure memoizes a failure computed elsewhere (a campaign daemon's
+// report, a worker's push) as spec's outcome, so RunContext returns err
+// without running spec and Failures lists it. It does nothing when the key
+// is already memoized. err is kept as given: FailureFor returns the same
+// error, with the same text.
+func (h *Harness) SeedFailure(spec RunSpec, err error) {
+	if err == nil {
+		return
+	}
+	h.seed(spec.key(), &outcome{err: err, spec: spec})
 }
 
 // ResultFor returns the memoized result for one run key — the lookup
@@ -749,8 +751,20 @@ func (h *Harness) SeedResult(key string, r *sim.Result) {
 func (h *Harness) ResultFor(key string) (*sim.Result, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	r, ok := h.results[key]
-	return r, ok
+	if e, ok := h.runs[key]; ok && e.res != nil {
+		return e.res, true
+	}
+	return nil, false
+}
+
+// FailureFor returns the memoized failure for one run key, or nil.
+func (h *Harness) FailureFor(key string) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if e, ok := h.runs[key]; ok {
+		return e.err
+	}
+	return nil
 }
 
 // Results returns a snapshot of every memoized completed run, keyed by
@@ -758,9 +772,11 @@ func (h *Harness) ResultFor(key string) (*sim.Result, bool) {
 func (h *Harness) Results() map[string]*sim.Result {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make(map[string]*sim.Result, len(h.results))
-	for k, r := range h.results {
-		out[k] = r
+	out := make(map[string]*sim.Result, len(h.runs))
+	for k, e := range h.runs {
+		if e.res != nil {
+			out[k] = e.res
+		}
 	}
 	return out
 }
@@ -782,9 +798,8 @@ func placeholderResult(spec RunSpec) *sim.Result {
 // (bounded attempts, exponential backoff with deterministic jitter). A run
 // whose fault plan damages the trace bytes is never retried: its
 // *tracestore.FormatError looks like a corrupt corpus entry, but the
-// damage is seeded and reproduces exactly. Every final failure is recorded
-// on the harness; cancellations are returned unrecorded so the campaign
-// layer can re-run them after a resume.
+// damage is seeded and reproduces exactly. Final failures come back as a
+// *RunError; cancellations come back as they are, never retried.
 func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
 	retry := opts.Fault == nil || !opts.Fault.TraceFault()
 	attempts := 0
@@ -796,7 +811,7 @@ func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Optio
 		}
 		if sim.IsCancel(err) {
 			// Not a failure: the campaign is shutting down. Never retried,
-			// never recorded, and RunContext skips memoization.
+			// and RunContext skips memoization.
 			return res, err
 		}
 		if retry && attempts < h.Retry.maxAttempts() && transient(err, attempts) {
@@ -805,11 +820,9 @@ func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Optio
 			}
 			continue
 		}
-		re := &RunError{Spec: spec, Attempts: attempts, Err: err}
-		h.RecordFailure(re)
 		// Checked runs keep their partial result next to the violation
 		// error so callers can inspect what the damaged run produced.
-		return res, re
+		return res, &RunError{Spec: spec, Attempts: attempts, Err: err}
 	}
 }
 
@@ -862,7 +875,8 @@ func (h *Harness) run(ctx context.Context, spec RunSpec, opts sim.Options) (*sim
 // Unmemoized runs bypass the memo cache in both directions: a time series
 // or event trace belongs to a single execution, and the result must
 // reflect the run that produced it. Failures get the same protection as
-// RunContext: panic recovery, deadline, the retry policy.
+// RunContext: panic recovery, deadline, the retry policy. They are returned
+// to the caller only; Failures does not list them.
 func (h *Harness) RunWithContext(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
 	release := h.acquire()
 	defer release()

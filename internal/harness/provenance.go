@@ -134,7 +134,7 @@ type RollupReport struct {
 }
 
 // Report snapshots the roll-up. The merged attribution report is a deep
-// enough copy to be safe against further Add calls mutating slices.
+// copy, safe against further Add calls merging into the roll-up.
 func (p *ProvenanceRollup) Report() *RollupReport {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -143,12 +143,8 @@ func (p *ProvenanceRollup) Report() *RollupReport {
 		wls = append(wls, *w)
 	}
 	sort.Slice(wls, func(i, j int) bool { return wls[i].Workload < wls[j].Workload })
-	m := p.merged
+	m := p.merged.Clone()
 	m.SchemaVersion = obs.SchemaVersion
-	m.Levels = append([]provenance.LevelStats(nil), p.merged.Levels...)
-	m.PCs = append([]provenance.Row(nil), p.merged.PCs...)
-	m.Deltas = append([]provenance.Row(nil), p.merged.Deltas...)
-	m.Calibration = append([]provenance.CalBand(nil), p.merged.Calibration...)
 	return &RollupReport{
 		SchemaVersion:         obs.SchemaVersion,
 		Runs:                  p.runs,

@@ -126,6 +126,41 @@ func TestProvenanceReconcilesOnGAP(t *testing.T) {
 	}
 }
 
+// TestProvenanceRollupLeavesRunsAlone: folding a run into the roll-up must
+// not change that run's memoized Provenance report or an earlier roll-up
+// snapshot (the /metrics/provenance document) when later runs merge in.
+func TestProvenanceRollupLeavesRunsAlone(t *testing.T) {
+	h := New(diffScale)
+	h.EnableProvenance = true
+	rollup := NewProvenanceRollup()
+	rollup.Attach(h)
+	ctx := context.Background()
+	first, err := h.RunContext(ctx, RunSpec{Workload: "mcf_like_1554", L1DPf: "ip-stride"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(v any) []byte {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	wantRun := encode(first.Provenance)
+	snap := rollup.Report()
+	wantSnap := encode(snap)
+	if _, err := h.RunContext(ctx, RunSpec{Workload: "bfs-kron", L1DPf: "berti"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(first.Provenance); !bytes.Equal(got, wantRun) {
+		t.Fatal("merging a second run changed the first run's Provenance report")
+	}
+	if got := encode(snap); !bytes.Equal(got, wantSnap) {
+		t.Fatal("merging a second run changed an earlier roll-up snapshot")
+	}
+}
+
 // TestProvenanceRollupMergesAcrossRuns covers the campaign roll-up: reports
 // from several runs merge by workload and into one attribution table, and
 // the OnResult chaining keeps a pre-installed hook firing.

@@ -3,9 +3,11 @@ package harness
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/bertisim/berti/internal/core"
 	"github.com/bertisim/berti/internal/sim"
@@ -149,6 +151,132 @@ func TestValidateSpec(t *testing.T) {
 		}
 		if se.Field != c.field {
 			t.Errorf("ValidateSpec(%+v) flagged field %q, want %q", c.spec, se.Field, c.field)
+		}
+	}
+}
+
+// inFlight reports whether key's memo entry is claimed by a running leader.
+func inFlight(h *Harness, key string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	e, ok := h.runs[key]
+	return ok && !e.memoized()
+}
+
+// TestSeedWhileInFlight: a seed that lands while its key is executing is
+// the memo from then on. The leader still finishes (closing its channel
+// once), returns its own outcome to its caller, leaves the seed in place,
+// and fires no OnResult.
+func TestSeedWhileInFlight(t *testing.T) {
+	spec := RunSpec{Workload: "roms_like", L1DPf: "next-line"}
+	key := spec.Key()
+	seededRes := &sim.Result{}
+	seededErr := errors.New("daemon: run failed elsewhere")
+	seeds := map[string]func(h *Harness){
+		"result":  func(h *Harness) { h.SeedResult(key, seededRes) },
+		"failure": func(h *Harness) { h.SeedFailure(spec, seededErr) },
+	}
+	for name, seed := range seeds {
+		t.Run(name, func(t *testing.T) {
+			h := New(faultScale)
+			h.Workers = 1
+			var fired atomic.Int64
+			h.OnResult = func(string, RunSpec, *sim.Result) { fired.Add(1) }
+
+			// Holding the only worker slot parks the leader in flight.
+			release := h.acquire()
+			type ran struct {
+				r   *sim.Result
+				err error
+			}
+			leader := make(chan ran, 1)
+			go func() {
+				r, err := h.RunContext(context.Background(), spec)
+				leader <- ran{r, err}
+			}()
+			for !inFlight(h, key) {
+				time.Sleep(time.Millisecond)
+			}
+			seed(h)
+			wantRes, wantErr := seededRes, error(nil)
+			if name == "failure" {
+				wantRes, wantErr = nil, seededErr
+			}
+			if r, err := h.RunContext(context.Background(), spec); r != wantRes || err != wantErr {
+				t.Fatalf("caller after the seed got (%p, %v), want the seed (%p, %v)", r, err, wantRes, wantErr)
+			}
+			release()
+			got := <-leader
+			if got.err != nil || got.r == nil || got.r == seededRes {
+				t.Fatalf("leader must return its own run's result, got (%p, %v)", got.r, got.err)
+			}
+			if r, err := h.RunContext(context.Background(), spec); r != wantRes || err != wantErr {
+				t.Fatalf("memo after the leader finished is (%p, %v), want the seed", r, err)
+			}
+			if n := fired.Load(); n != 0 {
+				t.Fatalf("OnResult fired %d times for a run whose key was seeded", n)
+			}
+		})
+	}
+}
+
+// TestSeedFailureMemoizes: a seeded failure is the key's outcome — the
+// spec does not run, FailureFor returns the seeded error as given, and
+// Failures lists it next to the run's own failures, in key order. A seed
+// never replaces a memoized outcome.
+func TestSeedFailureMemoizes(t *testing.T) {
+	h := New(faultScale)
+	ctx := context.Background()
+	pushed := RunSpec{Workload: "roms_like", L1DPf: "next-line"}
+	errPushed := errors.New("worker: <exact> text")
+	h.SeedFailure(pushed, errPushed)
+	if r, err := h.RunContext(ctx, pushed); r != nil || err != errPushed {
+		t.Fatalf("seeded failure must be returned without running, got (%v, %v)", r, err)
+	}
+	if got := h.FailureFor(pushed.Key()); got != errPushed {
+		t.Fatalf("FailureFor = %v, want the seeded error", got)
+	}
+
+	bad := RunSpec{Workload: "roms_like", L1DPf: "no-such-prefetcher"}
+	_, errBad := h.RunContext(ctx, bad)
+	if errBad == nil {
+		t.Fatal("unknown prefetcher must fail")
+	}
+	h.SeedFailure(bad, errors.New("late"))
+	h.SeedResult(bad.Key(), &sim.Result{})
+	if got := h.FailureFor(bad.Key()); got != errBad {
+		t.Fatalf("a seed replaced the memoized failure: %v", got)
+	}
+	if _, ok := h.ResultFor(bad.Key()); ok {
+		t.Fatal("a seeded result replaced the memoized failure")
+	}
+	good := RunSpec{Workload: "roms_like"}
+	if _, err := h.RunContext(ctx, good); err != nil {
+		t.Fatal(err)
+	}
+	if h.FailureFor(good.Key()) != nil {
+		t.Fatal("a completed run has no failure")
+	}
+
+	fails := h.Failures()
+	if len(fails) != 2 {
+		t.Fatalf("Failures = %v, want the seeded and the run failure", fails)
+	}
+	if !sort.SliceIsSorted(fails, func(i, j int) bool { return fails[i].Spec.Key() < fails[j].Spec.Key() }) {
+		t.Fatalf("Failures not in key order: %v", fails)
+	}
+	for _, f := range fails {
+		switch f.Spec.Key() {
+		case pushed.Key():
+			if f.Err != errPushed || f.Attempts != 1 {
+				t.Fatalf("seeded failure listed as %+v", f)
+			}
+		case bad.Key():
+			if error(f) != errBad {
+				t.Fatalf("run failure listed as %v, want %v", f, errBad)
+			}
+		default:
+			t.Fatalf("unexpected failure %v", f)
 		}
 	}
 }

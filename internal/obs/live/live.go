@@ -50,9 +50,9 @@ type Server struct {
 	ln  net.Listener
 	srv *http.Server
 
-	completed atomic.Uint64
-	failed    atomic.Uint64
-	rowsSeen  atomic.Uint64
+	completed  atomic.Uint64
+	runsFailed atomic.Uint64
+	rowsSeen   atomic.Uint64
 
 	// Fleet counters (distributed worker protocol).
 	remoteResults  atomic.Uint64
@@ -136,7 +136,7 @@ func (s *Server) RunCompleted() {
 
 // RunFailed records one failed simulation.
 func (s *Server) RunFailed() {
-	s.failed.Add(1)
+	s.runsFailed.Add(1)
 	bertiVars().Add("runs_failed", 1)
 }
 
@@ -257,7 +257,7 @@ func (s *Server) snapshot() *Snapshot {
 	snap := &Snapshot{
 		SchemaVersion: obs.SchemaVersion,
 		RunsCompleted: s.completed.Load(),
-		RunsFailed:    s.failed.Load(),
+		RunsFailed:    s.runsFailed.Load(),
 		SamplerRows:   s.rowsSeen.Load(),
 		Fleet: FleetSnapshot{
 			RemoteResults:    s.remoteResults.Load(),

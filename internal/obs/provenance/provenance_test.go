@@ -1,6 +1,8 @@
 package provenance
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -212,5 +214,39 @@ func TestMergeReports(t *testing.T) {
 	}
 	if l.Slack.Count != 2 {
 		t.Fatalf("merged slack count = %d, want 2", l.Slack.Count)
+	}
+}
+
+// TestMergeLeavesSourceAlone: Merge copies a level it has not seen, so
+// later merges into dst (and into a Clone of it) never write into the
+// source report's histogram buckets.
+func TestMergeLeavesSourceAlone(t *testing.T) {
+	tr := NewTracker(8)
+	pid := tr.Issue(0, 0x100, 5, 60, 0)
+	tr.Fill(pid, 10)
+	tr.Resolve(pid, 0, OutTimely, 30)
+	src := tr.Report()
+	want, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst Report
+	Merge(&dst, src)
+	snap := dst.Clone()
+	snapWant, _ := json.Marshal(&snap)
+	Merge(&dst, src)
+	if got, _ := json.Marshal(src); !bytes.Equal(got, want) {
+		t.Fatalf("merging changed the source report: L1D fill latency %+v", src.Level("L1D").FillLatency)
+	}
+	if got, _ := json.Marshal(&snap); !bytes.Equal(got, snapWant) {
+		t.Fatalf("merging into a report changed its clone: L1D fill latency %+v", snap.Level("L1D").FillLatency)
+	}
+	fl := dst.Level("L1D").FillLatency
+	var n uint64
+	for _, b := range fl.Buckets {
+		n += b
+	}
+	if fl.Count != 2 || n != 2 {
+		t.Fatalf("merged fill latency: count %d, bucket total %d, want 2 and 2", fl.Count, n)
 	}
 }

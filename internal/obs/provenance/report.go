@@ -87,6 +87,16 @@ type LevelStats struct {
 	UselessLifetime HistOut `json:"useless_lifetime"`
 }
 
+// clone copies l with its own histogram buckets, so merging into the copy
+// leaves l alone.
+func (l *LevelStats) clone() LevelStats {
+	c := *l
+	for _, h := range []*HistOut{&c.FillLatency, &c.Slack, &c.LateWait, &c.UselessLifetime} {
+		h.Buckets = append([]uint64(nil), h.Buckets...)
+	}
+	return c
+}
+
 // Row is one attribution row: all outcomes attributed to a single trigger
 // PC (Key "0x...") or delta (Key "+3"/"-5"), across every level the
 // prefetch installed at. The overflow row uses Key "other".
@@ -325,6 +335,19 @@ func (r *Report) TopDeltas(n int) []Row {
 	return r.Deltas[:n]
 }
 
+// Clone returns a deep copy of r that later merges into r do not change.
+func (r *Report) Clone() Report {
+	c := *r
+	c.Levels = nil
+	for i := range r.Levels {
+		c.Levels = append(c.Levels, r.Levels[i].clone())
+	}
+	c.PCs = append([]Row(nil), r.PCs...)
+	c.Deltas = append([]Row(nil), r.Deltas...)
+	c.Calibration = append([]CalBand(nil), r.Calibration...)
+	return c
+}
+
 // Merge folds src into dst: counters and histograms add, attribution rows
 // merge by key (re-capped at the table bounds, spilling into "other"), and
 // derived fields are recomputed. Use it to build cross-workload roll-ups
@@ -353,7 +376,7 @@ func Merge(dst, src *Report) {
 			}
 		}
 		if d == nil {
-			dst.Levels = append(dst.Levels, *s)
+			dst.Levels = append(dst.Levels, s.clone())
 			continue
 		}
 		d.Issued += s.Issued

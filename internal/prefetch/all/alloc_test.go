@@ -1,3 +1,5 @@
+// Package all holds the steady-state allocation tests and the train
+// micro-benchmark that cover every prefetcher in the registry.
 package all
 
 import (

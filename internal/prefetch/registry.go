@@ -1,11 +1,19 @@
 package prefetch
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"github.com/bertisim/berti/internal/cache"
+	"github.com/bertisim/berti/internal/core"
+	"github.com/bertisim/berti/internal/prefetch/bingo"
+	"github.com/bertisim/berti/internal/prefetch/bop"
+	"github.com/bertisim/berti/internal/prefetch/ipcp"
+	"github.com/bertisim/berti/internal/prefetch/ipstride"
+	"github.com/bertisim/berti/internal/prefetch/misb"
+	"github.com/bertisim/berti/internal/prefetch/mlop"
+	"github.com/bertisim/berti/internal/prefetch/nextline"
+	"github.com/bertisim/berti/internal/prefetch/pythia"
+	"github.com/bertisim/berti/internal/prefetch/spp"
+	"github.com/bertisim/berti/internal/prefetch/streamer"
+	"github.com/bertisim/berti/internal/prefetch/vldp"
 )
 
 // Factory builds a fresh prefetcher instance (one per core per run).
@@ -28,45 +36,50 @@ type Entry struct {
 	Comment string
 }
 
-var (
-	regMu    sync.Mutex
-	registry = map[string]Entry{}
-)
-
-// Register adds a prefetcher design to the registry. Subpackages register
-// themselves in init functions; import them blank to populate:
-//
-//	import _ "github.com/bertisim/berti/internal/prefetch/all"
-func Register(e Entry) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[e.Name]; dup {
-		panic(fmt.Sprintf("prefetch: duplicate %q", e.Name))
-	}
-	registry[e.Name] = e
+// registry lists every prefetcher design (Berti and the baselines), sorted
+// by level then name.
+var registry = []Entry{
+	{Name: "berti", Level: AtL1D, Comment: "the paper's contribution (2.55 KB)",
+		New: func() cache.Prefetcher { return core.New(core.DefaultConfig()) }},
+	{Name: "berti-dpc3", Level: AtL1D, Comment: "per-page ancestor (Ros, DPC-3 2019)",
+		New: func() cache.Prefetcher { return core.New(core.DPC3Config()) }},
+	{Name: "bop", Level: AtL1D, Comment: "best-offset prefetching (DPC-2 winner)",
+		New: func() cache.Prefetcher { return bop.New(bop.DefaultConfig()) }},
+	{Name: "ip-stride", Level: AtL1D, Comment: "Table II baseline: 24-entry FA per-IP stride",
+		New: func() cache.Prefetcher { return ipstride.New(ipstride.DefaultConfig()) }},
+	{Name: "ipcp", Level: AtL1D, Comment: "IP classifier bouquet (DPC-3 winner)",
+		New: func() cache.Prefetcher { return ipcp.New(ipcp.DefaultConfig()) }},
+	{Name: "mlop", Level: AtL1D, Comment: "multi-lookahead offset (DPC-3 3rd)",
+		New: func() cache.Prefetcher { return mlop.New(mlop.DefaultConfig()) }},
+	{Name: "next-line", Level: AtL1D, Comment: "degree-1 next line",
+		New: func() cache.Prefetcher { return nextline.New(1) }},
+	{Name: "bingo", Level: AtL2, Comment: "region footprint prefetcher",
+		New: func() cache.Prefetcher { return bingo.New(bingo.DefaultConfig()) }},
+	{Name: "ipcp-l2", Level: AtL2, Comment: "IPCP deployed at L2",
+		New: func() cache.Prefetcher { return ipcp.New(ipcp.L2Config()) }},
+	{Name: "misb", Level: AtL2, Comment: "managed irregular stream buffer (temporal)",
+		New: func() cache.Prefetcher { return misb.New(misb.DefaultConfig()) }},
+	{Name: "pythia", Level: AtL2, Comment: "RL prefetcher (simplified Pythia)",
+		New: func() cache.Prefetcher { return pythia.New(pythia.DefaultConfig()) }},
+	{Name: "spp", Level: AtL2, Comment: "signature path prefetching",
+		New: func() cache.Prefetcher { return spp.New(spp.DefaultConfig()) }},
+	{Name: "spp-ppf", Level: AtL2, Comment: "SPP with perceptron filter",
+		New: func() cache.Prefetcher { return spp.New(spp.PPFConfig()) }},
+	{Name: "streamer", Level: AtL2, Comment: "Intel-style L2 stream prefetcher",
+		New: func() cache.Prefetcher { return streamer.New(streamer.DefaultConfig()) }},
+	{Name: "vldp", Level: AtL2, Comment: "variable length delta prefetching",
+		New: func() cache.Prefetcher { return vldp.New(vldp.DefaultConfig()) }},
 }
 
 // ByName returns a registered design.
 func ByName(name string) (Entry, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	e, ok := registry[name]
-	return e, ok
+	for _, e := range registry {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Entry{}, false
 }
 
-// All returns registered designs sorted by level then name.
-func All() []Entry {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]Entry, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Level != out[j].Level {
-			return out[i].Level < out[j].Level
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
+// All returns every registered design, sorted by level then name.
+func All() []Entry { return append([]Entry(nil), registry...) }

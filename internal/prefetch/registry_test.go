@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/bertisim/berti/internal/prefetch"
-	_ "github.com/bertisim/berti/internal/prefetch/all"
 )
 
 func TestRegistryPopulated(t *testing.T) {
@@ -31,8 +30,9 @@ func TestAllSorted(t *testing.T) {
 		t.Fatalf("registry too small: %d", len(all))
 	}
 	for i := 1; i < len(all); i++ {
-		if all[i-1].Level > all[i].Level {
-			t.Fatal("not sorted by level")
+		a, b := all[i-1], all[i]
+		if a.Level > b.Level || (a.Level == b.Level && a.Name >= b.Name) {
+			t.Fatalf("not sorted by level then name: %q before %q", a.Name, b.Name)
 		}
 	}
 }

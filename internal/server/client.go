@@ -223,8 +223,8 @@ func (e *ScaleMismatchError) Error() string {
 // Batch runs specs on the daemon as one campaign (Submit, WaitCampaign,
 // Report) and lands every reported run in h as a local run would land:
 // SeedResult memoizes it and OnResult fires, so a local journal, live
-// metrics and provenance roll-ups see it. Each failed run is recorded with
-// h.RecordFailure. Specs h already holds are not sent. A daemon at
+// metrics and provenance roll-ups see it. Each failed run is memoized with
+// h.SeedFailure. Specs h already holds are not sent. A daemon at
 // another scale yields a *ScaleMismatchError and lands nothing.
 func (c *Client) Batch(ctx context.Context, h *harness.Harness, specs []harness.RunSpec) error {
 	todo := map[string]harness.RunSpec{}
@@ -263,7 +263,7 @@ func (c *Client) Batch(ctx context.Context, h *harness.Harness, specs []harness.
 		}
 	}
 	for _, f := range rep.Failed {
-		h.RecordFailure(&harness.RunError{Spec: todo[f.Key], Attempts: 1, Err: fmt.Errorf("server: daemon run failed: %s", f.Error)})
+		h.SeedFailure(todo[f.Key], fmt.Errorf("server: daemon run failed: %s", f.Error))
 	}
 	return nil
 }

@@ -403,9 +403,11 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 	return "unknown"
 }
 
-// acceptFailure lands one failure, pushed or in-process. Failures are
-// terminal for this daemon life (like the harness's error memoization)
-// but are not persisted, so they re-execute after a restart.
+// acceptFailure lands one failure, pushed or in-process. The harness
+// memoizes it (an in-process failure already is), so it is terminal for
+// this daemon life and a later campaign naming the key fails it with the
+// same text; failures are not persisted, so they re-execute after a
+// restart.
 func (s *Server) acceptFailure(worker, key, msg string) string {
 	fresh, known := s.pool.finish(worker, key)
 	if !fresh {
@@ -415,6 +417,7 @@ func (s *Server) acceptFailure(worker, key, msg string) string {
 		}
 		return "unknown"
 	}
+	s.h.SeedFailure(s.pool.spec(key), errors.New(msg))
 	s.live.RunFailed()
 	s.mu.Lock()
 	var interested []*campaignState
@@ -423,7 +426,6 @@ func (s *Server) acceptFailure(worker, key, msg string) string {
 			interested = append(interested, c)
 		}
 	}
-	s.failed[key] = msg
 	s.mu.Unlock()
 	for _, c := range interested {
 		c.noteKeyFailed(key, msg)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -454,6 +455,81 @@ func TestLeasePushFiresOnResult(t *testing.T) {
 	}
 	if rep := rollup.Report(); rep.Runs != len(specs) {
 		t.Fatalf("roll-up saw %d run(s), want %d", rep.Runs, len(specs))
+	}
+}
+
+// TestPushedFailureFailsLaterCampaigns: a failure a worker pushes to a
+// lease-only coordinator is memoized on the coordinator's harness, so a
+// later campaign naming that key is not leased out again and finishes
+// failed with the pushed error text, byte for byte.
+func TestPushedFailureFailsLaterCampaigns(t *testing.T) {
+	ctx := testCtx(t)
+	s, ts := newLeaseTestServer(t, t.TempDir(), time.Minute)
+	cl := NewClient(ts.URL)
+	specs := srvSpecs()
+	key := specs[0].Key()
+	const msg = "worker w1: run <failed> & \"exploded\" é"
+
+	// run submits specs as a campaign, fails every spec the worker is
+	// granted (pushing msg for key), and returns the finished report.
+	run := func(specs []harness.RunSpec, wantGranted string) *Report {
+		t.Helper()
+		ack, err := cl.Submit(ctx, "pushed-failure", specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant, err := cl.AcquireLease(ctx, "w1", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(grant.Specs) != 1 || grant.Specs[0].Key() != wantGranted {
+			t.Fatalf("granted %+v, want only %q", grant.Specs, wantGranted)
+		}
+		text := msg
+		if wantGranted != key {
+			text = "second failure"
+		}
+		rr, err := cl.PushResults(ctx, grant.ID, "w1", nil, []RunFailure{{Key: wantGranted, Error: text}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Failed != 1 {
+			t.Fatalf("push: %+v", rr)
+		}
+		st, err := cl.WaitCampaign(ctx, ack.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed || st.Failed != len(specs) {
+			t.Fatalf("campaign finished as %+v, want %d failed", st, len(specs))
+		}
+		body, err := cl.Report(ctx, ack.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep Report
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return &rep
+	}
+	first := run(specs[:1], key)
+	if len(first.Failed) != 1 || first.Failed[0].Error != msg {
+		t.Fatalf("first campaign's failures: %+v", first.Failed)
+	}
+	fails := s.h.Failures()
+	if len(fails) != 1 || fails[0].Spec.Key() != key || fails[0].Err.Error() != msg {
+		t.Fatalf("coordinator harness failures: %v, want the pushed one", fails)
+	}
+	later := run(specs[:2], specs[1].Key())
+	var again []failedRun
+	for _, f := range later.Failed {
+		if f.Key == key {
+			again = append(again, f)
+		}
+	}
+	if len(again) != 1 || again[0].Error != msg {
+		t.Fatalf("later campaign reports %+v for %q, want the pushed text %q", again, key, msg)
 	}
 }
 

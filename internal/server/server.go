@@ -78,7 +78,6 @@ type Server struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
-	failed    map[string]string // run keys that failed this daemon life (error text)
 	draining  bool
 }
 
@@ -116,7 +115,6 @@ func New(opts Options) (*Server, error) {
 		campDir:   campDir,
 		logf:      logf,
 		campaigns: map[string]*campaignState{},
-		failed:    map[string]string{},
 	}
 	s.pool = newLeasePool(opts.LeaseTTL, opts.HeartbeatInterval, lv)
 	lv.SetFleetGauges(s.pool.gauges)
@@ -202,13 +200,14 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// enqueue counts what of c is already finished (memo cache, result store,
-// or a failure this daemon life) and adds the remainder to the lease
-// pool. Safe to call exactly once per campaignState, after c is
-// registered. Counters start pessimistic (everything remaining) and
-// dedupe per key, so a completion racing this call is counted once. A key
-// the pool finished after the checks below was landed by acceptEntry or
-// acceptFailure, which saw c registered and noted it.
+// enqueue counts what of c is already finished (a memoized result, the
+// result store, or a failure memoized this daemon life) and adds the
+// remainder to the lease pool. Safe to call exactly once per
+// campaignState, after c is registered. Counters start pessimistic
+// (everything remaining) and dedupe per key, so a completion racing this
+// call is counted once. A key the pool finished after the checks below
+// was landed by acceptEntry or acceptFailure, which saw c registered and
+// noted it.
 func (s *Server) enqueue(c *campaignState) {
 	var todo []harness.RunSpec
 	for _, spec := range c.specs {
@@ -222,11 +221,8 @@ func (s *Server) enqueue(c *campaignState) {
 			c.noteKeyDone(key)
 			continue
 		}
-		s.mu.Lock()
-		msg, failed := s.failed[key]
-		s.mu.Unlock()
-		if failed {
-			c.noteKeyFailed(key, msg)
+		if err := s.h.FailureFor(key); err != nil {
+			c.noteKeyFailed(key, err.Error())
 			continue
 		}
 		todo = append(todo, spec)

@@ -6,7 +6,6 @@ import (
 	"github.com/bertisim/berti/internal/cache"
 	"github.com/bertisim/berti/internal/core"
 	"github.com/bertisim/berti/internal/prefetch"
-	_ "github.com/bertisim/berti/internal/prefetch/all"
 	"github.com/bertisim/berti/internal/trace"
 	"github.com/bertisim/berti/internal/workloads"
 	_ "github.com/bertisim/berti/internal/workloads/gap"
