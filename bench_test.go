@@ -20,6 +20,7 @@ import (
 	"github.com/bertisim/berti/internal/cache"
 	"github.com/bertisim/berti/internal/core"
 	"github.com/bertisim/berti/internal/harness"
+	"github.com/bertisim/berti/internal/metrics"
 	"github.com/bertisim/berti/internal/sim"
 	"github.com/bertisim/berti/internal/trace"
 	"github.com/bertisim/berti/internal/tracestore"
@@ -49,16 +50,15 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	h := benchHarness()
-	var out bytes.Buffer
+	var out string
 	for i := 0; i < b.N; i++ {
-		out.Reset()
 		h.RunManyContext(context.Background(), harness.Plan(h.Scale, []harness.Experiment{e}))
-		e.Render(h.Runs(context.Background()), &out)
+		out = metrics.Format(e.Tables(h.Runs(context.Background())))
 	}
-	if out.Len() == 0 {
+	if out == "" {
 		b.Fatal("experiment produced no output")
 	}
-	b.Log("\n" + out.String())
+	b.Log("\n" + out)
 }
 
 // One benchmark per evaluation artifact (see DESIGN.md §4).

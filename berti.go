@@ -25,6 +25,7 @@ import (
 
 	"github.com/bertisim/berti/internal/energy"
 	"github.com/bertisim/berti/internal/harness"
+	"github.com/bertisim/berti/internal/metrics"
 	"github.com/bertisim/berti/internal/prefetch"
 	"github.com/bertisim/berti/internal/workloads"
 )
@@ -239,7 +240,9 @@ func RunExperiment(id string, w io.Writer, scale string) error {
 	h := harness.New(s)
 	// Failed runs are recorded on h and reported from h.Failures below.
 	_, _ = h.RunManyContext(context.TODO(), harness.Plan(s, []harness.Experiment{e}))
-	e.Render(h.Runs(context.TODO()), w)
+	if _, err := io.WriteString(w, metrics.Format(e.Tables(h.Runs(context.TODO())))); err != nil {
+		return fmt.Errorf("berti: writing experiment %s: %w", id, err)
+	}
 	if fails := h.Failures(); len(fails) > 0 {
 		// The report was still rendered from the surviving runs; surface
 		// the failures so callers do not mistake it for a clean artifact.

@@ -62,6 +62,7 @@ import (
 	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/cli"
 	"github.com/bertisim/berti/internal/harness"
+	"github.com/bertisim/berti/internal/metrics"
 	"github.com/bertisim/berti/internal/obs/live"
 	"github.com/bertisim/berti/internal/server"
 	"github.com/bertisim/berti/internal/sim"
@@ -158,24 +159,24 @@ func main() {
 		rollup = harness.NewProvenanceRollup()
 		rollup.Attach(h)
 	}
-	var metrics *live.Server
+	var liveSrv *live.Server
 	if *metricsAddr != "" {
-		metrics, err = live.New(*metricsAddr)
+		liveSrv, err = live.New(*metricsAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(2)
 		}
-		defer metrics.Close()
-		fmt.Fprintf(os.Stderr, "experiments: metrics: http://%s/metrics\n", metrics.Addr())
+		defer liveSrv.Close()
+		fmt.Fprintf(os.Stderr, "experiments: metrics: http://%s/metrics\n", liveSrv.Addr())
 		prev := h.OnResult
 		h.OnResult = func(key string, spec harness.RunSpec, r *sim.Result) {
 			if prev != nil {
 				prev(key, spec, r)
 			}
-			metrics.RunCompleted()
+			liveSrv.RunCompleted()
 		}
 		if rollup != nil {
-			metrics.SetAttribution(func() any { return rollup.Report() })
+			liveSrv.SetAttribution(func() any { return rollup.Report() })
 		}
 	}
 
@@ -226,12 +227,11 @@ func main() {
 		runs := h.Runs(ctx)
 		for _, e := range selected {
 			fmt.Printf("--- %s (%s) ---\n", e.ID, e.Paper)
-			e.Render(runs, os.Stdout)
-			fmt.Println()
+			fmt.Println(metrics.Format(e.Tables(runs)))
 		}
 		interrupted = ctx.Err() != nil
 	}
-	failed := noteFailures(h, metrics)
+	failed := noteFailures(h, liveSrv)
 
 	if journal != nil {
 		if err := journal.Err(); err != nil {

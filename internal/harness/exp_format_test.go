@@ -1,13 +1,12 @@
 package harness
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/bertisim/berti/internal/metrics"
 	"github.com/bertisim/berti/internal/sim"
 )
 
@@ -31,8 +30,10 @@ func microBatch() *Harness {
 	return microH
 }
 
-// TestEveryExperimentProducesItsTable renders each experiment from the
-// micro-scale batch and asserts the report contains its headline table — a
+// TestEveryExperimentProducesItsTable tabulates each experiment from the
+// micro-scale batch and checks the tables themselves: at least one, each
+// with a title and columns, every row exactly as wide as its header, and
+// the experiment's headline fragment in a title, a column or a note — a
 // wiring regression test covering every table and figure target.
 func TestEveryExperimentProducesItsTable(t *testing.T) {
 	if testing.Short() {
@@ -42,7 +43,7 @@ func TestEveryExperimentProducesItsTable(t *testing.T) {
 	wantFragment := map[string]string{
 		"Fig1Accuracy":            "Figure 1(a)",
 		"Fig1Energy":              "normalized to no prefetching",
-		"Fig3LocalVsGlobal":       "global best offset",
+		"Fig3LocalVsGlobal":       "deltas[status]",
 		"Tab1Storage":             "2.55",
 		"Tab2Config":              "baseline system",
 		"Tab3PrefConfig":          "evaluated prefetchers",
@@ -72,18 +73,29 @@ func TestEveryExperimentProducesItsTable(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			e.Render(runs, &buf)
-			out := buf.String()
-			if out == "" {
-				t.Fatal("no output")
+			tables := e.Tables(runs)
+			if len(tables) == 0 {
+				t.Fatal("no table")
 			}
 			frag, ok := wantFragment[e.ID]
 			if !ok {
 				t.Fatalf("experiment %s missing from the format map — add it", e.ID)
 			}
-			if !strings.Contains(strings.ToLower(out), strings.ToLower(frag)) {
-				t.Fatalf("output of %s lacks %q:\n%s", e.ID, frag, out)
+			var text []string
+			for _, tb := range tables {
+				if tb.Title == "" || len(tb.Columns) == 0 {
+					t.Fatalf("table without a title or columns:\n%s", metrics.Format(tables))
+				}
+				for i, row := range tb.Rows {
+					if len(row) != len(tb.Columns) {
+						t.Errorf("%q row %d has %d cells for %d columns: %v", tb.Title, i, len(row), len(tb.Columns), row)
+					}
+				}
+				text = append(append(append(text, tb.Title), tb.Columns...), tb.Notes...)
+			}
+			joined := strings.ToLower(strings.Join(text, "\n"))
+			if !strings.Contains(joined, strings.ToLower(frag)) {
+				t.Fatalf("no title, column or note of %s contains %q:\n%s", e.ID, frag, metrics.Format(tables))
 			}
 		})
 	}
@@ -110,11 +122,11 @@ func TestRenderedTextIndependentOfWorkers(t *testing.T) {
 		if f := h.Failures(); len(f) != 0 {
 			t.Fatalf("workers=%d: %d run(s) failed: %v", h.Workers, len(f), f[0])
 		}
-		var buf bytes.Buffer
+		var text strings.Builder
 		for _, e := range exps {
-			e.Render(h.Runs(context.Background()), &buf)
+			text.WriteString(metrics.Format(e.Tables(h.Runs(context.Background()))))
 		}
-		return buf.String()
+		return text.String()
 	}
 	one := New(microScale)
 	one.Workers = 1
@@ -155,6 +167,6 @@ func TestPlanCoversRender(t *testing.T) {
 			}
 			return lookup(specs)
 		}
-		e.Render(runs, io.Discard)
+		e.Tables(runs)
 	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/bertisim/berti/internal/core"
 	"github.com/bertisim/berti/internal/metrics"
@@ -10,10 +9,10 @@ import (
 	"github.com/bertisim/berti/internal/sim"
 )
 
-// renderAblPerIP compares the paper's per-IP local deltas against the same
+// ablPerIP compares the paper's per-IP local deltas against the same
 // machinery keyed by page (the DPC-3 Berti the design evolved from) — the
 // choice the paper's title is about.
-func renderAblPerIP(r *Runs, w io.Writer) {
+func ablPerIP(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Ablation: per-IP (local) vs per-page delta context",
 		"keying", "SPEC", "GAP")
 	for _, c := range []struct{ label, pf string }{
@@ -24,13 +23,13 @@ func renderAblPerIP(r *Runs, w io.Writer) {
 			suiteSpeedup(r, MemIntSuite("spec"), c.pf, ""),
 			suiteSpeedup(r, MemIntSuite("gap"), c.pf, ""))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "the paper's thesis: IP-local context beats page context for delta selection")
+	t.Notes = []string{"the paper's thesis: IP-local context beats page context for delta selection"}
+	return []*metrics.Table{t}
 }
 
-// renderAblPythia reproduces the Section V claim: Pythia is a capable L2
+// ablPythia reproduces the Section V claim: Pythia is a capable L2
 // prefetcher on its own, but adds less than ~1% once Berti runs at the L1D.
-func renderAblPythia(r *Runs, w io.Writer) {
+func ablPythia(r *Runs) []*metrics.Table {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Ablation: Pythia at L2 vs Berti at L1D (speedup over IP-stride)",
 		"config", "ALL")
@@ -44,14 +43,14 @@ func renderAblPythia(r *Runs, w io.Writer) {
 	for _, c := range cfgs {
 		t.AddRow(c.label, suiteSpeedup(r, names, c.l1, c.l2))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "paper: with Berti at the L1D, Pythia adds <1%")
+	t.Notes = []string{"paper: with Berti at the L1D, Pythia adds <1%"}
+	return []*metrics.Table{t}
 }
 
-// renderAblCalibration ablates the Berti calibration decision this
+// ablCalibration ablates the Berti calibration decision this
 // reproduction adds on top of the paper's text (DESIGN.md §6): the
 // timeliness margin on the timely-delta search.
-func renderAblCalibration(r *Runs, w io.Writer) {
+func ablCalibration(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Ablation: reproduction calibration knob (speedup over IP-stride)",
 		"margin-%", "speedup")
 	for _, margin := range []int{0, 25, 50} {
@@ -59,14 +58,14 @@ func renderAblCalibration(r *Runs, w io.Writer) {
 		cfg.TimelinessMarginPct = margin
 		t.AddRow(margin, bertiVariantSpeedup(r, cfg))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "defaults: margin 25%; the medium band issues on every access (see DESIGN.md §6 for rationale)")
+	t.Notes = []string{"defaults: margin 25%; the medium band issues on every access (see DESIGN.md §6 for rationale)"}
+	return []*metrics.Table{t}
 }
 
-// renderAblIdeal reproduces the Section IV-G observation: for CloudSuite-like
+// ablIdeal reproduces the Section IV-G observation: for CloudSuite-like
 // traces even an ideal L1D prefetcher gains little, while the MemInt suites
 // have large headroom.
-func renderAblIdeal(r *Runs, w io.Writer) {
+func ablIdeal(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Ablation: ideal L1D prefetcher headroom (speedup over IP-stride)",
 		"workload", "berti", "ideal")
 	names := append(append([]string{}, CloudSuiteNames()...), SensitivitySubset()...)
@@ -74,12 +73,14 @@ func renderAblIdeal(r *Runs, w io.Writer) {
 		out := r.All([]RunSpec{baseSpec(n), {Workload: n, L1DPf: "berti"}, {Workload: n, L1DPf: "oracle"}})
 		t.AddRow(n, SpeedupOver(out[1], out[0]), SpeedupOver(out[2], out[0]))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "paper: cloud traces show little headroom even for an ideal prefetcher;")
-	fmt.Fprintln(w, "Berti approaches the oracle where local deltas exist")
+	t.Notes = []string{
+		"paper: cloud traces show little headroom even for an ideal prefetcher;",
+		"Berti approaches the oracle where local deltas exist",
+	}
+	return []*metrics.Table{t}
 }
 
-func renderTab1(r *Runs, w io.Writer) {
+func tab1(r *Runs) []*metrics.Table {
 	cfg := core.DefaultConfig()
 	b := core.New(cfg)
 	histEntryBits := 7 + cfg.LineAddrBits + cfg.TimestampBits
@@ -103,11 +104,11 @@ func renderTab1(r *Runs, w io.Writer) {
 		fmt.Sprintf("%d lines x %d bits", cfg.L1DLines, cfg.LatencyBits),
 		fmt.Sprintf("%.2f", kb(l1dBits)))
 	t.AddRow("Total", "", fmt.Sprintf("%.2f", kb(b.StorageBits())))
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "paper value: 2.55 KB")
+	t.Notes = []string{"paper value: 2.55 KB"}
+	return []*metrics.Table{t}
 }
 
-func renderTab2(r *Runs, w io.Writer) {
+func tab2(r *Runs) []*metrics.Table {
 	c := sim.DefaultConfig()
 	t := metrics.NewTable("Table II: baseline system", "component", "configuration")
 	t.AddRow("Core", fmt.Sprintf("OoO approx, %d-entry window, %d-issue, %d-retire, %dld/%dst ports",
@@ -124,10 +125,10 @@ func renderTab2(r *Runs, w io.Writer) {
 	t.AddRow("DRAM", fmt.Sprintf("%d banks, %d B rows, tRP/tRCD/tCAS=%d/%d/%d cyc, burst %d cyc/line, RQ/WQ %d/%d",
 		c.DRAM.Banks, c.DRAM.RowBytes, c.DRAM.TRP, c.DRAM.TRCD, c.DRAM.TCAS,
 		c.DRAM.BurstCycles, c.DRAM.RQSize, c.DRAM.WQSize))
-	fmt.Fprintln(w, t)
+	return []*metrics.Table{t}
 }
 
-func renderTab3(r *Runs, w io.Writer) {
+func tab3(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Table III: evaluated prefetchers", "name", "level", "storage-KB", "notes")
 	for _, e := range prefetch.All() {
 		level := "L1D"
@@ -136,7 +137,7 @@ func renderTab3(r *Runs, w io.Writer) {
 		}
 		t.AddRow(e.Name, level, float64(e.New().StorageBits())/8/1024, e.Comment)
 	}
-	fmt.Fprintln(w, t)
+	return []*metrics.Table{t}
 }
 
 // bertiVariantSpeedup computes geomean speedup over IP-stride on the
@@ -150,7 +151,7 @@ func bertiVariantSpeedup(r *Runs, cfg core.Config) float64 {
 		baseSpec)
 }
 
-func renderFig21(r *Runs, w io.Writer) {
+func fig21(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 21: watermark sensitivity (speedup over IP-stride, sensitivity subset)",
 		"L1-watermark", "L2-watermark", "speedup")
 	for _, hi := range []int{35, 50, 65, 80, 95} {
@@ -164,11 +165,11 @@ func renderFig21(r *Runs, w io.Writer) {
 			t.AddRow(hi, lo, bertiVariantSpeedup(r, cfg))
 		}
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "paper: 65/35 is the sweet spot; many configurations still help")
+	t.Notes = []string{"paper: 65/35 is the sweet spot; many configurations still help"}
+	return []*metrics.Table{t}
 }
 
-func renderFig22(r *Runs, w io.Writer) {
+func fig22(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 22: Berti table size sensitivity",
 		"structure", "scale", "speedup")
 	scales := []struct {
@@ -192,11 +193,11 @@ func renderFig22(r *Runs, w io.Writer) {
 			t.AddRow(s.label, fmt.Sprintf("%.2fx", float64(q)/4), bertiVariantSpeedup(r, cfg))
 		}
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "paper: shrinking the table of deltas hurts the most; growing tables gains little")
+	t.Notes = []string{"paper: shrinking the table of deltas hurts the most; growing tables gains little"}
+	return []*metrics.Table{t}
 }
 
-func renderAblLatency(r *Runs, w io.Writer) {
+func ablLatency(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Ablation: latency counter width (Section IV.J)",
 		"bits", "speedup")
 	for _, bits := range []int{4, 8, 12, 32} {
@@ -204,18 +205,18 @@ func renderAblLatency(r *Runs, w io.Writer) {
 		cfg.LatencyBits = bits
 		t.AddRow(bits, bertiVariantSpeedup(r, cfg))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "paper: 4 bits drops performance noticeably; 32 bits gains nothing over 12")
+	t.Notes = []string{"paper: 4 bits drops performance noticeably; 32 bits gains nothing over 12"}
+	return []*metrics.Table{t}
 }
 
-func renderAblCrossPage(r *Runs, w io.Writer) {
+func ablCrossPage(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Ablation: cross-page prefetching (Section IV.J)",
 		"cross-page", "speedup")
 	for _, cp := range []bool{true, false} {
 		cfg := core.DefaultConfig()
 		cfg.CrossPage = cp
-		t.AddRow(fmt.Sprint(cp), bertiVariantSpeedup(r, cfg))
+		t.AddRow(cp, bertiVariantSpeedup(r, cfg))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "paper: disabling cross-page prefetching costs a few percent")
+	t.Notes = []string{"paper: disabling cross-page prefetching costs a few percent"}
+	return []*metrics.Table{t}
 }

@@ -2,13 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
-	"github.com/bertisim/berti/internal/energy"
 	"github.com/bertisim/berti/internal/metrics"
 )
 
-func renderFig12(r *Runs, w io.Writer) {
+func fig12(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 12: multi-level prefetching speedup over IP-stride",
 		"config", "SPEC", "GAP", "ALL")
 	t.AddRow("Berti (L1D only)",
@@ -16,42 +14,36 @@ func renderFig12(r *Runs, w io.Writer) {
 		suiteSpeedup(r, MemIntSuite("gap"), "berti", ""),
 		suiteSpeedup(r, MemIntSuite("all"), "berti", ""))
 	for _, c := range MultiLevelCombos {
-		label := c.L1 + "+" + c.L2
-		t.AddRow(label,
+		t.AddRow(c.label(),
 			suiteSpeedup(r, MemIntSuite("spec"), c.L1, c.L2),
 			suiteSpeedup(r, MemIntSuite("gap"), c.L1, c.L2),
 			suiteSpeedup(r, MemIntSuite("all"), c.L1, c.L2))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti alone >= every combo without Berti; adding an L2")
-	fmt.Fprintln(w, "prefetcher on top of Berti gains little")
+	t.Notes = []string{
+		"shape target: Berti alone >= every combo without Berti; adding an L2",
+		"prefetcher on top of Berti gains little",
+	}
+	return []*metrics.Table{t}
 }
 
-func renderFig13(r *Runs, w io.Writer) {
+func fig13(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 13: demand MPKI with multi-level prefetching",
 		"config", "suite", "L2", "LLC")
-	cfgs := [][2]string{{"mlop", ""}, {"berti", ""}}
-	for _, c := range MultiLevelCombos {
-		cfgs = append(cfgs, [2]string{c.L1, c.L2})
-	}
+	cfgs := append([]pfPair{{"mlop", ""}, {"berti", ""}}, MultiLevelCombos...)
 	for _, c := range cfgs {
-		label := c[0]
-		if c[1] != "" {
-			label += "+" + c[1]
-		}
 		for _, suite := range []string{"spec", "gap"} {
 			names := MemIntSuite(suite)
 			var l2, llc float64
-			for _, res := range r.All(specsFor(names, c[0], c[1])) {
+			for _, res := range r.All(specsFor(names, c.L1, c.L2)) {
 				instr := res.Config.SimInstructions
 				l2 += res.Cores[0].L2.MPKI(instr)
 				llc += res.LLC.MPKI(instr)
 			}
 			n := float64(len(names))
-			t.AddRow(label, suite, l2/n, llc/n)
+			t.AddRow(c.label(), suite, l2/n, llc/n)
 		}
 	}
-	fmt.Fprintln(w, t)
+	return []*metrics.Table{t}
 }
 
 // trafficRatios returns (L2, LLC, DRAM) traffic normalized to no-prefetch.
@@ -83,133 +75,120 @@ func trafficRatios(r *Runs, names []string, l1, l2 string) (rl2, rllc, rdram flo
 	return
 }
 
-func renderFig14(r *Runs, w io.Writer) {
+func fig14(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 14: traffic normalized to no prefetching",
 		"config", "suite", "L1D<->L2", "L2<->LLC", "LLC<->DRAM")
-	cfgs := [][2]string{
+	cfgs := []pfPair{
 		{"ip-stride", ""}, {"mlop", ""}, {"ipcp", ""}, {"berti", ""},
 		{"mlop", "bingo"}, {"berti", "bingo"},
 	}
 	for _, c := range cfgs {
-		label := c[0]
-		if c[1] != "" {
-			label += "+" + c[1]
-		}
 		for _, suite := range []string{"spec", "gap"} {
-			a, b, d := trafficRatios(r, MemIntSuite(suite), c[0], c[1])
-			t.AddRow(label, suite, a, b, d)
+			a, b, d := trafficRatios(r, MemIntSuite(suite), c.L1, c.L2)
+			t.AddRow(c.label(), suite, a, b, d)
 		}
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: traffic increase inversely tracks accuracy; Berti lowest;")
-	fmt.Fprintln(w, "L2 prefetchers (Bingo) add large off-chip traffic, especially on GAP")
+	t.Notes = []string{
+		"shape target: traffic increase inversely tracks accuracy; Berti lowest;",
+		"L2 prefetchers (Bingo) add large off-chip traffic, especially on GAP",
+	}
+	return []*metrics.Table{t}
 }
 
-func renderFig15(r *Runs, w io.Writer) {
+func fig15(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 15: dynamic energy normalized to no prefetching",
 		"config", "SPEC", "GAP")
-	cfgs := [][2]string{
+	cfgs := []pfPair{
 		{"ip-stride", ""}, {"mlop", ""}, {"ipcp", ""}, {"berti", ""},
 		{"mlop", "bingo"}, {"mlop", "spp-ppf"}, {"berti", "bingo"}, {"berti", "spp-ppf"},
 	}
 	for _, c := range cfgs {
-		label := c[0]
-		if c[1] != "" {
-			label += "+" + c[1]
-		}
-		t.AddRow(label,
-			energyRatio(r, MemIntSuite("spec"), c[0], c[1]),
-			energyRatio(r, MemIntSuite("gap"), c[0], c[1]))
+		t.AddRow(c.label(),
+			energyRatio(r, MemIntSuite("spec"), c.L1, c.L2),
+			energyRatio(r, MemIntSuite("gap"), c.L1, c.L2))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti consumes the least extra energy among L1D prefetchers;")
-	fmt.Fprintln(w, "L2 prefetchers on top significantly increase energy")
-	_ = energy.Default22nm() // model documented in internal/energy
+	t.Notes = []string{
+		"shape target: Berti consumes the least extra energy among L1D prefetchers;",
+		"L2 prefetchers on top significantly increase energy",
+	}
+	return []*metrics.Table{t}
 }
 
-func bandwidthRows(r *Runs, w io.Writer, title string, cfgs [][2]string) {
+// bandwidthTable tabulates each config's geomean speedup over IP-stride
+// at three DRAM transfer rates, the baseline running at the same rate.
+func bandwidthTable(r *Runs, title string, cfgs []pfPair) *metrics.Table {
 	t := metrics.NewTable(title, "config", "MTPS", "SPEC", "GAP")
 	for _, c := range cfgs {
-		label := c[0]
-		if c[1] != "" {
-			label += "+" + c[1]
-		}
-		for _, d := range []struct {
-			name string
-			mtps string
-		}{{"", "6400"}, {"ddr4-3200", "3200"}, {"ddr3-1600", "1600"}} {
-			spec := GeomeanSpeedup(r, MemIntSuite("spec"),
-				func(wl string) RunSpec {
-					return RunSpec{Workload: wl, L1DPf: c[0], L2Pf: c[1], DRAMCfg: d.name}
-				},
-				func(wl string) RunSpec {
-					return RunSpec{Workload: wl, L1DPf: "ip-stride", DRAMCfg: d.name}
-				})
-			gap := GeomeanSpeedup(r, MemIntSuite("gap"),
-				func(wl string) RunSpec {
-					return RunSpec{Workload: wl, L1DPf: c[0], L2Pf: c[1], DRAMCfg: d.name}
-				},
-				func(wl string) RunSpec {
-					return RunSpec{Workload: wl, L1DPf: "ip-stride", DRAMCfg: d.name}
-				})
-			t.AddRow(label, d.mtps, spec, gap)
+		for _, d := range []struct{ name, mtps string }{
+			{"", "6400"}, {"ddr4-3200", "3200"}, {"ddr3-1600", "1600"},
+		} {
+			spec := func(wl string) RunSpec {
+				return RunSpec{Workload: wl, L1DPf: c.L1, L2Pf: c.L2, DRAMCfg: d.name}
+			}
+			base := func(wl string) RunSpec {
+				return RunSpec{Workload: wl, L1DPf: "ip-stride", DRAMCfg: d.name}
+			}
+			t.AddRow(c.label(), d.mtps,
+				GeomeanSpeedup(r, MemIntSuite("spec"), spec, base),
+				GeomeanSpeedup(r, MemIntSuite("gap"), spec, base))
 		}
 	}
-	fmt.Fprintln(w, t)
+	return t
 }
 
-func renderFig16(r *Runs, w io.Writer) {
-	bandwidthRows(r, w, "Figure 16: L1D prefetchers under constrained DRAM bandwidth",
-		[][2]string{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}})
-	fmt.Fprintln(w, "shape target: GAP insensitive to bandwidth; SPEC loses a few percent at 1600 MTPS")
+func fig16(r *Runs) []*metrics.Table {
+	t := bandwidthTable(r, "Figure 16: L1D prefetchers under constrained DRAM bandwidth",
+		[]pfPair{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}})
+	t.Notes = []string{"shape target: GAP insensitive to bandwidth; SPEC loses a few percent at 1600 MTPS"}
+	return []*metrics.Table{t}
 }
 
-func renderFig17(r *Runs, w io.Writer) {
-	bandwidthRows(r, w, "Figure 17: multi-level prefetching under constrained DRAM bandwidth",
-		[][2]string{{"berti", "spp-ppf"}, {"mlop", "bingo"}})
+func fig17(r *Runs) []*metrics.Table {
+	return []*metrics.Table{bandwidthTable(r, "Figure 17: multi-level prefetching under constrained DRAM bandwidth",
+		[]pfPair{{"berti", "spp-ppf"}, {"mlop", "bingo"}})}
 }
 
-func renderFig18(r *Runs, w io.Writer) {
+func fig18(r *Runs) []*metrics.Table {
 	names := CloudSuiteNames()
 	t := metrics.NewTable("Figure 18: CloudSuite-like speedup over IP-stride",
 		"workload", "mlop", "ipcp", "berti", "berti+spp-ppf")
 	for _, n := range names {
 		specs := []RunSpec{baseSpec(n)}
-		for _, c := range [][2]string{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}, {"berti", "spp-ppf"}} {
-			specs = append(specs, RunSpec{Workload: n, L1DPf: c[0], L2Pf: c[1]})
+		for _, c := range []pfPair{{"mlop", ""}, {"ipcp", ""}, {"berti", ""}, {"berti", "spp-ppf"}} {
+			specs = append(specs, RunSpec{Workload: n, L1DPf: c.L1, L2Pf: c.L2})
 		}
 		out := r.All(specs)
-		row := []interface{}{n}
+		row := []any{n}
 		for _, res := range out[1:] {
 			row = append(row, SpeedupOver(res, out[0]))
 		}
 		t.AddRow(row...)
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: small gains everywhere (low data MPKI);")
-	fmt.Fprintln(w, "classification_like favours the accurate prefetcher (Berti)")
+	t.Notes = []string{
+		"shape target: small gains everywhere (low data MPKI);",
+		"classification_like favours the accurate prefetcher (Berti)",
+	}
+	return []*metrics.Table{t}
 }
 
-func renderFig19(r *Runs, w io.Writer) {
+func fig19(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 19: MISB at L2 under each L1D prefetcher",
 		"config", "CLOUD", "SPEC", "GAP")
 	for _, l1 := range L1DPrefetchers {
 		for _, l2 := range []string{"", "misb"} {
-			label := l1
-			if l2 != "" {
-				label += "+misb"
-			}
 			cloud := GeomeanSpeedup(r, CloudSuiteNames(),
 				func(wl string) RunSpec { return RunSpec{Workload: wl, L1DPf: l1, L2Pf: l2} },
 				baseSpec)
-			t.AddRow(label, cloud,
+			t.AddRow(pfPair{l1, l2}.label(), cloud,
 				suiteSpeedup(r, MemIntSuite("spec"), l1, l2),
 				suiteSpeedup(r, MemIntSuite("gap"), l1, l2))
 		}
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: MISB helps the temporally-correlated cloud traces;")
-	fmt.Fprintln(w, "it does not help SPEC/GAP")
+	t.Notes = []string{
+		"shape target: MISB helps the temporally-correlated cloud traces;",
+		"it does not help SPEC/GAP",
+	}
+	return []*metrics.Table{t}
 }
 
 // Mixes returns n deterministic heterogeneous 4-core mixes over the
@@ -244,24 +223,20 @@ func mixSpeedup(r, base []float64) float64 {
 	return metrics.Geomean(ratios)
 }
 
-func renderFig20(r *Runs, w io.Writer) {
+func fig20(r *Runs) []*metrics.Table {
 	mixes := Mixes(r.Scale.Mixes)
 	t := metrics.NewTable(
 		fmt.Sprintf("Figure 20: 4-core mixes (%d), speedup over IP-stride", len(mixes)),
 		"config", "geomean-speedup")
-	cfgs := [][2]string{
+	cfgs := []pfPair{
 		{"mlop", ""}, {"ipcp", ""}, {"berti", ""},
 		{"mlop", "bingo"}, {"berti", "spp-ppf"},
 	}
 	for _, c := range cfgs {
-		label := c[0]
-		if c[1] != "" {
-			label += "+" + c[1]
-		}
 		var specs []RunSpec
 		for mi, mix := range mixes {
 			specs = append(specs,
-				RunSpec{Mix: mix, L1DPf: c[0], L2Pf: c[1], Seed: int64(mi) * 16},
+				RunSpec{Mix: mix, L1DPf: c.L1, L2Pf: c.L2, Seed: int64(mi) * 16},
 				RunSpec{Mix: mix, L1DPf: "ip-stride", Seed: int64(mi) * 16})
 		}
 		out := r.All(specs)
@@ -275,9 +250,11 @@ func renderFig20(r *Runs, w io.Writer) {
 			}
 			sps = append(sps, mixSpeedup(ripc, bipc))
 		}
-		t.AddRow(label, metrics.Geomean(sps))
+		t.AddRow(c.label(), metrics.Geomean(sps))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti best, with a larger margin than single-core")
-	fmt.Fprintln(w, "(bandwidth contention rewards accuracy)")
+	t.Notes = []string{
+		"shape target: Berti best, with a larger margin than single-core",
+		"(bandwidth contention rewards accuracy)",
+	}
+	return []*metrics.Table{t}
 }

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
+	"strings"
 
 	"github.com/bertisim/berti/internal/cache"
 	"github.com/bertisim/berti/internal/core"
@@ -11,12 +11,10 @@ import (
 	"github.com/bertisim/berti/internal/prefetch"
 	"github.com/bertisim/berti/internal/prefetch/bop"
 	"github.com/bertisim/berti/internal/sim"
+	"github.com/bertisim/berti/internal/workloads"
 )
 
-// accuracyOf returns the artifact-formula accuracy for one run.
-func accuracyOf(r *sim.Result) float64 { return r.Cores[0].L1D.Accuracy() }
-
-func renderFig1Accuracy(r *Runs, w io.Writer) {
+func fig1Accuracy(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 1(a): prefetch accuracy (useful fraction of prefetch fills)",
 		"prefetcher", "level", "SPEC", "GAP")
 	type cfgT struct {
@@ -49,8 +47,8 @@ func renderFig1Accuracy(r *Runs, w io.Writer) {
 		}
 		t.AddRow(c.name, c.level, accs[0], accs[1])
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti ~0.9; others well below, GAP worse than SPEC for IPCP")
+	t.Notes = []string{"shape target: Berti ~0.9; others well below, GAP worse than SPEC for IPCP"}
+	return []*metrics.Table{t}
 }
 
 func specsFor(names []string, l1, l2 string) []RunSpec {
@@ -86,7 +84,7 @@ func energyRatio(r *Runs, names []string, l1, l2 string) float64 {
 	return sum / float64(n)
 }
 
-func renderFig1Energy(r *Runs, w io.Writer) {
+func fig1Energy(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 1(b)/15: dynamic energy normalized to no prefetching",
 		"prefetcher", "SPEC", "GAP")
 	cfgs := []struct{ name, l1, l2 string }{
@@ -102,49 +100,49 @@ func renderFig1Energy(r *Runs, w io.Writer) {
 		gap := energyRatio(r, MemIntSuite("gap"), c.l1, c.l2)
 		t.AddRow(c.name, spec, gap)
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti's overhead smallest among the prefetchers")
+	t.Notes = []string{"shape target: Berti's overhead smallest among the prefetchers"}
+	return []*metrics.Table{t}
 }
 
-// renderFig3 inspects learned state directly: it replays mcf-like accesses
-// into a Berti and a BOP instance inside full simulations and dumps the
-// per-IP deltas vs. the single global offset. It is the one renderer that
+// fig3 inspects learned state directly: it simulates mcf-like accesses
+// with a Berti and with a BOP L1D prefetcher and tabulates Berti's per-IP
+// deltas against BOP's single global offset. It is the one experiment that
 // reads no sim.Result, so it asks Plan for nothing and instead drives its
-// two machines itself, under the batch's context; while planning it does
-// nothing.
-func renderFig3(r *Runs, w io.Writer) {
+// two machines itself, under the batch's context; while planning it
+// returns nil.
+func fig3(r *Runs) []*metrics.Table {
 	if r.h == nil {
-		return
+		return nil
+	}
+	failed := func(run string, err error) []*metrics.Table {
+		return []*metrics.Table{{Notes: []string{fmt.Sprintf("Figure 3 failed (%s run): %v", run, err)}}}
 	}
 	berti, _, err := fig3Run(r, "berti")
 	if err != nil {
-		fmt.Fprintf(w, "Figure 3 failed (berti run): %v\n", err)
-		return
+		return failed("berti", err)
 	}
-	bopPf, res2, err := fig3Run(r, "bop")
+	bopPf, res, err := fig3Run(r, "bop")
 	if err != nil {
-		fmt.Fprintf(w, "Figure 3 failed (bop run): %v\n", err)
-		return
+		return failed("bop", err)
 	}
-
-	fmt.Fprintf(w, "== Figure 3: local (per-IP) deltas vs a global delta on mcf-like ==\n")
-	fmt.Fprintf(w, "BOP global best offset: %+d (accuracy %.2f)\n",
-		bopPf.(*bop.Prefetcher).BestOffset(), res2.Cores[0].L1D.Accuracy())
-	ips := []uint64{1, 2, 3, 4, 5}
-	for _, loc := range ips {
-		ip := ipOf(int(loc))
-		ds := berti.(*core.Berti).SnapshotDeltas(ip)
-		fmt.Fprintf(w, "Berti IP#%d (0x%x): ", loc, ip)
-		if len(ds) == 0 {
-			fmt.Fprintf(w, "(no entry)\n")
-			continue
+	t := metrics.NewTable("Figure 3: local (per-IP) deltas vs a global delta on mcf-like",
+		"prefetcher", "context", "accuracy", "deltas[status]")
+	t.AddRow("BOP", "global best offset", res.Cores[0].L1D.Accuracy(),
+		fmt.Sprintf("%+d", bopPf.(*bop.Prefetcher).BestOffset()))
+	for loc := 1; loc <= 5; loc++ {
+		ip := workloads.IP(loc)
+		deltas := "(no entry)"
+		if ds := berti.(*core.Berti).SnapshotDeltas(ip); len(ds) > 0 {
+			cells := make([]string, len(ds))
+			for i, d := range ds {
+				cells[i] = fmt.Sprintf("%+d[%s]", d.Delta, d.Status)
+			}
+			deltas = strings.Join(cells, " ")
 		}
-		for _, d := range ds {
-			fmt.Fprintf(w, "%+d[%s] ", d.Delta, d.Status)
-		}
-		fmt.Fprintln(w)
+		t.AddRow("Berti", fmt.Sprintf("IP#%d (0x%x)", loc, ip), "", deltas)
 	}
-	fmt.Fprintln(w, "shape target: each IP has its own best deltas; no single global offset covers them")
+	t.Notes = []string{"shape target: each IP has its own best deltas; no single global offset covers them"}
+	return []*metrics.Table{t}
 }
 
 // fig3Run simulates mcf_like_1554 with l1d as the L1D prefetcher through
@@ -164,11 +162,7 @@ func fig3Run(r *Runs, l1d string) (cache.Prefetcher, *sim.Result, error) {
 	return m.L1D(0).Prefetcher(), res, nil
 }
 
-// ipOf mirrors workloads.IP without importing it here (cycle avoidance is
-// not needed, but keeps the harness decoupled from generator internals).
-func ipOf(loc int) uint64 { return 0x400000 + uint64(loc)*21 }
-
-func renderFig7(r *Runs, w io.Writer) {
+func fig7(r *Runs) []*metrics.Table {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Figure 7: geomean speedup (SPEC+GAP) vs storage",
 		"config", "storage-KB", "speedup-vs-ipstride")
@@ -192,9 +186,11 @@ func renderFig7(r *Runs, w io.Writer) {
 		sp := suiteSpeedup(r, names, c.l1, c.l2)
 		t.AddRow(c.label, storageKB(c.l1, c.l2), sp)
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti best among L1D prefetchers at ~2.55 KB;")
-	fmt.Fprintln(w, "Berti alone >= every multi-level combo without Berti")
+	t.Notes = []string{
+		"shape target: Berti best among L1D prefetchers at ~2.55 KB;",
+		"Berti alone >= every multi-level combo without Berti",
+	}
+	return []*metrics.Table{t}
 }
 
 // storageKB sums the registry designs' declared storage.
@@ -211,7 +207,7 @@ func storageKB(names ...string) float64 {
 	return float64(bits) / 8 / 1024
 }
 
-func renderFig8(r *Runs, w io.Writer) {
+func fig8(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 8: L1D prefetcher speedup over IP-stride",
 		"prefetcher", "SPEC", "GAP", "ALL")
 	for _, pf := range L1DPrefetchers {
@@ -220,11 +216,11 @@ func renderFig8(r *Runs, w io.Writer) {
 			suiteSpeedup(r, MemIntSuite("gap"), pf, ""),
 			suiteSpeedup(r, MemIntSuite("all"), pf, ""))
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti highest on both suites; only Berti >= 1.0 on GAP")
+	t.Notes = []string{"shape target: Berti highest on both suites; only Berti >= 1.0 on GAP"}
+	return []*metrics.Table{t}
 }
 
-func renderFig9(r *Runs, w io.Writer) {
+func fig9(r *Runs) []*metrics.Table {
 	names := MemIntSuite("all")
 	t := metrics.NewTable("Figure 9: per-workload speedup over IP-stride",
 		"workload", "mlop", "ipcp", "berti")
@@ -234,18 +230,20 @@ func renderFig9(r *Runs, w io.Writer) {
 			specs = append(specs, RunSpec{Workload: n, L1DPf: pf})
 		}
 		out := r.All(specs)
-		row := []interface{}{n}
+		row := []any{n}
 		for _, res := range out[1:] {
 			row = append(row, SpeedupOver(res, out[0]))
 		}
 		t.AddRow(row...)
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti wins or ties everywhere except cactu_like,")
-	fmt.Fprintln(w, "where global-pattern prefetchers (MLOP) win")
+	t.Notes = []string{
+		"shape target: Berti wins or ties everywhere except cactu_like,",
+		"where global-pattern prefetchers (MLOP) win",
+	}
+	return []*metrics.Table{t}
 }
 
-func renderFig10(r *Runs, w io.Writer) {
+func fig10(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 10: L1D accuracy, split timely vs late",
 		"prefetcher", "suite", "accuracy", "timely-frac")
 	for _, pf := range L1DPrefetchers {
@@ -268,11 +266,11 @@ func renderFig10(r *Runs, w io.Writer) {
 			t.AddRow(pf, suite, acc, timely)
 		}
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti ~0.9 accuracy and mostly timely; MLOP/IPCP lower with more late")
+	t.Notes = []string{"shape target: Berti ~0.9 accuracy and mostly timely; MLOP/IPCP lower with more late"}
+	return []*metrics.Table{t}
 }
 
-func renderFig11(r *Runs, w io.Writer) {
+func fig11(r *Runs) []*metrics.Table {
 	t := metrics.NewTable("Figure 11: demand MPKI with L1D prefetchers",
 		"config", "suite", "L1D", "L2", "LLC")
 	cfgs := append([]string{"ip-stride"}, L1DPrefetchers...)
@@ -290,6 +288,6 @@ func renderFig11(r *Runs, w io.Writer) {
 			t.AddRow(pf, suite, l1/n, l2/n, llc/n)
 		}
 	}
-	fmt.Fprintln(w, t)
-	fmt.Fprintln(w, "shape target: Berti lowest (or tied) at L2/LLC thanks to its L2 preloading")
+	t.Notes = []string{"shape target: Berti lowest (or tied) at L2/LLC thanks to its L2 preloading"}
+	return []*metrics.Table{t}
 }

@@ -2,109 +2,109 @@ package harness
 
 import (
 	"context"
-	"io"
 
 	"github.com/bertisim/berti/internal/metrics"
 	"github.com/bertisim/berti/internal/sim"
 )
 
-// Experiment regenerates one of the paper's tables or figures. Render is
+// Experiment regenerates one of the paper's tables or figures. Tables is
 // a pure function of the results it reads through r: it asks for the same
 // specs whatever the results say, which is what lets Plan enumerate a
-// campaign up front. Fig3 is the one exception; see renderFig3.
+// campaign up front. Fig3 is the one exception; see fig3. metrics.Format
+// prints the tables.
 type Experiment struct {
 	ID     string
 	Paper  string // which table/figure of the paper it reproduces
 	Desc   string
-	Render func(r *Runs, w io.Writer)
+	Tables func(r *Runs) []*metrics.Table
 }
 
 // experiments lists every experiment in the paper's presentation order.
 var experiments = []Experiment{
 	{ID: "Fig1Accuracy", Paper: "Figure 1(a)",
 		Desc:   "prefetch accuracy of state-of-the-art prefetchers, SPEC vs GAP",
-		Render: renderFig1Accuracy},
+		Tables: fig1Accuracy},
 	{ID: "Fig1Energy", Paper: "Figure 1(b)",
 		Desc:   "dynamic memory-hierarchy energy normalized to no prefetching",
-		Render: renderFig1Energy},
+		Tables: fig1Energy},
 	{ID: "Fig3LocalVsGlobal", Paper: "Figure 3",
 		Desc:   "per-IP local deltas (Berti) vs one global delta (BOP) on mcf",
-		Render: renderFig3},
+		Tables: fig3},
 	{ID: "Tab1Storage", Paper: "Table I",
 		Desc:   "Berti storage breakdown (must total 2.55 KB)",
-		Render: renderTab1},
+		Tables: tab1},
 	{ID: "Tab2Config", Paper: "Table II",
 		Desc:   "baseline system configuration",
-		Render: renderTab2},
+		Tables: tab2},
 	{ID: "Tab3PrefConfig", Paper: "Table III",
 		Desc:   "evaluated prefetcher configurations and storage",
-		Render: renderTab3},
+		Tables: tab3},
 	{ID: "Fig7SpeedupVsStorage", Paper: "Figure 7",
 		Desc:   "geomean speedup vs storage for L1D, L2, and multi-level prefetchers",
-		Render: renderFig7},
+		Tables: fig7},
 	{ID: "Fig8L1DSpeedup", Paper: "Figure 8",
 		Desc:   "L1D prefetcher speedup over IP-stride, per suite",
-		Render: renderFig8},
+		Tables: fig8},
 	{ID: "Fig9PerTrace", Paper: "Figure 9",
 		Desc:   "per-workload speedups of the L1D prefetchers",
-		Render: renderFig9},
+		Tables: fig9},
 	{ID: "Fig10AccuracyTimeliness", Paper: "Figure 10",
 		Desc:   "L1D prefetch accuracy split into timely and late",
-		Render: renderFig10},
+		Tables: fig10},
 	{ID: "Fig11MPKI", Paper: "Figure 11",
 		Desc:   "demand MPKI at L1D/L2/LLC with each L1D prefetcher",
-		Render: renderFig11},
+		Tables: fig11},
 	{ID: "Fig12MultiLevel", Paper: "Figure 12",
 		Desc:   "multi-level (L1D+L2) prefetching speedups vs Berti alone",
-		Render: renderFig12},
+		Tables: fig12},
 	{ID: "Fig13MultiLevelMPKI", Paper: "Figure 13",
 		Desc:   "L2/LLC demand MPKI with multi-level prefetching",
-		Render: renderFig13},
+		Tables: fig13},
 	{ID: "Fig14Traffic", Paper: "Figure 14",
 		Desc:   "inter-level traffic normalized to no prefetching",
-		Render: renderFig14},
+		Tables: fig14},
 	{ID: "Fig15Energy", Paper: "Figure 15",
 		Desc:   "dynamic energy normalized to no prefetching, incl. multi-level",
-		Render: renderFig15},
+		Tables: fig15},
 	{ID: "Fig16BandwidthL1D", Paper: "Figure 16",
 		Desc:   "L1D prefetcher speedups under constrained DRAM bandwidth",
-		Render: renderFig16},
+		Tables: fig16},
 	{ID: "Fig17BandwidthML", Paper: "Figure 17",
 		Desc:   "multi-level prefetching under constrained DRAM bandwidth",
-		Render: renderFig17},
+		Tables: fig17},
 	{ID: "Fig18CloudSuite", Paper: "Figure 18",
 		Desc:   "CloudSuite-like speedups for L1D and multi-level prefetching",
-		Render: renderFig18},
+		Tables: fig18},
 	{ID: "Fig19MISB", Paper: "Figure 19",
 		Desc:   "adding the MISB temporal prefetcher at L2",
-		Render: renderFig19},
+		Tables: fig19},
 	{ID: "Fig20MultiCore", Paper: "Figure 20",
 		Desc:   "4-core heterogeneous mixes, speedup over IP-stride",
-		Render: renderFig20},
+		Tables: fig20},
 	{ID: "Fig21Watermarks", Paper: "Figure 21",
 		Desc:   "L1/L2 coverage watermark sensitivity",
-		Render: renderFig21},
+		Tables: fig21},
 	{ID: "Fig22TableSizes", Paper: "Figure 22",
 		Desc:   "Berti table size sensitivity (0.25x..4x)",
-		Render: renderFig22},
+		Tables: fig22},
 	{ID: "AblLatencyBits", Paper: "Section IV.J",
 		Desc:   "latency counter width (4/12/32 bits)",
-		Render: renderAblLatency},
+		Tables: ablLatency},
 	{ID: "AblCrossPage", Paper: "Section IV.J",
 		Desc:   "cross-page prefetching on/off",
-		Render: renderAblCrossPage},
+		Tables: ablCrossPage},
 	{ID: "AblIdealL1D", Paper: "Section IV-G",
 		Desc:   "ideal (oracle) L1D prefetcher headroom, cloud vs MemInt",
-		Render: renderAblIdeal},
+		Tables: ablIdeal},
 	{ID: "AblCalibration", Paper: "DESIGN.md §6",
 		Desc:   "this reproduction's calibration knob: the timeliness margin",
-		Render: renderAblCalibration},
+		Tables: ablCalibration},
 	{ID: "AblPythia", Paper: "Section V",
 		Desc:   "Pythia (RL, L2) with and without Berti at L1D",
-		Render: renderAblPythia},
+		Tables: ablPythia},
 	{ID: "AblPerIP", Paper: "Section I / ref [46]",
 		Desc:   "per-IP (local) deltas vs the DPC-3 per-page keying",
-		Render: renderAblPerIP},
+		Tables: ablPerIP},
 }
 
 // Experiments returns every experiment in the paper's presentation order.
@@ -120,7 +120,7 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Runs is the result source renderers read from.
+// Runs is the result source experiments read from.
 type Runs struct {
 	Scale  Scale
 	lookup func(specs []RunSpec) []*sim.Result
@@ -134,8 +134,9 @@ type Runs struct {
 // and ratios over a lost run degrade to 0.
 func (r *Runs) All(specs []RunSpec) []*sim.Result { return r.lookup(specs) }
 
-// Runs returns the view renderers read h's memoized results through, for
-// rendering after a batch over Plan. ctx bounds the machines Fig3 drives.
+// Runs returns the view experiments read h's memoized results through,
+// for tabulating after a batch over Plan. ctx bounds the machines Fig3
+// drives.
 func (h *Harness) Runs(ctx context.Context) *Runs {
 	return &Runs{Scale: h.Scale, h: h, ctx: ctx, lookup: func(specs []RunSpec) []*sim.Result {
 		out := make([]*sim.Result, len(specs))
@@ -151,8 +152,8 @@ func (h *Harness) Runs(ctx context.Context) *Runs {
 }
 
 // Plan lists every spec the experiments read at scale, deduplicated by key
-// in first-request order: it renders each experiment once against
-// placeholder results and records what it asks for.
+// in first-request order: it tabulates each experiment once against
+// placeholder results, drops the tables and records what it asks for.
 func Plan(scale Scale, exps []Experiment) []RunSpec {
 	var plan []RunSpec
 	seen := map[string]bool{}
@@ -168,7 +169,7 @@ func Plan(scale Scale, exps []Experiment) []RunSpec {
 		return out
 	}}
 	for _, e := range exps {
-		e.Render(r, io.Discard)
+		e.Tables(r)
 	}
 	return plan
 }
@@ -176,8 +177,20 @@ func Plan(scale Scale, exps []Experiment) []RunSpec {
 // L1DPrefetchers are the L1D designs compared in Figures 8-11.
 var L1DPrefetchers = []string{"mlop", "ipcp", "berti"}
 
+// pfPair is one prefetcher configuration: an L1D design and an L2 design
+// ("" for none).
+type pfPair struct{ L1, L2 string }
+
+// label names the pair as the figures print it: "l1" or "l1+l2".
+func (p pfPair) label() string {
+	if p.L2 == "" {
+		return p.L1
+	}
+	return p.L1 + "+" + p.L2
+}
+
 // MultiLevelCombos are the Figure 12 combinations (L1D + L2).
-var MultiLevelCombos = []struct{ L1, L2 string }{
+var MultiLevelCombos = []pfPair{
 	{"mlop", "bingo"},
 	{"mlop", "spp-ppf"},
 	{"ipcp", "ipcp-l2"},

@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
 
+	"github.com/bertisim/berti/internal/metrics"
 	"github.com/bertisim/berti/internal/sim"
 )
 
@@ -83,7 +83,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %s registered twice", e.ID)
 		}
 		seen[e.ID] = true
-		if e.ID == "" || e.Render == nil || e.Desc == "" || e.Paper == "" {
+		if e.ID == "" || e.Tables == nil || e.Desc == "" || e.Paper == "" {
 			t.Fatalf("experiment %q incomplete", e.ID)
 		}
 	}
@@ -114,9 +114,7 @@ func TestTableExperimentsRunFast(t *testing.T) {
 	h := New(tinyScale)
 	for _, id := range []string{"Tab1Storage", "Tab2Config", "Tab3PrefConfig"} {
 		e, _ := ExperimentByID(id)
-		var buf bytes.Buffer
-		e.Render(h.Runs(context.Background()), &buf)
-		if buf.Len() == 0 {
+		if metrics.Format(e.Tables(h.Runs(context.Background()))) == "" {
 			t.Fatalf("%s produced no output", id)
 		}
 	}
@@ -125,10 +123,9 @@ func TestTableExperimentsRunFast(t *testing.T) {
 func TestTab1Reports255KB(t *testing.T) {
 	h := New(tinyScale)
 	e, _ := ExperimentByID("Tab1Storage")
-	var buf bytes.Buffer
-	e.Render(h.Runs(context.Background()), &buf)
-	if !strings.Contains(buf.String(), "2.55") {
-		t.Fatalf("Table I must total 2.55 KB:\n%s", buf.String())
+	out := metrics.Format(e.Tables(h.Runs(context.Background())))
+	if !strings.Contains(out, "2.55") {
+		t.Fatalf("Table I must total 2.55 KB:\n%s", out)
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package metrics provides the aggregation and formatting used by the
-// evaluation harness: geometric-mean speedups, normalized series, and
-// fixed-width table rendering for the per-figure reports.
+// evaluation harness: geometric means, the tables every figure returns,
+// and the one formatter that prints them.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -25,25 +24,14 @@ func Geomean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Speedup returns ipc/baseline (0 if baseline is 0).
-func Speedup(ipc, baseline float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return ipc / baseline
-}
-
-// Series is a named set of per-key values (one line/bar group per figure).
-type Series struct {
-	Name   string
-	Values map[string]float64
-}
-
-// Table renders rows of labelled values with aligned columns.
+// Table is one figure's rows of labelled values and the prose notes
+// printed after it.
 type Table struct {
 	Title   string
 	Columns []string
-	rows    [][]string
+	// Rows holds each cell as AddRow was given it; String formats them.
+	Rows  [][]any
+	Notes []string
 }
 
 // NewTable creates a table with a title and column headers.
@@ -51,33 +39,30 @@ func NewTable(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 
-// AddRow appends a row; values are formatted with %v, floats with 3
-// decimals.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		case float32:
-			row[i] = fmt.Sprintf("%.3f", v)
-		default:
-			row[i] = fmt.Sprint(c)
-		}
+// AddRow appends a row, storing each cell as given.
+func (t *Table) AddRow(cells ...any) { t.Rows = append(t.Rows, cells) }
+
+// formatCell prints floats with 3 decimals and anything else with %v.
+func formatCell(c any) string {
+	if v, ok := c.(float64); ok {
+		return fmt.Sprintf("%.3f", v)
 	}
-	t.rows = append(t.rows, row)
+	return fmt.Sprint(c)
 }
 
-// String renders the table.
+// String renders the table without its notes.
 func (t *Table) String() string {
+	rows := make([][]string, len(t.Rows))
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
-	for _, r := range t.rows {
+	for ri, r := range t.Rows {
+		rows[ri] = make([]string, len(r))
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			rows[ri][i] = formatCell(c)
+			if i < len(widths) && len(rows[ri][i]) > widths[i] {
+				widths[i] = len(rows[ri][i])
 			}
 		}
 	}
@@ -100,18 +85,26 @@ func (t *Table) String() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, r := range t.rows {
+	for _, r := range rows {
 		writeRow(r)
 	}
 	return b.String()
 }
 
-// SortedKeys returns map keys in sorted order (stable table rows).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Format renders tables as the reports print them: each table and a
+// blank line, then its notes one per line. A table without columns
+// prints only its notes.
+func Format(tables []*Table) string {
+	var b strings.Builder
+	for _, t := range tables {
+		if len(t.Columns) > 0 {
+			b.WriteString(t.String())
+			b.WriteByte('\n')
+		}
+		for _, n := range t.Notes {
+			b.WriteString(n)
+			b.WriteByte('\n')
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	return b.String()
 }

@@ -41,12 +41,6 @@ func TestGeomeanBounded(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if Speedup(2, 1) != 2 || Speedup(1, 0) != 0 {
-		t.Fatal("speedup wrong")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 1.5)
@@ -62,10 +56,18 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("keys = %v", keys)
+// TestFormatPrintsNotesAfterTable pins the report layout: a table, a
+// blank line, its notes; a table without columns prints only its notes.
+func TestFormatPrintsNotesAfterTable(t *testing.T) {
+	tb := NewTable("demo", "name", "value")
+	tb.AddRow("alpha", 1.5)
+	tb.Notes = []string{"first note", "second note"}
+	got := Format([]*Table{tb, {Notes: []string{"bare note"}}})
+	want := tb.String() + "\nfirst note\nsecond note\nbare note\n"
+	if got != want {
+		t.Fatalf("Format =\n%q\nwant\n%q", got, want)
+	}
+	if v, ok := tb.Rows[0][1].(float64); !ok || v != 1.5 {
+		t.Fatalf("AddRow stored %#v, want the float64 as given", tb.Rows[0][1])
 	}
 }
