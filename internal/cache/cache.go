@@ -397,9 +397,6 @@ type Cache struct {
 	// counts writebacks sent to the lower level.
 	TrafficDown uint64
 	WBDown      uint64
-	// RQRejects counts AcceptRead refusals (queue full) — a backpressure
-	// diagnostic.
-	RQRejects uint64
 	// PrefForwarded counts prefetches handed straight to the lower level
 	// because they fill below this one (a diagnostic outside Stats).
 	PrefForwarded uint64
@@ -744,7 +741,6 @@ func (c *Cache) AcceptRead(r *Req, cycle uint64) bool {
 	// Demand reads and prefetches whose data must propagate upward use
 	// the read queue so the response path is exercised.
 	if c.rq.Len() >= c.cfg.RQSize {
-		c.RQRejects++
 		return false
 	}
 	nr := *r

@@ -493,6 +493,8 @@ func (h *Harness) corpusFile(name string, seed int64) (*tracestore.File, error) 
 
 // streamWorkers bounds each per-core decode pipeline: the harness already
 // runs many simulations concurrently, so individual readers stay narrow.
+// Its buffer budget of 2*2+2 chunks keeps quick- and default-scale corpus
+// traces (2 and 5 chunks) resident, with no pipeline at all.
 const streamWorkers = 2
 
 // MustTrace is Trace for workload names known to be registered (tests,

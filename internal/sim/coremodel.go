@@ -25,7 +25,6 @@ type robEntry struct {
 	ip     uint64
 	recIdx uint64 // global memory-record index (dependence tracking)
 
-	issuedAt  uint64 // issue cycle (load-latency bucketing on completion)
 	doneCycle uint64
 }
 
@@ -102,11 +101,6 @@ type Core struct {
 	// RetiredTotal counts instructions retired since construction
 	// (Stats.Instructions is reset after warmup).
 	RetiredTotal uint64
-	// IssueBlocked counts issue attempts refused by a full L1D RQ.
-	IssueBlocked uint64
-	// LoadLatHist buckets load issue->complete latencies by power of two
-	// (diagnostics).
-	LoadLatHist [20]uint64
 	// FinishedCycle is set when RetiredTotal first reaches its target.
 	finishTarget  uint64
 	FinishedCycle uint64
@@ -149,9 +143,8 @@ func (c *Core) Tick(cycle uint64) {
 // already known. A core blocked on an in-flight fill reports no horizon for
 // it — the completion is the owning cache's event, and the engine re-queries
 // after every executed tick. Parked operations are never issuable, so only
-// pend is consulted. Diagnostic counters that are not part of the result
-// surface (IssueBlocked, LoadLatHist) are allowed to diverge across skipped
-// cycles; the counters in Stats are reconciled by creditSkip.
+// pend is consulted. The counters in Stats that advance on every cycle are
+// reconciled for skipped cycles by creditSkip.
 func (c *Core) NextEventCycle(now uint64) uint64 {
 	h := Never
 	if c.robCount > 0 {
@@ -529,11 +522,10 @@ func (c *Core) issue(cycle uint64) {
 			loads--
 		}
 	}
-	for ; n < len(c.pend); n++ {
-		c.pend[w] = c.pend[n]
-		w++
+	// Close the gaps issued operations left; the tail moves only then.
+	if w < n {
+		c.pend = c.pend[:w+copy(c.pend[w:], c.pend[n:])]
 	}
-	c.pend = c.pend[:w]
 }
 
 // tryIssue translates and sends one memory op to the L1D. Completion comes
@@ -541,7 +533,6 @@ func (c *Core) issue(cycle uint64) {
 // issuing allocates nothing.
 func (c *Core) tryIssue(e *robEntry, slot int32, cycle uint64) bool {
 	if c.l1d.RQOccupancy() >= c.l1d.RQCap() {
-		c.IssueBlocked++
 		return false
 	}
 	paddr, xlat := c.mmu.TranslateDemand(e.vaddr, cycle)
@@ -566,7 +557,6 @@ func (c *Core) tryIssue(e *robEntry, slot int32, cycle uint64) bool {
 		return false
 	}
 	e.issued = true
-	e.issuedAt = cycle
 	return true
 }
 
@@ -583,13 +573,6 @@ func (c *Core) ReqDone(token, done uint64) {
 	e.done = true
 	e.doneCycle = done
 	c.complete(e.recIdx%depWindow, done)
-	d := done - e.issuedAt
-	b := 0
-	for d > 0 && b < len(c.LoadLatHist)-1 {
-		d >>= 1
-		b++
-	}
-	c.LoadLatHist[b]++
 }
 
 // ResetStats clears measured counters (after warmup).

@@ -46,8 +46,7 @@ func randomTrace(rng *rand.Rand, n int) *trace.Slice {
 // observableDigest captures every piece of machine state whose change is
 // observable in a Result or in a component's subsequent behaviour —
 // excluding the per-cycle counters creditSkip reconciles (CoreStats.Cycles,
-// CoreStats.ROBFullStalls) and the scheduler-dependent diagnostics
-// IssueBlocked and LoadLatHist, which are not part of the result surface.
+// CoreStats.ROBFullStalls).
 func observableDigest(m *Machine) string {
 	var b strings.Builder
 	for i := range m.l1ds {

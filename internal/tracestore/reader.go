@@ -21,6 +21,12 @@ type ReaderOptions struct {
 	// one being queued behind them), whatever the trace length: it
 	// allocates them over its first 2*Workers + 2 decodes and recycles
 	// them from then on.
+	//
+	// That buffer budget (2*Workers + 2, or 1 when synchronous) also picks
+	// resident replay: a looping reader over a file of at most that many
+	// chunks starts no goroutines, decodes each chunk on its first visit
+	// into a buffer of exactly that chunk's records, and replays the kept
+	// buffers on every later lap without decoding again.
 	Workers int
 	// Loop replays the trace forever (multi-core mixes), matching
 	// trace.LoopReader: EOF is returned only for an empty trace.
@@ -53,6 +59,8 @@ type chunkResult struct {
 // must be called to release the pipeline goroutines unless Next has already
 // returned an error (EOF included). A reader recycles the record buffer of
 // each chunk it has consumed, so a warm reader decodes without allocating.
+// A resident reader (see ReaderOptions.Workers) decodes synchronously and
+// keeps every chunk instead, so a warm one does not decode at all.
 type Reader struct {
 	f    *File
 	loop bool
@@ -63,11 +71,17 @@ type Reader struct {
 	loops int
 	err   error
 
-	// Synchronous mode (Workers == 1).
+	// Synchronous mode (Workers == 1, or resident).
 	sync      bool
 	nextChunk int
 	skip      int
 	sc        *scratch
+
+	// Resident mode: res[i] holds chunk i's records once its first visit
+	// has decoded them, resident counts those chunks, and sc is dropped
+	// when the last one lands.
+	res      [][]trace.Record
+	resident int
 
 	// Pipeline mode. free carries consumed chunk buffers back to the
 	// workers. bufs counts the buffers allocated so far; it stops at
@@ -78,6 +92,7 @@ type Reader struct {
 	bufs     atomic.Int32
 	stop     chan struct{}
 	stopOnce sync.Once
+	done     sync.WaitGroup // the producer and workers, awaited by Close
 }
 
 // NewReader returns a streaming reader over the whole trace.
@@ -106,12 +121,19 @@ func (f *File) newReader(startChunk, skip int, o ReaderOptions) *Reader {
 			workers = 8
 		}
 	}
+	budget := 1 // chunk-sized record buffers the reader may own
+	if workers > 1 {
+		budget = 2*workers + 2
+	}
 	r := &Reader{f: f, loop: o.Loop}
-	if workers == 1 {
+	if resident := o.Loop && len(f.chunks) <= budget; workers == 1 || resident {
 		r.sync = true
 		r.nextChunk = startChunk
 		r.skip = skip
 		r.sc = f.newScratch()
+		if resident {
+			r.res = make([][]trace.Record, len(f.chunks))
+		}
 		return r
 	}
 	ahead := 2 * workers // ready chunks in front of the consumer
@@ -124,7 +146,9 @@ func (f *File) newReader(startChunk, skip int, o ReaderOptions) *Reader {
 	// hand-off slot the consumer will read, so results arrive in order no
 	// matter which worker finishes first. Both sends respect stop, so Close
 	// never strands it.
+	r.done.Add(1 + workers)
 	go func() {
+		defer r.done.Done()
 		defer close(jobs)
 		chunk, skip, wrapped := startChunk, skip, false
 		for {
@@ -152,6 +176,7 @@ func (f *File) newReader(startChunk, skip int, o ReaderOptions) *Reader {
 	}()
 	for w := 0; w < workers; w++ {
 		go func() {
+			defer r.done.Done()
 			sc := r.f.newScratch()
 			for {
 				select {
@@ -214,7 +239,8 @@ func (r *Reader) Next() (trace.Record, error) {
 	return rec, nil
 }
 
-// advanceSync decodes the next chunk inline (Workers == 1 mode).
+// advanceSync moves to the next chunk inline (synchronous and resident
+// modes).
 func (r *Reader) advanceSync() error {
 	if r.nextChunk >= len(r.f.chunks) {
 		if !r.loop || len(r.f.chunks) == 0 {
@@ -223,15 +249,31 @@ func (r *Reader) advanceSync() error {
 		r.nextChunk, r.skip = 0, 0
 		r.loops++
 	}
-	// The current chunk is exhausted: decode over its buffer.
-	if r.buf == nil {
-		r.buf = r.f.newChunkBuf()
+	var recs []trace.Record
+	var err error
+	switch {
+	case r.res != nil && r.res[r.nextChunk] != nil:
+		recs = r.res[r.nextChunk]
+	case r.res != nil:
+		// First visit: decode into a buffer the chunk fills exactly.
+		dst := make([]trace.Record, 0, r.f.chunks[r.nextChunk].Records)
+		if recs, err = r.f.decodeChunk(r.nextChunk, r.sc, dst); err != nil {
+			return err
+		}
+		r.res[r.nextChunk] = recs
+		if r.resident++; r.resident == len(r.res) {
+			r.sc = nil
+		}
+	default:
+		// The current chunk is exhausted: decode over its buffer.
+		if r.buf == nil {
+			r.buf = r.f.newChunkBuf()
+		}
+		if recs, err = r.f.decodeChunk(r.nextChunk, r.sc, r.buf[:0]); err != nil {
+			return err
+		}
+		r.buf = recs
 	}
-	recs, err := r.f.decodeChunk(r.nextChunk, r.sc, r.buf[:0])
-	if err != nil {
-		return err
-	}
-	r.buf = recs
 	r.cur, r.pos = recs[r.skip:], 0
 	r.nextChunk++
 	r.skip = 0
@@ -274,13 +316,16 @@ func (r *Reader) shutdown() {
 	}
 }
 
-// Close stops the decode pipeline and releases its goroutines. It is safe
-// to call multiple times; subsequent Next calls return ErrReaderClosed.
+// Close stops the decode pipeline and returns once its goroutines have
+// exited (a worker finishes the chunk it is decoding first). It is safe to
+// call multiple times; subsequent Next calls return ErrReaderClosed.
 func (r *Reader) Close() error {
 	if r.err == nil {
 		r.err = ErrReaderClosed
 	}
 	r.cur, r.buf, r.pos = nil, nil, 0
+	r.res, r.sc = nil, nil
 	r.shutdown()
+	r.done.Wait()
 	return nil
 }

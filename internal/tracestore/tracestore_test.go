@@ -233,34 +233,39 @@ func TestWindowFastForward(t *testing.T) {
 }
 
 // TestLoopParity checks the streaming loop reader against trace.LoopReader
-// across several wraps.
+// across several wraps, on a file that fits the 3-worker buffer budget of
+// 8 chunks (resident) and on one that does not (pipelined).
 func TestLoopParity(t *testing.T) {
 	s := synthSlice(700, 3)
-	f := encodeV2(t, s, 256, "loop")
-	want := trace.NewLoopReader(s)
-	got := f.NewReader(ReaderOptions{Workers: 3, Loop: true})
-	defer got.Close()
-	for i := 0; i < 5*len(s.Records)/2; i++ {
-		w, err := want.Next()
-		if err != nil {
-			t.Fatalf("LoopReader: %v", err)
+	for _, chunk := range []uint32{256, 64} {
+		f := encodeV2(t, s, chunk, "loop")
+		want := trace.NewLoopReader(s)
+		got := f.NewReader(ReaderOptions{Workers: 3, Loop: true})
+		defer got.Close()
+		for i := 0; i < 5*len(s.Records)/2; i++ {
+			w, err := want.Next()
+			if err != nil {
+				t.Fatalf("LoopReader: %v", err)
+			}
+			g, err := got.Next()
+			if err != nil {
+				t.Fatalf("%d chunks: streaming loop at %d: %v", f.Chunks(), i, err)
+			}
+			if w != g {
+				t.Fatalf("%d chunks: record %d = %+v, want %+v", f.Chunks(), i, g, w)
+			}
 		}
-		g, err := got.Next()
-		if err != nil {
-			t.Fatalf("streaming loop at %d: %v", i, err)
+		if got.Loops() != 2 {
+			t.Fatalf("%d chunks: Loops = %d, want 2", f.Chunks(), got.Loops())
 		}
-		if w != g {
-			t.Fatalf("record %d = %+v, want %+v", i, g, w)
-		}
-	}
-	if got.Loops() != 2 {
-		t.Fatalf("Loops = %d, want 2", got.Loops())
 	}
 }
 
 // TestReaderRecyclesChunkBuffers checks that a warm looping reader decodes
 // into the buffers of chunks it has consumed instead of allocating a fresh
 // record slice per chunk, in both the synchronous and the pipelined mode.
+// The file has more chunks than either mode's buffer budget, so neither
+// reader keeps its chunks resident (TestLoopingReaderKeepsChunksResident).
 // The stream starts mid-chunk (a window reader, so the first buffer is
 // handed out with its head skipped) and each lap crosses every chunk
 // boundary and the wrap. compress/flate allocates Huffman link tables for
@@ -271,14 +276,14 @@ func TestLoopParity(t *testing.T) {
 // trace.
 func TestReaderRecyclesChunkBuffers(t *testing.T) {
 	const chunk = 16384
-	s := synthSlice(3*chunk+chunk/2, 11)
+	s := synthSlice(6*chunk+chunk/2, 11) // 7 chunks: past 2*2+2 buffers
 	f := encodeV2(t, s, chunk, "recycle")
 	var start uint64 // instructions retired by the records before chunk/3
 	for _, rec := range s.Records[:chunk/3] {
 		start += uint64(rec.NonMemBefore) + 1
 	}
 	limit := uint64(chunk) * uint64(unsafe.Sizeof(trace.Record{})) / 100
-	// Starting mid-chunk 0, a lap decodes chunks 1..3, wraps, and decodes
+	// Starting mid-chunk 0, a lap decodes chunks 1..6, wraps, and decodes
 	// chunk 0 again: every chunk once.
 	inflate := inflateCost(t, f)
 	for _, workers := range []int{1, 2} {
@@ -322,6 +327,117 @@ func TestReaderRecyclesChunkBuffers(t *testing.T) {
 			}
 			if r.Loops() != 3+laps {
 				t.Fatalf("Loops = %d, want %d", r.Loops(), 3+laps)
+			}
+		})
+	}
+}
+
+// TestLoopingReaderKeepsChunksResident checks resident replay: a looping
+// reader over a file of no more chunks than its buffer budget (1 chunk
+// when synchronous, 2*Workers + 2 when pipelined) starts no goroutines,
+// decodes each chunk on its first visit and replays the kept records on
+// every later lap without allocating a byte. The stream starts mid-chunk,
+// so lap 1 decodes the start chunk whole and later laps replay its head
+// too. A chunk damaged in place before its first visit fails there with
+// its *FormatError, and Close poisons Next as it does for a pipeline.
+func TestLoopingReaderKeepsChunksResident(t *testing.T) {
+	const chunk = 4096
+	for _, tc := range []struct {
+		name             string
+		records, workers int
+		startRec         int // window start: record index, mid-chunk
+	}{
+		{"one-chunk/workers=1", chunk - 100, 1, chunk / 3},
+		{"six-chunks/workers=2", 5*chunk + chunk/2, 2, 2*chunk + chunk/3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := synthSlice(tc.records, 23)
+			var data bytes.Buffer
+			if err := Write(&data, s, Meta{Workload: "resident", ChunkRecords: chunk}); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			var start uint64
+			for _, rec := range s.Records[:tc.startRec] {
+				start += uint64(rec.NonMemBefore) + 1
+			}
+			// open returns a reader over its own copy of the container,
+			// which it also returns so a test can damage it in place.
+			open := func() ([]byte, *File, *Reader) {
+				t.Helper()
+				b := bytes.Clone(data.Bytes())
+				f, err := OpenBytes(b)
+				if err != nil {
+					t.Fatalf("OpenBytes: %v", err)
+				}
+				r, err := f.NewWindowReader(start, ReaderOptions{Workers: tc.workers, Loop: true})
+				if err != nil {
+					t.Fatalf("NewWindowReader: %v", err)
+				}
+				return b, f, r
+			}
+
+			goroutines := runtime.NumGoroutine()
+			_, f, r := open()
+			defer r.Close()
+			next := tc.startRec // index of the record the reader returns next
+			lap := func() {
+				for range s.Records {
+					rec, err := r.Next()
+					if err != nil {
+						t.Fatalf("Next: %v", err)
+					}
+					if want := s.Records[next]; rec != want {
+						t.Fatalf("record %d = %+v, want %+v", next, rec, want)
+					}
+					next = (next + 1) % len(s.Records)
+				}
+			}
+			lap() // decodes every chunk once
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Fatalf("%d goroutines after lap 1, %d before NewWindowReader", n, goroutines)
+			}
+			if r.Loops() != 1 {
+				t.Fatalf("Loops = %d after lap 1, want 1", r.Loops())
+			}
+			const laps = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < laps; i++ {
+				lap()
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n != 0 {
+				t.Fatalf("%d bytes allocated over %d resident laps of %d chunks, want 0", n, laps, f.Chunks())
+			}
+			if r.Loops() != 1+laps {
+				t.Fatalf("Loops = %d, want %d", r.Loops(), 1+laps)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if _, err := r.Next(); !errors.Is(err, ErrReaderClosed) {
+				t.Fatalf("Next after Close = %v, want ErrReaderClosed", err)
+			}
+
+			// Damage the last chunk's payload in place once the reader is
+			// open: records up to it still stream, then its first visit
+			// fails, and the failure sticks.
+			b, f, r := open()
+			defer r.Close()
+			last := f.Chunks() - 1
+			c := f.chunks[last]
+			b[c.Offset+int64(c.CompLen)/2] ^= 0xff
+			for i := tc.startRec; i < int(c.StartRecord); i++ {
+				if rec, err := r.Next(); err != nil || rec != s.Records[i] {
+					t.Fatalf("record %d = %+v, %v; want %+v", i, rec, err, s.Records[i])
+				}
+			}
+			for i := 0; i < 2; i++ {
+				_, err := r.Next()
+				var fe *FormatError
+				if !errors.As(err, &fe) || fe.Chunk != last {
+					t.Fatalf("Next into damaged chunk %d = %v, want its *FormatError", last, err)
+				}
 			}
 		})
 	}
