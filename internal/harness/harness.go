@@ -362,10 +362,11 @@ type Harness struct {
 	// CorpusDir, when set, turns on the on-disk trace corpus: generated
 	// workload traces are written once as v2 containers (content-addressed
 	// by workload/records/seed) and every simulation streams records from
-	// disk through the tracestore decode pipeline instead of holding the
-	// whole trace in RAM. Runs that must see the full trace up front
-	// (oracle prefetchers, trace-level fault plans) fall back to the
-	// in-memory path.
+	// disk through a tracestore.Reader, which decodes one chunk at a time
+	// on the simulating goroutine, instead of holding the whole trace in
+	// RAM. Runs that must see the full trace up front (oracle
+	// prefetchers, trace-level fault plans) fall back to the in-memory
+	// path.
 	CorpusDir string
 	// Retry bounds re-execution of transiently-failing runs (zero value =
 	// defaults: 2 attempts, 50ms exponential backoff capped at 2s).
@@ -490,12 +491,6 @@ func (h *Harness) corpusFile(name string, seed int64) (*tracestore.File, error) 
 	key := tracestore.Key{Workload: name, Records: cfg.MemRecords, Seed: cfg.Seed}
 	return c.Ensure(key, func() *trace.Slice { return w.Gen(cfg) })
 }
-
-// streamWorkers bounds each per-core decode pipeline: the harness already
-// runs many simulations concurrently, so individual readers stay narrow.
-// Its buffer budget of 2*2+2 chunks keeps quick- and default-scale corpus
-// traces (2 and 5 chunks) resident, with no pipeline at all.
-const streamWorkers = 2
 
 // MustTrace is Trace for workload names known to be registered (tests,
 // benchmarks); it panics on lookup failure.
@@ -933,7 +928,7 @@ func (h *Harness) newMachine(spec RunSpec, fp *fault.Plan) (*sim.Machine, func()
 			if err != nil {
 				return nil, err
 			}
-			rd, err := f.NewWindowReader(spec.Skip, tracestore.ReaderOptions{Loop: true, Workers: streamWorkers})
+			rd, err := f.NewWindowReader(spec.Skip, tracestore.ReaderOptions{Loop: true})
 			if err != nil {
 				f.Close()
 				return nil, err

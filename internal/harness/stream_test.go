@@ -12,19 +12,23 @@ import (
 	"github.com/bertisim/berti/internal/workloads"
 )
 
-// streamScale keeps the identity sweep fast while still crossing several
-// chunk boundaries per trace.
+// streamScale keeps the identity sweep fast. Its 24,000-record traces fit
+// one corpus chunk, so corpus-streamed runs replay resident chunks;
+// writeContainer's smaller chunks make trace-file runs decode chunk after
+// chunk instead.
 var streamScale = Scale{Name: "stream-test", MemRecords: 24_000, WarmupInstr: 20_000, SimInstr: 50_000}
 
 // writeContainer writes the generated trace of workload (seed 0) as a v2
-// container at path.
+// container at path, in 2048-record chunks: 12 chunks at streamScale, past
+// the reader's resident limit, so a reader decodes one chunk at a time
+// and crosses several chunk boundaries per run.
 func writeContainer(t *testing.T, h *Harness, workload, path string) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tracestore.Write(f, h.MustTrace(workload, 0), tracestore.Meta{Workload: workload}); err != nil {
+	if err := tracestore.Write(f, h.MustTrace(workload, 0), tracestore.Meta{Workload: workload, ChunkRecords: 2048}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -37,7 +41,8 @@ func writeContainer(t *testing.T, h *Harness, workload, path string) {
 // produce byte-identical statistics (compared through the JSON encoding,
 // the shape the tools emit) to the in-memory path, on every seed workload.
 // This is the acceptance bar for replacing whole-trace-in-RAM simulation
-// with the tracestore pipeline.
+// with streamed tracestore readers, resident (corpus) and decoding chunk
+// by chunk (trace file).
 func TestStreamingStatsIdentity(t *testing.T) {
 	names := make([]string, 0, 32)
 	for _, w := range workloads.All() {

@@ -3,7 +3,6 @@ package tracestore
 import (
 	"bytes"
 	"io"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -58,34 +57,18 @@ func drainBench(b *testing.B, r *Reader) {
 	_ = sum
 }
 
-// BenchmarkDecode compares the single-worker stream against the
-// parallel chunk pipeline on a >=1M-record trace. bytes/op is the
-// compressed container size, so MB/s is decode throughput. loop-resident
-// reads 16 laps of a 2-chunk looping trace (the size of a multi-core
-// mix's per-core trace), which fits the pipeline's buffer budget: one
-// op decodes each chunk once and replays it 15 times.
+// BenchmarkDecode streams a >=1M-record trace. bytes/op is the compressed
+// container size, so MB/s is decode throughput. loop-resident reads 16
+// laps of a 2-chunk looping trace (the size of a multi-core mix's per-core
+// trace), which is within the resident limit: one op decodes each chunk
+// once and replays it 15 times.
 func BenchmarkDecode(b *testing.B) {
 	f := benchContainer(b)
 	b.Run("single", func(b *testing.B) {
 		b.SetBytes(int64(len(benchData)))
 		b.ReportMetric(float64(benchRecs), "records")
 		for i := 0; i < b.N; i++ {
-			drainBench(b, f.NewReader(ReaderOptions{Workers: 1}))
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		// Pinned at 4 workers: the pipeline's win needs spare cores, and
-		// GOMAXPROCS-sized pools understate it on constrained CI runners.
-		workers := 4
-		if n := runtime.GOMAXPROCS(0); n > workers {
-			workers = n
-		}
-		b.SetBytes(int64(len(benchData)))
-		b.ReportMetric(float64(workers), "workers")
-		for i := 0; i < b.N; i++ {
-			r := f.NewReader(ReaderOptions{Workers: workers})
-			drainBench(b, r)
-			r.Close()
+			drainBench(b, f.NewReader(ReaderOptions{}))
 		}
 	})
 	b.Run("loop-resident", func(b *testing.B) {
@@ -105,7 +88,7 @@ func BenchmarkDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r := lf.NewReader(ReaderOptions{Workers: 2, Loop: true})
+			r := lf.NewReader(ReaderOptions{Loop: true})
 			for n := laps * len(s.Records); n > 0; n-- {
 				if _, err := r.Next(); err != nil {
 					b.Fatal(err)
@@ -117,13 +100,20 @@ func BenchmarkDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkWindowSeek measures index-based fast-forward to the middle of
-// the trace (decodes exactly one chunk regardless of trace length).
+// BenchmarkWindowSeek measures opening a window reader in the middle of
+// the trace and reading its first record: index-based fast-forward decodes
+// exactly one chunk regardless of trace length, and the reader replays it.
 func BenchmarkWindowSeek(b *testing.B) {
 	f := benchContainer(b)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := f.FastForward(benchInstr / 2); err != nil {
+		r, err := f.NewWindowReader(benchInstr/2, ReaderOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := r.Next(); err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
 	}
 }

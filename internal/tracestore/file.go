@@ -252,7 +252,7 @@ func (f *File) newScratch() *scratch {
 }
 
 // newChunkBuf returns an empty record buffer that holds any chunk of f, so
-// a recycled buffer never has to grow.
+// a reader decoding chunk after chunk into it never has to grow it.
 func (f *File) newChunkBuf() []trace.Record {
 	return make([]trace.Record, 0, min(uint64(f.meta.ChunkRecords), f.meta.Records))
 }
@@ -349,11 +349,20 @@ func (f *File) decodeChunk(idx int, sc *scratch, dst []trace.Record) ([]trace.Re
 // it, decoding at most one chunk. A target at or past the end of the trace
 // returns chunk == Chunks() (the EOF position).
 func (f *File) FastForward(target uint64) (chunk, skip int, startInstr uint64, err error) {
+	_, chunk, skip, startInstr, err = f.seek(target, f.newScratch(), nil)
+	return chunk, skip, startInstr, err
+}
+
+// seek is FastForward that also returns the start chunk's records, decoded
+// with sc and appended to dst, so a reader can replay them without decoding
+// the chunk again. recs is nil when the window starts on a chunk it did
+// not decode.
+func (f *File) seek(target uint64, sc *scratch, dst []trace.Record) (recs []trace.Record, chunk, skip int, startInstr uint64, err error) {
 	if target >= f.meta.Instructions {
-		return len(f.chunks), 0, f.meta.Instructions, nil
+		return nil, len(f.chunks), 0, f.meta.Instructions, nil
 	}
 	if target == 0 {
-		return 0, 0, 0, nil // the first record always retires past 0
+		return nil, 0, 0, 0, nil // the first record always retires past 0
 	}
 	// Last chunk whose first record retires within the target.
 	chunk = sort.Search(len(f.chunks), func(i int) bool {
@@ -362,22 +371,22 @@ func (f *File) FastForward(target uint64) (chunk, skip int, startInstr uint64, e
 	if chunk < 0 {
 		chunk = 0
 	}
-	recs, err := f.decodeChunk(chunk, f.newScratch(), nil)
+	recs, err = f.decodeChunk(chunk, sc, dst)
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	cum := f.chunks[chunk].StartInstr
 	for skip = 0; skip < len(recs); skip++ {
 		step := uint64(recs[skip].NonMemBefore) + 1
 		if cum+step > target {
-			return chunk, skip, cum, nil
+			return recs, chunk, skip, cum, nil
 		}
 		cum += step
 	}
 	// Unreachable for a consistent index (the next chunk's StartInstr
 	// would have been <= target), but a damaged file should degrade to
 	// "start at the next chunk", not panic.
-	return chunk + 1, 0, cum, nil
+	return nil, chunk + 1, 0, cum, nil
 }
 
 // ReadAll decodes the whole container into an in-memory trace (inspection

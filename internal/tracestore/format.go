@@ -1,9 +1,9 @@
 // Package tracestore implements the v2 trace-corpus container: a
 // chunk-framed, flate-compressed, seekable on-disk format for memory-access
-// traces, a bounded-memory streaming reader with a parallel decode
-// pipeline, an instruction-window engine that fast-forwards through the
-// chunk index, and a content-addressed corpus cache that persists generated
-// workload traces across runs.
+// traces, a bounded-memory streaming reader that decodes one chunk at a
+// time on its caller's goroutine, an instruction-window engine that
+// fast-forwards through the chunk index, and a content-addressed corpus
+// cache that persists generated workload traces across runs.
 //
 // # File layout
 //
@@ -23,12 +23,11 @@
 // ChunkRecords records, each encoded as varint(ip delta), varint(addr
 // delta), kind byte, uvarint(NonMemBefore), depdist byte, with the delta
 // state reset at every chunk boundary, so any chunk decodes independently
-// of the others — that independence is what makes the file seekable and
-// the decode pipeline parallel. The index entry's startInstr
-// is the cumulative instruction count (memory records plus their
-// NonMemBefore runs) retired before the chunk's first record; the window
-// engine binary-searches it to fast-forward without decompressing skipped
-// chunks.
+// of the others — that independence is what makes the file seekable. The
+// index entry's startInstr is the cumulative instruction count (memory
+// records plus their NonMemBefore runs) retired before the chunk's first
+// record; the window engine binary-searches it to fast-forward without
+// decompressing skipped chunks.
 package tracestore
 
 import (

@@ -116,7 +116,7 @@ func FuzzDecode(f *testing.F) {
 
 // streamAll drains a file through the synchronous reader.
 func streamAll(f *File) ([]trace.Record, error) {
-	r := f.NewReader(ReaderOptions{Workers: 1})
+	r := f.NewReader(ReaderOptions{})
 	var out []trace.Record
 	for {
 		rec, err := r.Next()
