@@ -85,9 +85,9 @@ func main() {
 		os.Exit(1)
 	}
 	// The roll-up owns OnResult (the server stores results through the
-	// lease pool, not the hook); in-process runs fire it from the harness
-	// and pushed results from the lease endpoint. Attach it before
-	// server.New starts the in-process workers, so no run escapes it.
+	// lease pool, not the hook); the server fires it once per landed
+	// result, in-process or pushed. Attach it before server.New starts the
+	// in-process workers, so no run escapes it.
 	var rollup *harness.ProvenanceRollup
 	if h.EnableProvenance {
 		rollup = harness.NewProvenanceRollup()

@@ -679,14 +679,7 @@ func (h *Harness) lead(ctx context.Context, spec RunSpec, key string, e *outcome
 	release := h.acquire()
 	defer release()
 
-	var opts sim.Options
-	if h.EnableChecks {
-		opts.Checker = check.New()
-	}
-	if h.EnableProvenance {
-		opts.Provenance = provenance.NewTracker(h.ProvenanceCap)
-	}
-	r, err := h.runProtected(ctx, spec, opts)
+	r, err := h.runProtected(ctx, spec, h.RunOptions())
 	if err != nil {
 		r = nil
 	}
@@ -867,13 +860,30 @@ func (h *Harness) run(ctx context.Context, spec RunSpec, opts sim.Options) (*sim
 	return m.Run()
 }
 
+// RunOptions returns the hooks a memoized run gets: a fresh invariant
+// checker under EnableChecks and a fresh provenance tracker under
+// EnableProvenance.
+func (h *Harness) RunOptions() sim.Options {
+	var opts sim.Options
+	if h.EnableChecks {
+		opts.Checker = check.New()
+	}
+	if h.EnableProvenance {
+		opts.Provenance = provenance.NewTracker(h.ProvenanceCap)
+	}
+	return opts
+}
+
 // RunWithContext executes one unmemoized simulation with the given hooks
 // (observability, invariant checking, fault injection, provenance).
 // Unmemoized runs bypass the memo cache in both directions: a time series
 // or event trace belongs to a single execution, and the result must
 // reflect the run that produced it. Failures get the same protection as
 // RunContext: panic recovery, deadline, the retry policy. They are returned
-// to the caller only; Failures does not list them.
+// to the caller only; Failures does not list them, and OnResult does not
+// fire. A caller that lands the outcome somewhere first (the campaign
+// daemon stores it, then seeds it) runs with RunOptions' hooks and seeds
+// the memo itself.
 func (h *Harness) RunWithContext(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
 	release := h.acquire()
 	defer release()

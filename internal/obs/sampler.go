@@ -176,9 +176,6 @@ func (s *Sampler) Record(snap Snapshot) {
 // Rows returns the recorded intervals.
 func (s *Sampler) Rows() []Row { return s.rows }
 
-// ClampedRows returns how many intervals had their accuracy clamped to 1.
-func (s *Sampler) ClampedRows() uint64 { return s.clamped }
-
 // Series packages the recorded rows with schema metadata.
 func (s *Sampler) Series() *TimeSeries {
 	return &TimeSeries{

@@ -1,3 +1,9 @@
+// Package prefetch hosts the baseline hardware prefetchers the paper
+// compares against (one subpackage per design) and the registry that
+// names them.
+//
+// Every prefetcher implements cache.Prefetcher and is constructed by a
+// factory so per-core instances stay independent in multi-core runs.
 package prefetch
 
 import (

@@ -36,15 +36,3 @@ func TestAllSorted(t *testing.T) {
 		}
 	}
 }
-
-func TestPageHelpers(t *testing.T) {
-	if prefetch.PageOf(130) != 2 {
-		t.Fatal("PageOf wrong")
-	}
-	if prefetch.OffsetOf(130) != 2 {
-		t.Fatal("OffsetOf wrong")
-	}
-	if !prefetch.SamePage(128, 191) || prefetch.SamePage(191, 192) {
-		t.Fatal("SamePage wrong")
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"sync"
 
 	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/harness"
@@ -115,121 +114,24 @@ type failedRun struct {
 	Error string `json:"error"`
 }
 
-// campaignState is one submitted campaign's in-memory progress. The
-// counters move per key (noteKeyDone, noteKeyFailed), fed by enqueue and
-// by the pool's completion paths, acceptEntry and acceptFailure.
+// campaignState is one submitted campaign's identity. Its progress is not
+// kept here: status and buildReport read each key's outcome from the
+// harness memo, the one place a daemon outcome lands (acceptEntry,
+// acceptFailure, or enqueue's seeding from the result store).
 type campaignState struct {
 	id    string
 	name  string
 	specs []harness.RunSpec
-	keys  map[string]bool // memo keys of every spec (completion fan-out filter)
-
-	mu        sync.Mutex
-	remaining int // specs not yet completed or failed (cancelled stay remaining)
-	completed int
-	doneK     map[string]bool // keys already counted via noteKeyDone/noteKeyFailed
-	failed    []failedRun
-	storeErr  string // first result-store write failure for one of keys
-	finished  bool
-	done      chan struct{}          // closed when remaining hits zero
-	subs      map[chan struct{}]bool // stream subscribers poked on every change
+	keys  []string // memo keys of every spec, sorted
 }
 
-// newCampaignState starts with everything remaining: per-key completions
-// (an accept path, or enqueue's already-done seeding) may race campaign
-// registration, and a pessimistic start means a completion arriving
-// before enqueue runs simply decrements early instead of corrupting
-// counters that have not been assigned yet.
 func newCampaignState(id, name string, specs []harness.RunSpec) *campaignState {
-	keys := make(map[string]bool, len(specs))
-	for _, s := range specs {
-		keys[s.Key()] = true
+	keys := make([]string, len(specs))
+	for i, s := range specs {
+		keys[i] = s.Key()
 	}
-	return &campaignState{
-		id:        id,
-		name:      name,
-		specs:     specs,
-		keys:      keys,
-		remaining: len(keys),
-		doneK:     map[string]bool{},
-		done:      make(chan struct{}),
-		subs:      map[chan struct{}]bool{},
-	}
-}
-
-// noteKeyDone counts one spec complete, exactly once per key no matter
-// how many paths report it (accept path, enqueue seeding, duplicate
-// worker): the done set is the dedup.
-func (c *campaignState) noteKeyDone(key string) {
-	c.mu.Lock()
-	if c.doneK[key] {
-		c.mu.Unlock()
-		return
-	}
-	c.doneK[key] = true
-	c.completed++
-	c.remaining--
-	c.maybeFinishLocked()
-	c.notifyLocked()
-	c.mu.Unlock()
-}
-
-// noteKeyFailed counts one spec failed, with the same per-key dedup.
-func (c *campaignState) noteKeyFailed(key, msg string) {
-	c.mu.Lock()
-	if c.doneK[key] {
-		c.mu.Unlock()
-		return
-	}
-	c.doneK[key] = true
-	c.failed = append(c.failed, failedRun{Key: key, Error: msg})
-	c.remaining--
-	c.maybeFinishLocked()
-	c.notifyLocked()
-	c.mu.Unlock()
-}
-
-// noteStoreErr keeps the first result-store write failure for the status
-// document. Callers note it before the key's noteKeyDone, so the terminal
-// status already carries it.
-func (c *campaignState) noteStoreErr(err error) {
-	c.mu.Lock()
-	if c.storeErr == "" {
-		c.storeErr = err.Error()
-	}
-	c.mu.Unlock()
-}
-
-// maybeFinishLocked closes done exactly once when no work remains.
-func (c *campaignState) maybeFinishLocked() {
-	if c.remaining <= 0 && !c.finished {
-		c.finished = true
-		close(c.done)
-	}
-}
-
-// notifyLocked pokes every stream subscriber without blocking.
-func (c *campaignState) notifyLocked() {
-	for ch := range c.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// subscribe registers a progress listener; call the returned cancel to
-// drop it.
-func (c *campaignState) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	c.mu.Lock()
-	c.subs[ch] = true
-	c.mu.Unlock()
-	return ch, func() {
-		c.mu.Lock()
-		delete(c.subs, ch)
-		c.mu.Unlock()
-	}
+	sort.Strings(keys)
+	return &campaignState{id: id, name: name, specs: specs, keys: keys}
 }
 
 // Campaign states reported by the status endpoint.
@@ -239,25 +141,48 @@ const (
 	StateFailed  = "failed"  // finished, but some specs failed
 )
 
-// status assembles the externally-visible progress snapshot.
-func (c *campaignState) status() *CampaignStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// outcomes reads c's finished keys from the memo, in key order: the runs
+// that completed and the ones that failed. A key with neither (queued, in
+// flight, or cancelled by a drain) is still running.
+func (s *Server) outcomes(c *campaignState) (runs []campaign.Entry, failed []failedRun) {
+	for _, k := range c.keys {
+		if r, ok := s.h.ResultFor(k); ok {
+			runs = append(runs, campaign.Entry{Key: k, Result: r})
+		} else if err := s.h.FailureFor(k); err != nil {
+			failed = append(failed, failedRun{Key: k, Error: err.Error()})
+		}
+	}
+	return runs, failed
+}
+
+// status assembles the externally-visible progress snapshot. A key's store
+// error is recorded before its result is memoized, so a status that counts
+// the key complete also carries the error.
+func (s *Server) status(c *campaignState) *CampaignStatus {
+	runs, failed := s.outcomes(c)
 	st := &CampaignStatus{
 		SchemaVersion: APISchemaVersion,
 		ID:            c.id,
 		Name:          c.name,
 		State:         StateRunning,
-		Total:         len(c.specs),
-		Completed:     c.completed,
-		Failed:        len(c.failed),
-		StoreError:    c.storeErr,
+		Total:         len(c.keys),
+		Completed:     len(runs),
+		Failed:        len(failed),
 	}
-	if c.finished {
-		st.State = StateDone
-		if len(c.failed) > 0 {
-			st.State = StateFailed
+	s.mu.Lock()
+	for _, k := range c.keys {
+		if msg, ok := s.storeErrs[k]; ok {
+			st.StoreError = msg
+			break
 		}
+	}
+	s.mu.Unlock()
+	switch {
+	case len(runs)+len(failed) < len(c.keys):
+	case len(failed) > 0:
+		st.State = StateFailed
+	default:
+		st.State = StateDone
 	}
 	return st
 }

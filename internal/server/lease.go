@@ -126,9 +126,9 @@ func (p *leasePool) wakeLocked() {
 }
 
 // add registers specs as pending work. Keys the pool already finished are
-// returned (the caller counts them complete immediately); keys already
-// pending or leased are silently shared — their eventual completion
-// notifies every interested campaign.
+// returned; keys already pending or leased are silently shared — their
+// eventual completion lands in the memo, where every campaign naming them
+// reads it.
 func (p *leasePool) add(specs []harness.RunSpec) (alreadyDone []string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -352,35 +352,29 @@ func (p *leasePool) workerStatuses() []WorkerStatus {
 
 // ---- coordinator-side completion paths ----
 
-// acceptEntry lands one result, pushed by a remote worker or produced by
-// an in-process one: the pool decides its fate (the single authority on
-// first-vs-duplicate), and only a first completion touches the store, the
-// memo cache, and the campaign counters. A store write failure is logged
-// and noted on every interested campaign's status. Returns "accepted",
-// "duplicate", or "unknown".
+// acceptEntry is where every daemon result lands, pushed by a remote
+// worker or produced by an in-process one. The pool decides its fate (the
+// single authority on first-vs-duplicate), and a first completion goes, in
+// this order, to the result store, the memo, OnResult and the progress
+// streams: a status counts the key complete only once its store write has
+// returned. A store write failure is logged and kept for the status of
+// every campaign naming the key. Returns "accepted", "duplicate", or
+// "unknown".
 func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 	fresh, known := s.pool.finish(worker, key)
 	if fresh {
-		putErr := s.store.Put(key, r)
-		if putErr != nil {
-			s.logf("%v", putErr)
+		if err := s.store.Put(key, r); err != nil {
+			s.logf("%v", err)
+			s.mu.Lock()
+			s.storeErrs[key] = err.Error()
+			s.mu.Unlock()
 		}
 		s.h.SeedResult(key, r)
+		if s.h.OnResult != nil {
+			s.h.OnResult(key, s.pool.spec(key), r)
+		}
 		s.live.RunCompleted()
-		s.mu.Lock()
-		var interested []*campaignState
-		for _, c := range s.campaigns {
-			if c.keys[key] {
-				interested = append(interested, c)
-			}
-		}
-		s.mu.Unlock()
-		for _, c := range interested {
-			if putErr != nil {
-				c.noteStoreErr(putErr)
-			}
-			c.noteKeyDone(key)
-		}
+		s.progressed()
 		return "accepted"
 	}
 	if known {
@@ -404,10 +398,9 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 }
 
 // acceptFailure lands one failure, pushed or in-process. The harness
-// memoizes it (an in-process failure already is), so it is terminal for
-// this daemon life and a later campaign naming the key fails it with the
-// same text; failures are not persisted, so they re-execute after a
-// restart.
+// memoizes it, so it is terminal for this daemon life and a later
+// campaign naming the key fails it with the same text; failures are not
+// persisted, so they re-execute after a restart.
 func (s *Server) acceptFailure(worker, key, msg string) string {
 	fresh, known := s.pool.finish(worker, key)
 	if !fresh {
@@ -419,17 +412,7 @@ func (s *Server) acceptFailure(worker, key, msg string) string {
 	}
 	s.h.SeedFailure(s.pool.spec(key), errors.New(msg))
 	s.live.RunFailed()
-	s.mu.Lock()
-	var interested []*campaignState
-	for _, c := range s.campaigns {
-		if c.keys[key] {
-			interested = append(interested, c)
-		}
-	}
-	s.mu.Unlock()
-	for _, c := range interested {
-		c.noteKeyFailed(key, msg)
-	}
+	s.progressed()
 	return "failed"
 }
 
@@ -525,8 +508,8 @@ func (s *Server) handleLeaseHeartbeat(w http.ResponseWriter, r *http.Request) {
 // real regardless of the lease's fate) and during a drain (the result
 // store makes every landed result crash-safe) — the per-entry
 // accounting in the response says what actually happened. Each accepted
-// entry fires the harness's OnResult once, as an in-process run does from
-// the harness, so hooks such as a provenance roll-up see pushed runs too.
+// entry fires the harness's OnResult once, from acceptEntry, so hooks such
+// as a provenance roll-up see pushed runs too.
 func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req ResultsRequest
@@ -552,9 +535,6 @@ func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 		case "accepted":
 			resp.Accepted++
 			s.live.RemoteResult()
-			if s.h.OnResult != nil {
-				s.h.OnResult(e.Key, s.pool.spec(e.Key), e.Result)
-			}
 		case "duplicate":
 			resp.Duplicates++
 		default:

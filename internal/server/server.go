@@ -32,8 +32,8 @@ type Options struct {
 	// Harness executes the runs (required). The daemon runs
 	// max(Harness.Workers, 1) in-process lease workers on it. The server
 	// installs no OnResult hook; set one of your own before New starts
-	// the workers. It fires once per run: from the harness for an
-	// in-process run, from the lease endpoint for a pushed result.
+	// the workers. It fires once per run, in-process or pushed, when the
+	// daemon lands the result: after the result store and the memo.
 	Harness *harness.Harness
 	// DataDir is the daemon's state root (required): campaign manifests
 	// live in DataDir/campaigns, the content-addressed result store in
@@ -78,7 +78,11 @@ type Server struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
-	draining  bool
+	storeErrs map[string]string // run key -> its failed result-store write
+	// progress is closed (and replaced) whenever an outcome lands; a
+	// stream takes it before reading a status, so no change is missed.
+	progress chan struct{}
+	draining bool
 }
 
 // New builds the server: opens the result store for the harness's scale,
@@ -115,6 +119,8 @@ func New(opts Options) (*Server, error) {
 		campDir:   campDir,
 		logf:      logf,
 		campaigns: map[string]*campaignState{},
+		storeErrs: map[string]string{},
+		progress:  make(chan struct{}),
 	}
 	s.pool = newLeasePool(opts.LeaseTTL, opts.HeartbeatInterval, lv)
 	lv.SetFleetGauges(s.pool.gauges)
@@ -133,12 +139,13 @@ func New(opts Options) (*Server, error) {
 }
 
 // localWorker is one in-process lease worker. It takes one spec per
-// acquire, runs it on the harness, and lands the outcome through
-// acceptEntry or acceptFailure, the same finish-gated path a remote push
-// takes. Idle, it blocks on the pool's wake channel, taken before acquire
-// so a spec added in between still wakes it. A drain cancels the run and
-// leaves its spec leased; the manifest and result store resume it next
-// life.
+// acquire, runs it unmemoized on the harness with the hooks a memoized run
+// gets, and lands the outcome through acceptEntry or acceptFailure, the
+// same finish-gated path a remote push takes: the result is stored before
+// the memo holds it. Idle, it blocks on the pool's wake channel, taken
+// before acquire so a spec added in between still wakes it. A drain
+// cancels the run and leaves its spec leased; the manifest and result
+// store resume it next life.
 func (s *Server) localWorker(id string) {
 	defer s.workerWG.Done()
 	for s.runCtx.Err() == nil {
@@ -152,7 +159,7 @@ func (s *Server) localWorker(id string) {
 			continue
 		}
 		spec := specs[0]
-		r, err := s.h.RunContext(s.runCtx, spec)
+		r, err := s.h.RunWithContext(s.runCtx, spec, s.h.RunOptions())
 		switch {
 		case err == nil:
 			s.acceptEntry(id, spec.Key(), r)
@@ -169,7 +176,7 @@ func (s *Server) localWorker(id string) {
 }
 
 // recover rebuilds every on-disk campaign after a restart. Each manifest
-// names a campaign's specs; enqueue counts the ones the result store
+// names a campaign's specs; enqueue seeds the ones the result store
 // already holds and re-queues the rest. A manifest that does not load, or
 // was written at another scale, is skipped with a log line.
 func (s *Server) recover() error {
@@ -195,39 +202,41 @@ func (s *Server) recover() error {
 		s.campaigns[c.id] = c
 		s.mu.Unlock()
 		s.enqueue(c)
-		s.logf("server: resumed campaign %s (%d specs, %d already complete)", c.id, len(c.specs), c.status().Completed)
+		s.logf("server: resumed campaign %s (%d specs, %d already complete)", c.id, len(c.specs), s.status(c).Completed)
 	}
 	return nil
 }
 
-// enqueue counts what of c is already finished (a memoized result, the
-// result store, or a failure memoized this daemon life) and adds the
-// remainder to the lease pool. Safe to call exactly once per
-// campaignState, after c is registered. Counters start pessimistic
-// (everything remaining) and dedupe per key, so a completion racing this
-// call is counted once. A key the pool finished after the checks below
-// was landed by acceptEntry or acceptFailure, which saw c registered and
-// noted it.
+// enqueue seeds the memo with every spec of c the result store holds and
+// adds the specs with no memoized outcome to the lease pool, which skips
+// keys it already tracks. Status reads progress from the memo, so a key
+// the pool finishes while this runs counts once acceptEntry or
+// acceptFailure memoizes it, for every campaign that names it.
 func (s *Server) enqueue(c *campaignState) {
 	var todo []harness.RunSpec
 	for _, spec := range c.specs {
 		key := spec.Key()
 		if _, ok := s.h.ResultFor(key); ok {
-			c.noteKeyDone(key)
 			continue
 		}
 		if r, ok := s.store.Get(key); ok {
 			s.h.SeedResult(key, r)
-			c.noteKeyDone(key)
 			continue
 		}
-		if err := s.h.FailureFor(key); err != nil {
-			c.noteKeyFailed(key, err.Error())
-			continue
+		if s.h.FailureFor(key) == nil {
+			todo = append(todo, spec)
 		}
-		todo = append(todo, spec)
 	}
 	s.pool.add(todo)
+	s.progressed()
+}
+
+// progressed wakes every stream: some campaign's status may have changed.
+func (s *Server) progressed() {
+	s.mu.Lock()
+	close(s.progress)
+	s.progress = make(chan struct{})
+	s.mu.Unlock()
 }
 
 // Drain stops the service gracefully: new submissions get 503, the run
@@ -316,9 +325,9 @@ type CampaignStatus struct {
 	Total         int    `json:"total"`
 	Completed     int    `json:"completed"`
 	Failed        int    `json:"failed"`
-	// StoreError is the first result-store write failure for any of the
-	// campaign's keys. Those results are served this daemon life but
-	// re-execute after a restart.
+	// StoreError is the result-store write failure of the campaign's first
+	// key, in key order, whose write failed. Those results are served this
+	// daemon life but re-execute after a restart.
 	StoreError string `json:"store_error,omitempty"`
 }
 
@@ -340,7 +349,7 @@ type Report struct {
 
 // SortedRuns sorts keys in place and resolves each through h's memo
 // cache; keys without a memoized result are left out. Every Report lists
-// its runs this way.
+// its runs this way (a campaign's keys are sorted once, at admission).
 func SortedRuns(h *harness.Harness, keys []string) []campaign.Entry {
 	sort.Strings(keys)
 	runs := make([]campaign.Entry, 0, len(keys))
@@ -473,7 +482,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	statuses := make([]*CampaignStatus, len(all))
 	for i, c := range all {
-		statuses[i] = c.status()
+		statuses[i] = s.status(c)
 	}
 	sort.Slice(statuses, func(i, j int) bool { return statuses[i].ID < statuses[j].ID })
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -488,7 +497,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("unknown campaign"))
 		return
 	}
-	writeJSON(w, http.StatusOK, c.status())
+	writeJSON(w, http.StatusOK, s.status(c))
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -497,7 +506,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("unknown campaign"))
 		return
 	}
-	st := c.status()
+	st := s.status(c)
 	if st.State == StateRunning {
 		writeErr(w, http.StatusConflict,
 			fmt.Errorf("campaign is still %s (%d of %d complete)", st.State, st.Completed, st.Total))
@@ -506,31 +515,27 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.buildReport(c))
 }
 
-// buildReport assembles the deterministic report: the campaign's runs
-// through SortedRuns (the result store seeded the memo cache after any
-// restart) and its failures sorted by key.
+// buildReport assembles the deterministic report from the memo (the result
+// store seeded it after any restart): the campaign's runs and failures,
+// both in key order.
 func (s *Server) buildReport(c *campaignState) *Report {
-	keys := make([]string, 0, len(c.keys))
-	for k := range c.keys {
-		keys = append(keys, k)
+	runs, failed := s.outcomes(c)
+	if runs == nil {
+		runs = []campaign.Entry{}
 	}
-	rep := &Report{
+	return &Report{
 		SchemaVersion: ReportSchemaVersion,
 		ID:            c.id,
 		Name:          c.name,
 		Scale:         s.h.Scale,
-		Runs:          SortedRuns(s.h, keys),
+		Runs:          runs,
+		Failed:        failed,
 	}
-	c.mu.Lock()
-	failed := append([]failedRun(nil), c.failed...)
-	c.mu.Unlock()
-	sort.Slice(failed, func(i, j int) bool { return failed[i].Key < failed[j].Key })
-	rep.Failed = failed
-	return rep
 }
 
-// handleStream serves server-sent events: one status document per progress
-// change, a final one when the campaign finishes, then the stream closes.
+// handleStream serves server-sent events: the current status, then one
+// each time it changes, ending with the terminal one; then the stream
+// closes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.campaignByID(r.PathValue("id"))
 	if !ok {
@@ -546,31 +551,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 
-	events, cancel := c.subscribe()
-	defer cancel()
-	send := func() bool {
-		body, err := json.Marshal(c.status())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", body); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !send() {
-		return
-	}
+	var last CampaignStatus
 	for {
-		select {
-		case <-events:
-			if !send() {
+		s.mu.Lock()
+		progress := s.progress
+		s.mu.Unlock()
+		st := s.status(c)
+		if *st != last {
+			body, err := json.Marshal(st)
+			if err != nil {
 				return
 			}
-		case <-c.done:
-			send()
+			if _, err := fmt.Fprintf(w, "data: %s\n\n", body); err != nil {
+				return
+			}
+			fl.Flush()
+			last = *st
+		}
+		if st.State != StateRunning {
 			return
+		}
+		select {
+		case <-progress:
 		case <-r.Context().Done():
 			return
 		}

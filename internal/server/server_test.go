@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -421,7 +422,7 @@ func cl1WaitlessStatus(s *Server, id string) (*CampaignStatus, error) {
 	if !ok {
 		return nil, errors.New("unknown campaign")
 	}
-	return c.status(), nil
+	return s.status(c), nil
 }
 
 // TestClientBatchLandsEveryRun: Client.Batch runs a spec set as one
@@ -842,6 +843,89 @@ func TestStoreErrorOnStatus(t *testing.T) {
 	}
 	if len(rep.Runs) != len(specs) {
 		t.Fatalf("report holds %d runs, want %d served from memory", len(rep.Runs), len(specs))
+	}
+}
+
+// TestStreamSendsEachChange follows a campaign's SSE stream to its end:
+// every event differs from the one before it, progress never goes back,
+// the last event is the terminal status GET serves, and the stream then
+// closes. No event counts a run complete before the result store holds
+// it.
+func TestStreamSendsEachChange(t *testing.T) {
+	h := harness.New(srvScale)
+	h.Workers = 2 // one run can land while the other is in flight
+	s, err := New(Options{Harness: h, DataDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	ctx := testCtx(t)
+
+	specs := srvSpecs()
+	ack, err := cl.Submit(ctx, "stream", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/v1/campaigns/"+ack.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET stream: %s", resp.Status)
+	}
+	var events []CampaignStatus
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		stored := s.store.Len()
+		var st CampaignStatus
+		if err := json.Unmarshal([]byte(data), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Completed > stored {
+			t.Fatalf("event %+v counts %d complete, but the store holds %d results", st, st.Completed, stored)
+		}
+		if n := len(events); n > 0 {
+			prev := events[n-1]
+			if st == prev {
+				t.Fatalf("event %d repeats the one before it: %+v", n, st)
+			}
+			if st.Completed+st.Failed < prev.Completed+prev.Failed {
+				t.Fatalf("progress went back: %+v after %+v", st, prev)
+			}
+			if prev.State != StateRunning {
+				t.Fatalf("event %+v after the terminal %+v", st, prev)
+			}
+		}
+		events = append(events, st)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream did not close cleanly: %v", err)
+	}
+	if len(events) == 0 {
+		t.Fatal("stream sent no events")
+	}
+	last := events[len(events)-1]
+	if last.State != StateDone || last.Completed != len(specs) {
+		t.Fatalf("last event %+v, want done %d/%d", last, len(specs), len(specs))
+	}
+	got, err := cl.Status(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != last {
+		t.Fatalf("GET status %+v differs from the last event %+v", *got, last)
 	}
 }
 
