@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -74,15 +73,14 @@ func (e *PanicError) Error() string { return fmt.Sprintf("harness: run panicked:
 type RunError struct {
 	// Spec is the failing run.
 	Spec RunSpec
-	// Attempts is how many executions were tried (2 after a retry).
-	Attempts int
-	// Err is the final failure.
+	// Err is the failure.
 	Err error
 }
 
-// Error implements error.
+// Error implements error. A run executes once; the attempt count stays in
+// the text so failure reports keep their bytes.
 func (e *RunError) Error() string {
-	return fmt.Sprintf("harness: run %s failed after %d attempt(s): %v", e.Spec.key(), e.Attempts, e.Err)
+	return fmt.Sprintf("harness: run %s failed after 1 attempt(s): %v", e.Spec.key(), e.Err)
 }
 
 // Unwrap exposes the cause to errors.Is/As.
@@ -122,136 +120,6 @@ func (e *RunFailures) Error() string {
 // runs finish in seconds; only a genuine hang (which the cycle-domain
 // watchdog usually catches first) burns this long.
 const DefaultRunTimeout = 10 * time.Minute
-
-// Retry-policy defaults (see RetryPolicy).
-const (
-	DefaultRetryAttempts   = 2
-	DefaultRetryBackoff    = 50 * time.Millisecond
-	DefaultRetryMaxBackoff = 2 * time.Second
-)
-
-// RetryPolicy bounds how the harness re-executes transiently-failing runs:
-// up to MaxAttempts total executions with exponential backoff between them.
-// The jitter is deterministic — mixed from Seed, the spec key, and the
-// attempt number — so identical campaigns sleep identically and a resumed
-// campaign is reproducible.
-type RetryPolicy struct {
-	// MaxAttempts is the total execution budget per run, including the
-	// first attempt (0 selects DefaultRetryAttempts; 1 disables retries).
-	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry; each further retry
-	// doubles it (0 selects DefaultRetryBackoff).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (0 selects
-	// DefaultRetryMaxBackoff).
-	MaxBackoff time.Duration
-	// Seed drives the deterministic jitter added to each backoff.
-	Seed uint64
-}
-
-func (p RetryPolicy) maxAttempts() int {
-	if p.MaxAttempts <= 0 {
-		return DefaultRetryAttempts
-	}
-	return p.MaxAttempts
-}
-
-// delay computes the backoff before retry number attempt (1-based: the
-// sleep between the first failure and the second execution): base doubled
-// per attempt, capped, plus deterministic jitter in [0, delay/2].
-func (p RetryPolicy) delay(key string, attempt int) time.Duration {
-	base, maxB := p.BaseBackoff, p.MaxBackoff
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
-	if maxB <= 0 {
-		maxB = DefaultRetryMaxBackoff
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= maxB {
-			d = maxB
-			break
-		}
-	}
-	if d > maxB {
-		d = maxB
-	}
-	if half := uint64(d / 2); half > 0 {
-		d += time.Duration(splitmix64(p.Seed^hashKey(key)^uint64(attempt)) % (half + 1))
-	}
-	return d
-}
-
-// Sleep blocks for the backoff before retry number attempt (1-based) of
-// the given identity key, aborting early when ctx fires, and reports
-// whether the retry should proceed (false = ctx cancelled).
-func (p RetryPolicy) Sleep(ctx context.Context, key string, attempt int) bool {
-	t := time.NewTimer(p.delay(key, attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// hashKey folds a spec key into 64 bits (FNV-1a) for the jitter mix.
-func hashKey(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix64 is the finalizer used to decorrelate the jitter inputs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// transient reports whether a failure class is worth retrying on attempt
-// number attempt (1-based). Deterministic classes — invalid specs/configs,
-// invariant violations, simulated hangs, cancellations — are never
-// retried: re-executing reproduces them exactly. Environmental classes
-// are: corpus/trace I/O (a flaky disk, a corrupt on-disk entry the corpus
-// regenerates on the next attempt), wall-clock deadline overruns (machine
-// load), and panics on their first occurrence only.
-func transient(err error, attempt int) bool {
-	if sim.IsCancel(err) {
-		return false
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return attempt == 1 // retry a panic once, never chase a crash loop
-	}
-	var specErr *SpecError
-	var cfgErr *sim.ConfigError
-	var vioErr *check.ViolationError
-	var stallErr *sim.StallError
-	if errors.As(err, &specErr) || errors.As(err, &cfgErr) ||
-		errors.As(err, &vioErr) || errors.As(err, &stallErr) {
-		return false
-	}
-	var dlErr *sim.DeadlineError
-	if errors.As(err, &dlErr) {
-		return true
-	}
-	// Corpus and trace-file I/O: path errors, syscall errors, short reads,
-	// and structural damage in an on-disk container (which Corpus.Ensure
-	// regenerates on the next attempt).
-	var pathErr *os.PathError
-	var sysErr *os.SyscallError
-	var fmtErr *tracestore.FormatError
-	return errors.As(err, &pathErr) || errors.As(err, &sysErr) || errors.As(err, &fmtErr) ||
-		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.ErrClosedPipe)
-}
 
 // Scale sizes the experiments. The paper simulates 50M warmup + 200M
 // instructions per trace; these scales preserve the methodology at
@@ -368,9 +236,6 @@ type Harness struct {
 	// prefetchers, trace-level fault plans) fall back to the in-memory
 	// path.
 	CorpusDir string
-	// Retry bounds re-execution of transiently-failing runs (zero value =
-	// defaults: 2 attempts, 50ms exponential backoff capped at 2s).
-	Retry RetryPolicy
 	// OnResult, when set, is invoked (outside the harness lock, possibly
 	// from concurrent workers) for every freshly-completed memoized run —
 	// the campaign journal's subscription point. Memo hits and seeded
@@ -439,7 +304,7 @@ func (h *Harness) Failures() []*RunError {
 	for i, k := range keys {
 		e := h.runs[k]
 		if !errors.As(e.err, &out[i]) {
-			out[i] = &RunError{Spec: e.spec, Attempts: 1, Err: e.err}
+			out[i] = &RunError{Spec: e.spec, Err: e.err}
 		}
 	}
 	h.mu.Unlock()
@@ -632,10 +497,10 @@ func (h *Harness) acquire() func() {
 
 // RunContext executes (or returns the memoized result of) one simulation.
 // Both outcomes are memoized: a failing spec returns the same error
-// without re-running, and Failures lists it (with panic recovery and the
-// retry policy already applied). Once ctx is done the in-flight simulation
-// stops at the engine's next poll stride and the call returns an error
-// chain holding a *sim.CancelError. Cancelled runs are not memoized — a
+// without re-running, and Failures lists it (a panic comes back as a
+// *PanicError). Once ctx is done the in-flight simulation stops at the
+// engine's next poll stride and the call returns an error chain holding
+// a *sim.CancelError. Cancelled runs are not memoized — a
 // resumed campaign re-executes them.
 //
 // Identical specs are single-flight: when a spec's key is already
@@ -783,37 +648,19 @@ func placeholderResult(spec RunSpec) *sim.Result {
 	return &sim.Result{Config: cfg, Cores: make([]sim.CoreResult, n)}
 }
 
-// runProtected executes one run with panic recovery, the wall-clock
-// deadline, and the retry policy applied to transient failure classes
-// (bounded attempts, exponential backoff with deterministic jitter). A run
-// whose fault plan damages the trace bytes is never retried: its
-// *tracestore.FormatError looks like a corrupt corpus entry, but the
-// damage is seeded and reproduces exactly. Final failures come back as a
-// *RunError; cancellations come back as they are, never retried.
+// runProtected executes one run once, with panic recovery and the
+// wall-clock deadline. The engine is deterministic, so a failed run is not
+// re-executed: a failure comes back as a *RunError (a panic as one wrapping
+// a *PanicError) and a cancellation comes back as it is.
 func (h *Harness) runProtected(ctx context.Context, spec RunSpec, opts sim.Options) (*sim.Result, error) {
-	retry := opts.Fault == nil || !opts.Fault.TraceFault()
-	attempts := 0
-	for {
-		attempts++
-		res, err := protect(func() (*sim.Result, error) { return h.run(ctx, spec, opts) })
-		if err == nil {
-			return res, nil
-		}
-		if sim.IsCancel(err) {
-			// Not a failure: the campaign is shutting down. Never retried,
-			// and RunContext skips memoization.
-			return res, err
-		}
-		if retry && attempts < h.Retry.maxAttempts() && transient(err, attempts) {
-			if !h.Retry.Sleep(ctx, spec.key(), attempts) {
-				return nil, &sim.CancelError{Cause: ctx.Err()}
-			}
-			continue
-		}
-		// Checked runs keep their partial result next to the violation
-		// error so callers can inspect what the damaged run produced.
-		return res, &RunError{Spec: spec, Attempts: attempts, Err: err}
+	res, err := protect(func() (*sim.Result, error) { return h.run(ctx, spec, opts) })
+	if err == nil || sim.IsCancel(err) {
+		// A cancellation is not a failure: RunContext skips memoization.
+		return res, err
 	}
+	// Checked runs keep their partial result next to the violation error
+	// so callers can inspect what the damaged run produced.
+	return res, &RunError{Spec: spec, Err: err}
 }
 
 // protect runs f, converting a panic into a *PanicError with the goroutine
@@ -879,7 +726,7 @@ func (h *Harness) RunOptions() sim.Options {
 // Unmemoized runs bypass the memo cache in both directions: a time series
 // or event trace belongs to a single execution, and the result must
 // reflect the run that produced it. Failures get the same protection as
-// RunContext: panic recovery, deadline, the retry policy. They are returned
+// RunContext: panic recovery and the deadline. They are returned
 // to the caller only; Failures does not list them, and OnResult does not
 // fire. A caller that lands the outcome somewhere first (the campaign
 // daemon stores it, then seeds it) runs with RunOptions' hooks and seeds
@@ -1058,7 +905,7 @@ func (h *Harness) RunManyContext(ctx context.Context, specs []RunSpec) ([]*sim.R
 		}
 		var re *RunError
 		if !errors.As(err, &re) {
-			re = &RunError{Spec: specs[i], Attempts: 1, Err: err}
+			re = &RunError{Spec: specs[i], Err: err}
 		}
 		if sim.IsCancel(err) {
 			fails.Cancelled = append(fails.Cancelled, re)

@@ -1,14 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/bertisim/berti/internal/check"
 	"github.com/bertisim/berti/internal/core"
@@ -45,14 +44,62 @@ func TestTraceFaultsYieldFormatError(t *testing.T) {
 				t.Fatalf("format error must locate the damage, offset=%d", fe.Offset)
 			}
 			var re *RunError
-			if !errors.As(err, &re) || re.Attempts != 1 {
-				t.Fatalf("seeded trace damage must not be retried: %v", err)
+			if !errors.As(err, &re) {
+				t.Fatalf("trace damage must fail as a *RunError: %v", err)
 			}
 			// The pristine memoized trace must be untouched by the damage.
 			if _, err := h.RunContext(context.Background(), faultSpec); err != nil {
 				t.Fatalf("fault-free rerun after trace fault: %v", err)
 			}
 		})
+	}
+}
+
+// TestDamagedCorpusChunkFailsEveryRun: a corpus entry whose first chunk
+// payload is damaged behind an intact footer still opens, so Ensure keeps
+// it. Every run over it fails with the chunk's *tracestore.FormatError,
+// leaves the file as it was, and a fresh harness fails the same way: the
+// entry is only regenerated once it is deleted.
+func TestDamagedCorpusChunkFailsEveryRun(t *testing.T) {
+	dir := t.TempDir()
+	h := New(faultScale)
+	h.CorpusDir = dir
+	if _, err := h.RunContext(context.Background(), faultSpec); err != nil {
+		t.Fatalf("populating run: %v", err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.btr2"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one corpus entry, got %v (%v)", paths, err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := tracestore.HeadMagicLen + 16; i < tracestore.HeadMagicLen+48; i++ {
+		data[i] ^= 0xFF
+	}
+	if err := os.WriteFile(paths[0], data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	var first string
+	for run := 0; run < 2; run++ {
+		h := New(faultScale)
+		h.CorpusDir = dir
+		_, err := h.RunContext(context.Background(), faultSpec)
+		var re *RunError
+		var fe *tracestore.FormatError
+		if !errors.As(err, &re) || !errors.As(err, &fe) || fe.Section != "chunk" || fe.Chunk != 0 {
+			t.Fatalf("run %d: want a *RunError holding chunk 0's *tracestore.FormatError, got %v", run, err)
+		}
+		if got, err := os.ReadFile(paths[0]); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("run %d: the damaged entry must be left as it was (%v)", run, err)
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("a fresh harness failed differently:\n%s\n%s", err, first)
+		}
 	}
 }
 
@@ -193,7 +240,7 @@ func TestRunManyPartialResults(t *testing.T) {
 }
 
 // TestPanicBecomesError: a panic inside a run must come back as a
-// *PanicError with the stack attached, and count as retryable.
+// *PanicError with the stack attached.
 func TestPanicBecomesError(t *testing.T) {
 	_, err := protect(func() (*sim.Result, error) { panic("boom") })
 	var pe *PanicError
@@ -202,91 +249,6 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 	if pe.Value != "boom" || len(pe.Stack) == 0 {
 		t.Fatalf("panic value/stack not captured: %+v", pe)
-	}
-	if !transient(err, 1) {
-		t.Fatal("panics must be retryable on first occurrence (possibly environmental)")
-	}
-	if transient(err, 2) {
-		t.Fatal("a second panic is a crash loop and must not be retried again")
-	}
-	if transient(&SpecError{Field: "Workload", Name: "x"}, 1) {
-		t.Fatal("spec errors are deterministic and must not be retried")
-	}
-	if !transient(&sim.DeadlineError{}, 1) {
-		t.Fatal("deadline overruns must be retryable")
-	}
-}
-
-// TestRetryClassification pins the transient/deterministic split the retry
-// policy enforces: corpus I/O retries, everything reproducible does not.
-func TestRetryClassification(t *testing.T) {
-	transientErrs := []error{
-		&os.PathError{Op: "open", Path: "corpus/x.btr2", Err: errors.New("I/O error")},
-		os.NewSyscallError("read", errors.New("EIO")),
-		&tracestore.FormatError{Section: "chunk", Err: errors.New("crc mismatch")},
-		fmt.Errorf("reading chunk: %w", io.ErrUnexpectedEOF),
-		&sim.DeadlineError{},
-	}
-	for _, err := range transientErrs {
-		if !transient(err, 1) {
-			t.Errorf("%T (%v) must be classified transient", err, err)
-		}
-	}
-	deterministic := []error{
-		&sim.ConfigError{Field: "Cores", Reason: "must be >= 1"},
-		&check.ViolationError{Total: 1},
-		&sim.StallError{},
-		&sim.CancelError{Cause: context.Canceled},
-		&SpecError{Field: "Workload", Name: "x"},
-	}
-	for _, err := range deterministic {
-		if transient(err, 1) {
-			t.Errorf("%T (%v) must never be retried", err, err)
-		}
-	}
-	// Classification sees through the RunError/TraceReadError wrappers: a
-	// corpus entry damaged mid-stream is regenerated on the next attempt.
-	wrapped := &RunError{Spec: faultSpec, Attempts: 1,
-		Err: &sim.TraceReadError{Core: 0, Err: &tracestore.FormatError{Section: "chunk", Offset: 3}}}
-	if !transient(wrapped, 1) {
-		t.Error("a corpus FormatError must stay retryable through the wrappers")
-	}
-
-	// A trace-fault run fails with the same error class, but its damage is
-	// seeded and reproduces exactly, so the harness must not retry it.
-	h := New(faultScale)
-	h.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}
-	plan := &fault.Plan{Kind: fault.TruncateTrace, Seed: 11}
-	_, err := h.RunWithContext(context.Background(), faultSpec, sim.Options{Fault: plan})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("trace-fault run: want a *RunError, got %v", err)
-	}
-	if !transient(re.Err, 1) {
-		t.Fatalf("trace-fault error %v must be the retryable FormatError class", re.Err)
-	}
-	if re.Attempts != 1 {
-		t.Fatalf("trace-fault run executed %d times, want 1 (seeded damage is not retried)", re.Attempts)
-	}
-}
-
-// TestRetryBackoffDeterministic: the seeded jitter must make delays a pure
-// function of (seed, key, attempt), growing exponentially to the cap.
-func TestRetryBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{Seed: 7}
-	a := p.delay("k", 1)
-	if a != p.delay("k", 1) {
-		t.Fatal("identical inputs must give identical delays")
-	}
-	if p.delay("k", 1) == p.delay("other", 1) {
-		t.Fatal("jitter must vary across keys (seed-mixed)")
-	}
-	if d := p.delay("k", 20); d > DefaultRetryMaxBackoff+DefaultRetryMaxBackoff/2 {
-		t.Fatalf("delay must stay within cap+jitter, got %v", d)
-	}
-	base := RetryPolicy{Seed: 7, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 10 * time.Second}
-	if d1, d2 := base.delay("k", 1), base.delay("k", 3); d2 < 2*d1-base.BaseBackoff {
-		t.Fatalf("backoff must grow exponentially: attempt1=%v attempt3=%v", d1, d2)
 	}
 }
 

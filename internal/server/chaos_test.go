@@ -101,7 +101,7 @@ func TestLeaseChaosLostWorkerByteIdentical(t *testing.T) {
 	// blocks its results pushes. It will compute work it can never land.
 	victimCl := NewClient(ts.URL)
 	victimCl.SetTransport(&pathBlocker{base: http.DefaultTransport, substr: "/results"})
-	victimCl.Retry = harness.RetryPolicy{MaxAttempts: 2, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 5 * time.Millisecond}
+	victimCl.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 	vctx, vcancel := context.WithCancel(ctx)
 	victim := &Worker{
 		ID: "victim", Client: victimCl, Harness: harness.New(srvScale),
@@ -134,7 +134,7 @@ func TestLeaseChaosLostWorkerByteIdentical(t *testing.T) {
 	faultyCl := NewClient(ts.URL)
 	plan := &fault.NetPlan{Seed: 7, DropRate: 0.15, DelayRate: 0.3, Delay: 5 * time.Millisecond, DupRate: 0.2}
 	faultyCl.SetTransport(plan.Transport(nil))
-	faultyCl.Retry = harness.RetryPolicy{MaxAttempts: 6, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 25 * time.Millisecond}
+	faultyCl.Retry = RetryPolicy{MaxAttempts: 6, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 25 * time.Millisecond}
 	for i, c := range []*Client{faultyCl, NewClient(ts.URL)} {
 		w := &Worker{
 			ID: fmt.Sprintf("healthy-%d", i), Client: c, Harness: harness.New(srvScale),

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -30,22 +31,63 @@ var ErrLeaseLost = errors.New("server: lease expired or reassigned")
 // worker protocol (AcquireLease / Heartbeat / PushResults).
 //
 // Every request runs under Retry: transport errors and transient HTTP
-// statuses (5xx except where noted, 408, 429) are retried with the
-// harness's deterministic exponential-backoff-plus-splitmix64-jitter
-// schedule, so a network blip never fails a run. Permanent statuses
-// (4xx, including 410 lease-gone) surface immediately.
+// statuses (5xx except where noted, 408, 429) are re-sent with a
+// deterministic exponential backoff, so a network blip never fails a run.
+// These are the only retries in the system: a simulation is deterministic
+// and executes once. Permanent statuses (4xx, including 410 lease-gone)
+// surface immediately.
 type Client struct {
 	base string
 	hc   *http.Client
 	// PollInterval is the initial campaign-poll delay (default 250ms; each
-	// poll backs off 1.5x up to PollMax).
+	// poll backs off 1.5x up to pollMax).
 	PollInterval time.Duration
-	// PollMax caps the poll backoff (default 5s).
-	PollMax time.Duration
-	// Retry is the deterministic transient-error retry schedule shared
-	// with the harness (jitter keyed by method+path). MaxAttempts 1
-	// disables retries.
-	Retry harness.RetryPolicy
+	// Retry is the transient-error retry schedule.
+	Retry RetryPolicy
+}
+
+// pollMax caps WaitCampaign's poll backoff.
+const pollMax = 5 * time.Second
+
+// RetryPolicy bounds how the client re-sends a request that failed in
+// transit: up to MaxAttempts sends in all, sleeping before each re-send.
+// The sleep doubles from BaseBackoff up to MaxBackoff, plus jitter of up
+// to half the sleep. The jitter is a pure function of the request's method,
+// path and attempt number, so identical runs sleep identically.
+type RetryPolicy struct {
+	// MaxAttempts is the total number of sends, the first included (1 or
+	// less disables retries).
+	MaxAttempts int
+	// BaseBackoff is the sleep before the first re-send.
+	BaseBackoff time.Duration
+	// MaxBackoff caps the sleep before jitter.
+	MaxBackoff time.Duration
+}
+
+// delay is the sleep before re-send number attempt (1-based) of the request
+// identified by key.
+func (p RetryPolicy) delay(key string, attempt int) time.Duration {
+	d := p.BaseBackoff
+	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
+		d *= 2
+	}
+	if d > p.MaxBackoff {
+		d = p.MaxBackoff
+	}
+	if half := uint64(d / 2); half > 0 {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		d += time.Duration(splitmix64(h.Sum64()^uint64(attempt)) % (half + 1))
+	}
+	return d
+}
+
+// splitmix64 is the finalizer that decorrelates the jitter inputs.
+func splitmix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
 }
 
 // NewClient targets a bertid daemon at base (e.g. "http://127.0.0.1:9090").
@@ -54,8 +96,7 @@ func NewClient(base string) *Client {
 		base:         strings.TrimRight(base, "/"),
 		hc:           &http.Client{Timeout: 30 * time.Second},
 		PollInterval: 250 * time.Millisecond,
-		PollMax:      5 * time.Second,
-		Retry: harness.RetryPolicy{
+		Retry: RetryPolicy{
 			MaxAttempts: 4,
 			BaseBackoff: 100 * time.Millisecond,
 			MaxBackoff:  2 * time.Second,
@@ -90,10 +131,6 @@ func transientStatus(code int) bool {
 // status code and (bounded) body. Context cancellation surfaces as
 // *sim.CancelError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		code, data, err := c.roundTrip(ctx, method, path, body)
@@ -108,10 +145,14 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (int,
 		} else {
 			lastErr = decodeAPIError(code, data)
 		}
-		if attempt >= attempts {
+		if attempt >= c.Retry.MaxAttempts {
 			return code, data, lastErr
 		}
-		if !c.Retry.Sleep(ctx, method+" "+path, attempt) {
+		t := time.NewTimer(c.Retry.delay(method+" "+path, attempt))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
 			return 0, nil, &sim.CancelError{Cause: ctx.Err()}
 		}
 	}
@@ -185,10 +226,6 @@ func (c *Client) WaitCampaign(ctx context.Context, id string) (*CampaignStatus, 
 	if delay <= 0 {
 		delay = 250 * time.Millisecond
 	}
-	max := c.PollMax
-	if max <= 0 {
-		max = 5 * time.Second
-	}
 	for {
 		st, err := c.Status(ctx, id)
 		if err != nil {
@@ -202,8 +239,8 @@ func (c *Client) WaitCampaign(ctx context.Context, id string) (*CampaignStatus, 
 			return nil, &sim.CancelError{Cause: ctx.Err()}
 		case <-time.After(delay):
 		}
-		if delay = delay * 3 / 2; delay > max {
-			delay = max
+		if delay = delay * 3 / 2; delay > pollMax {
+			delay = pollMax
 		}
 	}
 }

@@ -125,20 +125,15 @@ func (p *leasePool) wakeLocked() {
 	}
 }
 
-// add registers specs as pending work. Keys the pool already finished are
-// returned; keys already pending or leased are silently shared — their
-// eventual completion lands in the memo, where every campaign naming them
-// reads it.
-func (p *leasePool) add(specs []harness.RunSpec) (alreadyDone []string) {
+// add registers specs as pending work. Keys the pool already knows
+// (pending, leased or finished) are shared: their completion lands in the
+// memo, where every campaign naming them reads it.
+func (p *leasePool) add(specs []harness.RunSpec) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, spec := range specs {
 		key := spec.Key()
-		st, ok := p.state[key]
-		if ok {
-			if st == specDone {
-				alreadyDone = append(alreadyDone, key)
-			}
+		if _, ok := p.state[key]; ok {
 			continue
 		}
 		p.state[key] = specPending
@@ -147,7 +142,6 @@ func (p *leasePool) add(specs []harness.RunSpec) (alreadyDone []string) {
 		p.pendingN++
 	}
 	p.wakeLocked()
-	return alreadyDone
 }
 
 // touchWorker updates the registry under the lock.

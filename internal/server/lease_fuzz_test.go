@@ -69,12 +69,19 @@ func FuzzLeasePool(f *testing.F) {
 			}
 			checkPoolInvariants(t, p, watch)
 		}
-		// Re-adding the same specs must report exactly the finished ones as
-		// already done and never resurrect them.
-		already := p.add(specs)
-		if len(already) != len(freshCount) {
-			t.Fatalf("re-add reported %d done keys, %d were finished", len(already), len(freshCount))
+		// Re-adding the known specs must leave the finished ones done and
+		// queue nothing.
+		pending := p.pendingN
+		p.add(specs[:added])
+		if p.pendingN != pending {
+			t.Fatalf("re-add moved pendingN from %d to %d", pending, p.pendingN)
 		}
+		for key := range freshCount {
+			if p.state[key] != specDone {
+				t.Fatalf("re-add resurrected finished key %q", key)
+			}
+		}
+		p.add(specs[added:]) // the never-added rest, for the drain below
 		// Drain to completion: every key ends done, first-completed once.
 		for _, key := range keys {
 			finish("fa", key)

@@ -144,8 +144,11 @@ func checkPoolInvariants(t *testing.T, p *leasePool, w *poolWatch) {
 func TestLeasePoolLifecycle(t *testing.T) {
 	p, clk := newFakePool(time.Second)
 	specs := poolSpecs(5)
-	if done := p.add(specs); len(done) != 0 {
-		t.Fatalf("fresh add reported %v already done", done)
+	p.add(specs)
+	for key, st := range p.state {
+		if st == specDone {
+			t.Fatalf("fresh add left %q done", key)
+		}
 	}
 	checkPoolInvariants(t, p, nil)
 
@@ -562,7 +565,7 @@ func TestClientRetriesTransient(t *testing.T) {
 	defer ts.Close()
 
 	cl := NewClient(ts.URL)
-	cl.Retry = harness.RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 10 * time.Millisecond}
+	cl.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 10 * time.Millisecond}
 
 	if _, err := cl.Workers(ctx); err != nil {
 		t.Fatalf("two 503s then success should succeed, got %v", err)
@@ -589,7 +592,7 @@ func TestClientRetriesTransient(t *testing.T) {
 	// Transport-level failure against a dead server retries, then gives a
 	// cancel-typed error when the context dies mid-backoff.
 	dead := NewClient("http://127.0.0.1:1")
-	dead.Retry = harness.RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
+	dead.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
 	cctx, cancel := context.WithTimeout(ctx, 60*time.Millisecond)
 	defer cancel()
 	_, err = dead.Workers(cctx)
@@ -602,6 +605,26 @@ func TestClientRetriesTransient(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffDeterministic: the client's jitter must make delays a
+// pure function of (request key, attempt), growing exponentially to the cap.
+func TestRetryBackoffDeterministic(t *testing.T) {
+	p := NewClient("").Retry
+	a := p.delay("k", 1)
+	if a != p.delay("k", 1) {
+		t.Fatal("identical inputs must give identical delays")
+	}
+	if p.delay("k", 1) == p.delay("other", 1) {
+		t.Fatal("jitter must vary across keys")
+	}
+	if d := p.delay("k", 20); d > p.MaxBackoff+p.MaxBackoff/2 {
+		t.Fatalf("delay must stay within cap+jitter, got %v", d)
+	}
+	base := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 10 * time.Second}
+	if d1, d2 := base.delay("k", 1), base.delay("k", 3); d2 < 2*d1-base.BaseBackoff {
+		t.Fatalf("backoff must grow exponentially: attempt1=%v attempt3=%v", d1, d2)
+	}
+}
+
 // TestLeaseDrainBehaviour: a draining coordinator refuses new leases
 // (503) and tells heartbeating workers to abandon their batches (410),
 // but still accepts results — landed work is never thrown away.
@@ -609,7 +632,7 @@ func TestLeaseDrainBehaviour(t *testing.T) {
 	ctx := testCtx(t)
 	s, ts := newLeaseTestServer(t, t.TempDir(), time.Minute)
 	cl := NewClient(ts.URL)
-	cl.Retry = harness.RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond}
+	cl.Retry = RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond}
 
 	spec := harness.RunSpec{Workload: "roms_like", L1DPf: "next-line"}
 	s.pool.add([]harness.RunSpec{spec})

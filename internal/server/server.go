@@ -164,13 +164,9 @@ func (s *Server) localWorker(id string) {
 		case err == nil:
 			s.acceptEntry(id, spec.Key(), r)
 		case !sim.IsCancel(err):
-			// Normalised to a *harness.RunError as the harness's batch
-			// runner does, so the failure text matches a worker's push.
-			var re *harness.RunError
-			if !errors.As(err, &re) {
-				re = &harness.RunError{Spec: spec, Attempts: 1, Err: err}
-			}
-			s.acceptFailure(id, spec.Key(), re.Error())
+			// A *harness.RunError, so the failure text matches a worker's
+			// push.
+			s.acceptFailure(id, spec.Key(), err.Error())
 		}
 	}
 }

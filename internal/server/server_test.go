@@ -272,7 +272,6 @@ func TestLocalLeasesNeverExpire(t *testing.T) {
 func TestFailedSpecFailsEveryCampaign(t *testing.T) {
 	h := harness.New(srvScale)
 	h.RunTimeout = time.Nanosecond
-	h.Retry = harness.RetryPolicy{MaxAttempts: 1}
 	s, err := New(Options{Harness: h, DataDir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +460,6 @@ func TestClientBatchLandsEveryRun(t *testing.T) {
 	// A run that fails on the daemon fails on the client.
 	fh := harness.New(srvScale)
 	fh.RunTimeout = time.Nanosecond
-	fh.Retry = harness.RetryPolicy{MaxAttempts: 1}
 	fs, err := New(Options{Harness: fh, DataDir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

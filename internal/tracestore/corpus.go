@@ -28,7 +28,7 @@ type Key struct {
 // container format. Files are content-addressed by generation parameters
 // (plus the format version, so a format bump invalidates cleanly), written
 // atomically via temp-file + rename, and regenerated transparently when
-// missing or corrupt.
+// missing or when Open rejects them.
 type Corpus struct {
 	dir string
 	// gen serializes cache misses so concurrent runs of the same spec
@@ -72,9 +72,11 @@ func sanitize(s string) string {
 }
 
 // Ensure opens the cached container for k, invoking gen and writing the
-// cache entry on a miss. A corrupt or truncated entry (interrupted write on
-// an old kernel, disk damage) is regenerated rather than surfaced: the
-// cache is an optimization, never a source of truth.
+// cache entry on a miss. Only an entry that fails Open (a truncated file,
+// a damaged footer, index or trailer) is regenerated rather than surfaced.
+// Open does not decode chunk payloads, so an entry whose payload is damaged
+// behind a valid footer is returned, and every read of that chunk fails
+// with a *FormatError until the file is deleted.
 func (c *Corpus) Ensure(k Key, gen func() *trace.Slice) (*File, error) {
 	path := c.Path(k)
 	if f, err := Open(path); err == nil {
