@@ -224,17 +224,11 @@ func RunExperiment(id string, w io.Writer, scale string) error {
 	if !ok {
 		return fmt.Errorf("berti: unknown experiment %q", id)
 	}
-	var s harness.Scale
-	switch scale {
-	case "quick":
-		s = harness.ScaleQuick
-	case "default":
-		s = harness.ScaleDefault
-	case "full":
-		s = harness.ScaleFull
-	case "":
+	s, ok := harness.ScaleByName(scale)
+	switch {
+	case scale == "":
 		s = harness.ScaleFromEnv()
-	default:
+	case !ok:
 		return fmt.Errorf("berti: unknown scale %q", scale)
 	}
 	h := harness.New(s)

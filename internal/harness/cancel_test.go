@@ -30,9 +30,9 @@ func cancelSpecs() []RunSpec {
 }
 
 // TestRunManyCancelMidPool cancels a RunManyContext batch after the first result
-// completes: the pool must drain without leaking goroutines, completed
-// slots keep their results, cancelled slots carry the typed *CancelError,
-// and nothing cancelled is memoized or recorded as a failure.
+// completes: the pool must drain without leaking goroutines, the batch
+// returns the typed *CancelError, completed slots keep their results, and
+// nothing cancelled is memoized or recorded as a failure.
 func TestRunManyCancelMidPool(t *testing.T) {
 	h := New(tinyScale)
 	h.Workers = 2
@@ -56,45 +56,38 @@ func TestRunManyCancelMidPool(t *testing.T) {
 		t.Errorf("worker pool leaked goroutines: %d before, %d after drain", before, n)
 	}
 
-	var fails *RunFailures
-	if !errors.As(err, &fails) {
-		t.Fatalf("cancelled batch must return *RunFailures, got %v", err)
+	var ce *sim.CancelError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch must return *sim.CancelError carrying context.Canceled, got %v", err)
 	}
-	if len(fails.Cancelled) == 0 {
+
+	// Cancellations are not failures and are not memoized: the cancelled
+	// specs are exactly the nil slots, the harness has recorded nothing,
+	// and re-running a cancelled spec executes it.
+	var cancelled []RunSpec
+	for i, r := range out {
+		if r == nil {
+			cancelled = append(cancelled, specs[i])
+		} else if _, ok := h.ResultFor(specs[i].Key()); !ok {
+			t.Fatalf("completed slot %d is not memoized", i)
+		}
+	}
+	if len(cancelled) == 0 {
 		t.Fatal("cancellation after the first completion must leave cancelled runs")
 	}
-	if len(fails.Failed) != 0 {
-		t.Fatalf("cancelled runs must not be reported as failures: %v", fails.Failed)
+	if len(cancelled) == len(specs) {
+		t.Fatal("the run that triggered the cancel must keep its slot")
 	}
-	if fails.Completed < 1 {
-		t.Fatal("the run that triggered the cancel must count as completed")
-	}
-
-	completed := 0
-	for _, r := range out {
-		if r != nil {
-			completed++
+	for _, spec := range cancelled {
+		if err := h.FailureFor(spec.Key()); err != nil {
+			t.Fatalf("cancelled spec %s memoized a failure: %v", spec.Key(), err)
 		}
 	}
-	if completed != fails.Completed {
-		t.Fatalf("completed slots (%d) disagree with RunFailures.Completed (%d)", completed, fails.Completed)
-	}
-	for _, re := range fails.Cancelled {
-		if !sim.IsCancel(re) {
-			t.Fatalf("cancelled slot must unwrap to *sim.CancelError, got %v", re)
-		}
-		if !errors.Is(re, context.Canceled) {
-			t.Fatalf("cancelled slot must carry context.Canceled, got %v", re)
-		}
-	}
-
-	// Cancellations are not failures and are not memoized: the harness has
-	// recorded nothing, and re-running a cancelled spec executes it.
 	if got := h.Failures(); len(got) != 0 {
 		t.Fatalf("cancelled runs must not be recorded as harness failures: %v", got)
 	}
 	h.OnResult = nil
-	respec := fails.Cancelled[0].Spec
+	respec := cancelled[0]
 	r, err := h.RunContext(context.Background(), respec)
 	if err != nil || r == nil {
 		t.Fatalf("cancelled spec must be re-runnable after cancellation: %v", err)
@@ -146,9 +139,9 @@ func TestExperimentStopsOnCancelledContext(t *testing.T) {
 	cancel()
 	specs := Plan(h.Scale, Experiments())
 	_, err := h.RunManyContext(ctx, specs)
-	var rf *RunFailures
-	if !errors.As(err, &rf) || len(rf.Cancelled) != len(specs) {
-		t.Fatalf("every planned spec must come back cancelled, got %v", err)
+	var ce *sim.CancelError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled batch must return *sim.CancelError, got %v", err)
 	}
 	if n := len(h.Results()); n != 0 {
 		t.Fatalf("cancelled batch executed %d spec(s)", n)

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bertisim/berti/internal/cache"
@@ -86,36 +87,6 @@ func (e *RunError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// RunFailures aggregates the failed runs of a RunManyContext batch whose other
-// runs completed (the partial-results failure report).
-type RunFailures struct {
-	// Failed holds one *RunError per failing spec.
-	Failed []*RunError
-	// Cancelled holds the runs aborted by context cancellation. They are
-	// not failures: nothing is recorded on the harness and a resumed
-	// campaign re-executes them.
-	Cancelled []*RunError
-	// Completed counts the runs that succeeded.
-	Completed int
-}
-
-// Error implements error.
-func (e *RunFailures) Error() string {
-	total := len(e.Failed) + len(e.Cancelled) + e.Completed
-	msg := fmt.Sprintf("harness: %d of %d runs failed", len(e.Failed), total)
-	if n := len(e.Cancelled); n > 0 {
-		msg += fmt.Sprintf(" (%d cancelled)", n)
-	}
-	for i, f := range e.Failed {
-		if i == 3 {
-			msg += fmt.Sprintf("; ... (%d more)", len(e.Failed)-i)
-			break
-		}
-		msg += "; " + f.Error()
-	}
-	return msg
-}
-
 // DefaultRunTimeout is the per-run wall-clock budget. Generous: quick-scale
 // runs finish in seconds; only a genuine hang (which the cycle-domain
 // watchdog usually catches first) burns this long.
@@ -139,16 +110,23 @@ var (
 	ScaleFull    = Scale{Name: "full", MemRecords: 1_000_000, WarmupInstr: 600_000, SimInstr: 2_000_000, Mixes: 20}
 )
 
+// ScaleByName returns the predefined scale called name ("quick",
+// "default" or "full").
+func ScaleByName(name string) (Scale, bool) {
+	for _, s := range []Scale{ScaleQuick, ScaleDefault, ScaleFull} {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scale{}, false
+}
+
 // ScaleFromEnv picks the scale from $BERTI_SCALE (default: ScaleDefault).
 func ScaleFromEnv() Scale {
-	switch os.Getenv("BERTI_SCALE") {
-	case "quick":
-		return ScaleQuick
-	case "full":
-		return ScaleFull
-	default:
-		return ScaleDefault
+	if s, ok := ScaleByName(os.Getenv("BERTI_SCALE")); ok {
+		return s
 	}
+	return ScaleDefault
 }
 
 // RunSpec names one simulation: a trace source (a registry workload, a
@@ -859,19 +837,19 @@ func damageTrace(tr *trace.Slice, fp *fault.Plan) (*trace.Slice, error) {
 // goroutines, not one per spec) and returns results in spec order
 // regardless of completion order. Each worker goes through the panic-safe
 // RunContext path, so one crashing simulation cannot take down its
-// siblings: a failing run leaves a nil slot and contributes to the
-// returned *RunFailures while the other runs' results are still returned
-// (the partial results the robustness layer exists to preserve).
+// siblings: a failing run leaves a nil slot and its failure is memoized
+// (read it with FailureFor or Failures) while the other runs' results are
+// still returned. The error is nil once every spec ran, failures included.
 //
 // When ctx fires, in-flight simulations stop at the engine's next poll
 // stride, not-yet-started specs are skipped without executing a cycle, and
 // the pool drains cleanly (every worker exits; no goroutine outlives the
 // call). Results completed before the cancellation keep their slots;
-// cancelled slots are nil and reported under RunFailures.Cancelled with
-// the typed *sim.CancelError.
+// cancelled slots are nil, nothing is memoized for them, and the call
+// returns a *sim.CancelError wrapping ctx.Err().
 func (h *Harness) RunManyContext(ctx context.Context, specs []RunSpec) ([]*sim.Result, error) {
 	out := make([]*sim.Result, len(specs))
-	errs := make([]error, len(specs))
+	var cancelled atomic.Bool
 	workers := h.Workers
 	if workers < 1 {
 		workers = 1
@@ -886,7 +864,10 @@ func (h *Harness) RunManyContext(ctx context.Context, specs []RunSpec) ([]*sim.R
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i], errs[i] = h.RunContext(ctx, specs[i])
+				var err error
+				if out[i], err = h.RunContext(ctx, specs[i]); sim.IsCancel(err) {
+					cancelled.Store(true)
+				}
 			}
 		}()
 	}
@@ -895,27 +876,8 @@ func (h *Harness) RunManyContext(ctx context.Context, specs []RunSpec) ([]*sim.R
 	}
 	close(idx)
 	wg.Wait()
-	var fails *RunFailures
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if fails == nil {
-			fails = &RunFailures{}
-		}
-		var re *RunError
-		if !errors.As(err, &re) {
-			re = &RunError{Spec: specs[i], Err: err}
-		}
-		if sim.IsCancel(err) {
-			fails.Cancelled = append(fails.Cancelled, re)
-		} else {
-			fails.Failed = append(fails.Failed, re)
-		}
-	}
-	if fails != nil {
-		fails.Completed = len(specs) - len(fails.Failed) - len(fails.Cancelled)
-		return out, fails
+	if cancelled.Load() {
+		return out, &sim.CancelError{Cause: ctx.Err()}
 	}
 	return out, nil
 }

@@ -61,6 +61,29 @@ func TestRunManyOrder(t *testing.T) {
 	}
 }
 
+// TestScaleByName: the three predefined scales resolve by name, anything
+// else does not, and $BERTI_SCALE reads the same table (default on a miss).
+func TestScaleByName(t *testing.T) {
+	for _, want := range []Scale{ScaleQuick, ScaleDefault, ScaleFull} {
+		if got, ok := ScaleByName(want.Name); !ok || got != want {
+			t.Fatalf("ScaleByName(%q) = %+v, %v", want.Name, got, ok)
+		}
+		t.Setenv("BERTI_SCALE", want.Name)
+		if got := ScaleFromEnv(); got != want {
+			t.Fatalf("BERTI_SCALE=%s picked %+v", want.Name, got)
+		}
+	}
+	for _, name := range []string{"", "huge", "Quick"} {
+		if _, ok := ScaleByName(name); ok {
+			t.Fatalf("ScaleByName(%q) resolved", name)
+		}
+	}
+	t.Setenv("BERTI_SCALE", "huge")
+	if got := ScaleFromEnv(); got != ScaleDefault {
+		t.Fatalf("unknown BERTI_SCALE picked %+v, want the default scale", got)
+	}
+}
+
 func TestMemIntSuiteSplitsCorrectly(t *testing.T) {
 	spec := MemIntSuite("spec")
 	gap := MemIntSuite("gap")

@@ -319,12 +319,11 @@ func (c *Client) AcquireLease(ctx context.Context, worker string, maxSpecs int) 
 	return &grant, nil
 }
 
-// Heartbeat extends a lease's deadline, reporting progress. Returns
-// ErrLeaseLost (wrapped) when the coordinator no longer honours the lease
-// — the deadline passed and the batch was reassigned, or the daemon is
-// draining.
-func (c *Client) Heartbeat(ctx context.Context, leaseID, worker string, completed int) (*HeartbeatResponse, error) {
-	body, err := json.Marshal(HeartbeatRequest{Worker: worker, Completed: completed})
+// Heartbeat extends a lease's deadline. Returns ErrLeaseLost (wrapped)
+// when the coordinator no longer honours the lease — the deadline passed
+// and the batch was reassigned, or the daemon is draining.
+func (c *Client) Heartbeat(ctx context.Context, leaseID, worker string) (*HeartbeatResponse, error) {
+	body, err := json.Marshal(HeartbeatRequest{Worker: worker})
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding heartbeat: %w", err)
 	}

@@ -34,7 +34,6 @@ const (
 // lease is one granted batch.
 type lease struct {
 	id       string
-	worker   string
 	deadline time.Time
 	// inProcess marks a lease held by one of the daemon's own workers. It
 	// has no deadline: an in-process worker cannot die or partition apart
@@ -44,14 +43,10 @@ type lease struct {
 	// outstanding holds the batch's not-yet-finished keys; the lease is
 	// discarded once it empties (nothing left to reassign).
 	outstanding map[string]bool
-	total       int
-	// progress is the worker's last heartbeat Completed figure.
-	progress int
 }
 
 // workerInfo is one registry row.
 type workerInfo struct {
-	firstSeen time.Time
 	lastSeen  time.Time
 	leases    uint64
 	specsDone uint64
@@ -148,7 +143,7 @@ func (p *leasePool) add(specs []harness.RunSpec) {
 func (p *leasePool) touchWorkerLocked(worker string) *workerInfo {
 	w := p.workers[worker]
 	if w == nil {
-		w = &workerInfo{firstSeen: p.now()}
+		w = &workerInfo{}
 		p.workers[worker] = w
 	}
 	w.lastSeen = p.now()
@@ -178,10 +173,8 @@ func (p *leasePool) acquire(worker string, max int, inProcess bool) (*lease, []h
 	p.seq++
 	l := &lease{
 		id:          fmt.Sprintf("l%06d", p.seq),
-		worker:      worker,
 		inProcess:   inProcess,
 		outstanding: make(map[string]bool, len(granted)),
-		total:       len(granted),
 	}
 	if !inProcess {
 		l.deadline = p.now().Add(p.ttl)
@@ -202,10 +195,10 @@ func (p *leasePool) acquire(worker string, max int, inProcess bool) (*lease, []h
 	return l, specs
 }
 
-// heartbeat extends a lease's deadline and records progress. Returns
+// heartbeat extends a lease's deadline and marks worker seen. Returns
 // false when the lease is unknown (expired and reassigned, or never
 // granted) — the worker must abandon the batch.
-func (p *leasePool) heartbeat(id, worker string, completed int) bool {
+func (p *leasePool) heartbeat(id, worker string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.touchWorkerLocked(worker)
@@ -214,9 +207,6 @@ func (p *leasePool) heartbeat(id, worker string, completed int) bool {
 		return false
 	}
 	l.deadline = p.now().Add(p.ttl)
-	if completed > l.progress {
-		l.progress = completed
-	}
 	return true
 }
 
@@ -486,7 +476,7 @@ func (s *Server) handleLeaseHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, errors.New("daemon is draining; abandon the lease"))
 		return
 	}
-	if !s.pool.heartbeat(id, req.Worker, req.Completed) {
+	if !s.pool.heartbeat(id, req.Worker) {
 		writeErr(w, http.StatusGone, fmt.Errorf("lease %s expired or unknown; its specs were reassigned", id))
 		return
 	}

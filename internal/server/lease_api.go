@@ -47,12 +47,11 @@ type LeaseGrant struct {
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
 }
 
-// HeartbeatRequest is the POST /api/v1/leases/{id}/heartbeat body.
+// HeartbeatRequest is the POST /api/v1/leases/{id}/heartbeat body. It
+// names only the worker: progress is read from the results it pushes.
+// Unknown fields (such as an older worker's "completed") are ignored.
 type HeartbeatRequest struct {
 	Worker string `json:"worker"`
-	// Completed reports batch progress (specs finished so far) for the
-	// worker registry.
-	Completed int `json:"completed"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat: the lease deadline was

@@ -55,7 +55,7 @@ func FuzzLeasePool(f *testing.F) {
 				}
 			case 2: // heartbeat an arbitrary past lease (possibly dead)
 				if len(leaseIDs) > 0 {
-					p.heartbeat(leaseIDs[arg%len(leaseIDs)], workers[arg%2], arg)
+					p.heartbeat(leaseIDs[arg%len(leaseIDs)], workers[arg%2])
 				}
 			case 3: // advance time and expire
 				clk.advance(time.Duration(arg) * 100 * time.Millisecond)

@@ -153,7 +153,7 @@ func TestLeasePoolLifecycle(t *testing.T) {
 	checkPoolInvariants(t, p, nil)
 
 	l, granted := p.acquire("w1", 3, false)
-	if l == nil || len(granted) != 3 || l.worker != "w1" {
+	if l == nil || len(granted) != 3 || p.workers["w1"].leases != 1 {
 		t.Fatalf("acquire: lease %+v, %d specs", l, len(granted))
 	}
 	checkPoolInvariants(t, p, nil)
@@ -161,7 +161,7 @@ func TestLeasePoolLifecycle(t *testing.T) {
 	// Heartbeats extend the deadline: after two half-TTL advances with a
 	// heartbeat in between, the lease must still be alive.
 	clk.advance(600 * time.Millisecond)
-	if !p.heartbeat(l.id, "w1", 1) {
+	if !p.heartbeat(l.id, "w1") {
 		t.Fatal("heartbeat on a live lease refused")
 	}
 	clk.advance(600 * time.Millisecond)
@@ -182,7 +182,7 @@ func TestLeasePoolLifecycle(t *testing.T) {
 	if nl != 1 || ns != 2 {
 		t.Fatalf("expire: %d leases / %d specs, want 1/2", nl, ns)
 	}
-	if p.heartbeat(l.id, "w1", 2) {
+	if p.heartbeat(l.id, "w1") {
 		t.Fatal("heartbeat on an expired lease accepted")
 	}
 	checkPoolInvariants(t, p, nil)
@@ -259,7 +259,7 @@ func TestLeasePoolNeverLosesOrDoubleCounts(t *testing.T) {
 					}
 				case 3: // heartbeat a random (possibly dead) lease
 					if len(leaseIDs) > 0 {
-						p.heartbeat(leaseIDs[rng.Intn(len(leaseIDs))], workers[rng.Intn(len(workers))], rng.Intn(5))
+						p.heartbeat(leaseIDs[rng.Intn(len(leaseIDs))], workers[rng.Intn(len(workers))])
 					}
 				case 4: // time passes; maybe leases expire
 					clk.advance(time.Duration(rng.Intn(700)) * time.Millisecond)
@@ -361,7 +361,7 @@ func TestLeaseProtocolEndToEnd(t *testing.T) {
 	if grant.ID == "" || len(grant.Specs) != len(specs) || grant.Scale != srvScale.Name {
 		t.Fatalf("grant: %+v", grant)
 	}
-	if _, err := cl.Heartbeat(ctx, grant.ID, "hand-worker", 0); err != nil {
+	if _, err := cl.Heartbeat(ctx, grant.ID, "hand-worker"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -536,6 +536,82 @@ func TestPushedFailureFailsLaterCampaigns(t *testing.T) {
 	}
 }
 
+// TestLeaseWorkerPushesFailures runs a real Worker whose every run fails
+// (a 1ns run budget ends each in a DeadlineError): its final push must
+// carry each failure with the worker harness's memoized error text, and
+// the campaign must finish failed. A heartbeat body from an older worker,
+// which still sent a "completed" count, must keep its lease alive.
+func TestLeaseWorkerPushesFailures(t *testing.T) {
+	ctx := testCtx(t)
+	s, ts := newLeaseTestServer(t, t.TempDir(), time.Minute)
+
+	// A lease outside the campaign, heartbeated with the older body.
+	extra := harness.RunSpec{Workload: "roms_like", L1DPf: "next-line"}
+	s.pool.add([]harness.RunSpec{extra})
+	cl := NewClient(ts.URL)
+	grant, err := cl.AcquireLease(ctx, "w1", 1)
+	if err != nil || grant.ID == "" {
+		t.Fatalf("acquire: grant=%+v err=%v", grant, err)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/leases/"+grant.ID+"/heartbeat", "application/json",
+		bytes.NewBufferString(`{"worker":"w1","completed":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat with a completed count: status %d, want 200", resp.StatusCode)
+	}
+
+	wh := harness.New(srvScale)
+	wh.RunTimeout = time.Nanosecond
+	w := &Worker{
+		ID: "w1", Client: NewClient(ts.URL), Harness: wh,
+		MaxSpecs: 2, PollInterval: 20 * time.Millisecond, Logf: t.Logf,
+	}
+	wctx, wcancel := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() { done <- w.Run(wctx) }()
+
+	specs := srvSpecs()
+	ack, err := cl.Submit(ctx, "worker-failures", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.WaitCampaign(ctx, ack.ID)
+	wcancel()
+	if werr := <-done; werr != nil {
+		t.Fatalf("worker: %v", werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.Failed != len(specs) {
+		t.Fatalf("campaign finished as %+v, want %d failed", st, len(specs))
+	}
+	body, err := cl.Report(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) != len(specs) {
+		t.Fatalf("report lists %d failure(s), want %d", len(rep.Failed), len(specs))
+	}
+	for _, f := range rep.Failed {
+		werr := wh.FailureFor(f.Key)
+		var de *sim.DeadlineError
+		if !errors.As(werr, &de) {
+			t.Fatalf("worker memo for %q: %v, want a *sim.DeadlineError", f.Key, werr)
+		}
+		if f.Error != werr.Error() {
+			t.Fatalf("pushed failure for %q reads %q, want the worker's %q", f.Key, f.Error, werr.Error())
+		}
+	}
+}
+
 // TestClientRetriesTransient pins the retry discipline: 5xx and transport
 // errors retry with the deterministic backoff; 4xx (including 410 for a
 // dead lease) surface immediately.
@@ -574,7 +650,7 @@ func TestClientRetriesTransient(t *testing.T) {
 		t.Fatalf("transient 503 retried %d times total, want 3 calls", n)
 	}
 
-	_, err := cl.Heartbeat(ctx, "l000001", "w", 0)
+	_, err := cl.Heartbeat(ctx, "l000001", "w")
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("410 heartbeat: got %v, want ErrLeaseLost", err)
 	}
@@ -649,7 +725,7 @@ func TestLeaseDrainBehaviour(t *testing.T) {
 	if _, err := cl.AcquireLease(ctx, "drain-worker", 1); err == nil {
 		t.Fatal("draining coordinator granted a lease")
 	}
-	if _, err := cl.Heartbeat(ctx, grant.ID, "drain-worker", 0); !errors.Is(err, ErrLeaseLost) {
+	if _, err := cl.Heartbeat(ctx, grant.ID, "drain-worker"); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("draining heartbeat: got %v, want ErrLeaseLost", err)
 	}
 	rr, err := cl.PushResults(ctx, grant.ID, "drain-worker", []campaign.Entry{{Key: spec.Key(), Result: r}}, nil)

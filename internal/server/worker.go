@@ -94,22 +94,19 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runLease executes one granted batch. Results stream back as each spec
 // finishes (so a worker killed mid-batch has already banked its completed
-// work), heartbeats extend the lease in parallel, and a final sweep
-// pushes whatever was not yet acknowledged — on a context that survives
-// worker shutdown, because a computed result is worth landing even when
-// the lease is already lost.
+// work), heartbeats extend the lease in parallel, and a final sweep reads
+// the harness memo for every granted spec and pushes each unacknowledged
+// result and each failure — on a context that survives worker shutdown,
+// because a computed result is worth landing even when the lease is
+// already lost.
 func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(string, ...any)) error {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var mu sync.Mutex
 	acked := map[string]bool{}
-	completed := 0
 
 	w.Harness.OnResult = func(key string, _ harness.RunSpec, r *sim.Result) {
-		mu.Lock()
-		completed++
-		mu.Unlock()
 		if _, err := w.Client.PushResults(bctx, grant.ID, w.ID,
 			[]campaign.Entry{{Key: key, Result: r}}, nil); err != nil {
 			logf("worker %s: push %s: %v (will retry in final sweep)", w.ID, key, err)
@@ -136,10 +133,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(stri
 			case <-bctx.Done():
 				return
 			case <-t.C:
-				mu.Lock()
-				n := completed
-				mu.Unlock()
-				if _, err := w.Client.Heartbeat(bctx, grant.ID, w.ID, n); err != nil {
+				if _, err := w.Client.Heartbeat(bctx, grant.ID, w.ID); err != nil {
 					if errors.Is(err, ErrLeaseLost) {
 						logf("worker %s: lease %s lost; abandoning batch", w.ID, grant.ID)
 						cancel()
@@ -153,7 +147,9 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(stri
 		}
 	}()
 
-	_, runErr := w.Harness.RunManyContext(bctx, grant.Specs)
+	// Every outcome lands in the harness memo; a cancelled spec has none
+	// and is left to the coordinator to reassign.
+	_, _ = w.Harness.RunManyContext(bctx, grant.Specs)
 
 	// Final sweep: everything completed but not yet acknowledged, plus the
 	// failures. Detached from ctx so a shutting-down (or lease-lost)
@@ -162,6 +158,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(stri
 	pushCtx, pcancel := context.WithTimeout(context.WithoutCancel(ctx), finalPushTimeout)
 	defer pcancel()
 	var entries []campaign.Entry
+	var failures []RunFailure
 	mu.Lock()
 	for _, spec := range grant.Specs {
 		key := spec.Key()
@@ -170,18 +167,11 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(stri
 		}
 		if r, ok := w.Harness.ResultFor(key); ok {
 			entries = append(entries, campaign.Entry{Key: key, Result: r})
+		} else if err := w.Harness.FailureFor(key); err != nil {
+			failures = append(failures, RunFailure{Key: key, Error: err.Error()})
 		}
 	}
 	mu.Unlock()
-	var failures []RunFailure
-	var rf *harness.RunFailures
-	if errors.As(runErr, &rf) {
-		for _, f := range rf.Failed {
-			failures = append(failures, RunFailure{Key: f.Spec.Key(), Error: f.Error()})
-		}
-	} else if runErr != nil && !sim.IsCancel(runErr) {
-		return runErr
-	}
 	if len(entries) > 0 || len(failures) > 0 {
 		if _, err := w.Client.PushResults(pushCtx, grant.ID, w.ID, entries, failures); err != nil {
 			return fmt.Errorf("final results push: %w", err)

@@ -45,9 +45,6 @@ func NewCorpus(dir string) (*Corpus, error) {
 	return &Corpus{dir: dir}, nil
 }
 
-// Dir returns the cache root.
-func (c *Corpus) Dir() string { return c.dir }
-
 // Path returns the cache file path for a key. The human-readable workload
 // prefix is cosmetic; the hash alone addresses the content.
 func (c *Corpus) Path(k Key) string {

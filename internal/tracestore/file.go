@@ -43,7 +43,7 @@ func Open(path string) (*File, error) {
 		f.Close()
 		return nil, err
 	}
-	tf, err := OpenReaderAt(f, st.Size())
+	tf, err := openReaderAt(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -54,13 +54,13 @@ func Open(path string) (*File, error) {
 
 // OpenBytes opens a v2 container held in memory (tests, fuzzing).
 func OpenBytes(b []byte) (*File, error) {
-	return OpenReaderAt(bytes.NewReader(b), int64(len(b)))
+	return openReaderAt(bytes.NewReader(b), int64(len(b)))
 }
 
-// OpenReaderAt opens a v2 container over any random-access source of the
+// openReaderAt opens a v2 container over any random-access source of the
 // given size. The source must remain valid for the life of the File and its
 // readers.
-func OpenReaderAt(ra io.ReaderAt, size int64) (*File, error) {
+func openReaderAt(ra io.ReaderAt, size int64) (*File, error) {
 	fail := func(section string, off int64, err error) (*File, error) {
 		return nil, &FormatError{Section: section, Chunk: -1, Offset: off, Err: err}
 	}
@@ -342,21 +342,15 @@ func (f *File) decodeChunk(idx int, sc *scratch, dst []trace.Record) ([]trace.Re
 	return out, nil
 }
 
-// FastForward locates the window start for an instruction target: the
-// position of the first record whose retirement would push the cumulative
+// seek locates the window start for an instruction target: the position
+// of the first record whose retirement would push the cumulative
 // instruction count (memory records plus their NonMemBefore runs) past
 // target. It returns the chunk to start in and the records to skip within
 // it, decoding at most one chunk. A target at or past the end of the trace
-// returns chunk == Chunks() (the EOF position).
-func (f *File) FastForward(target uint64) (chunk, skip int, startInstr uint64, err error) {
-	_, chunk, skip, startInstr, err = f.seek(target, f.newScratch(), nil)
-	return chunk, skip, startInstr, err
-}
-
-// seek is FastForward that also returns the start chunk's records, decoded
-// with sc and appended to dst, so a reader can replay them without decoding
-// the chunk again. recs is nil when the window starts on a chunk it did
-// not decode.
+// returns chunk == Chunks() (the EOF position). The start chunk's records,
+// decoded with sc and appended to dst, come back too, so a reader can
+// replay them without decoding the chunk again; recs is nil when the
+// window starts on a chunk it did not decode.
 func (f *File) seek(target uint64, sc *scratch, dst []trace.Record) (recs []trace.Record, chunk, skip int, startInstr uint64, err error) {
 	if target >= f.meta.Instructions {
 		return nil, len(f.chunks), 0, f.meta.Instructions, nil

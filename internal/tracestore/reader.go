@@ -58,7 +58,8 @@ func (f *File) NewReader(o ReaderOptions) *Reader {
 }
 
 // NewWindowReader returns a streaming reader fast-forwarded to the
-// instruction-window start (see FastForward): the first record returned is
+// instruction-window start (located by an index search, decoding at most
+// the start chunk): the first record returned is
 // the first whose retirement pushes the cumulative instruction count past
 // startInstr. Skipped chunks are never decompressed, and the start chunk
 // is decoded once, by the seek. With Loop set, later laps replay from the

@@ -213,12 +213,12 @@ func TestWindowFastForward(t *testing.T) {
 	}
 	for _, target := range targets {
 		wantIdx, wantCum := naive(target)
-		chunkIdx, skip, startInstr, err := f.FastForward(target)
+		_, chunkIdx, skip, startInstr, err := f.seek(target, f.newScratch(), nil)
 		if err != nil {
-			t.Fatalf("FastForward(%d): %v", target, err)
+			t.Fatalf("seek(%d): %v", target, err)
 		}
 		if got := recordIndexOf(chunkIdx, skip); got != wantIdx || startInstr != wantCum {
-			t.Fatalf("FastForward(%d) = record %d (instr %d), want record %d (instr %d)",
+			t.Fatalf("seek(%d) = record %d (instr %d), want record %d (instr %d)",
 				target, got, startInstr, wantIdx, wantCum)
 		}
 		rd, err := f.NewWindowReader(target, ReaderOptions{})
